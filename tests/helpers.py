@@ -178,3 +178,214 @@ def one_dim(H, delta, sigma, case):
     from hayd.suite import one_dim_structure
 
     return one_dim_structure(H, delta, sigma, case)
+
+
+# -- first-violation oracles ---------------------------------------------------------
+#
+# These return what an exhaustive check must report: the axiom, the
+# lexicographically first violating tuple, and both sides there as dense
+# nested lists (compare with ``dense(report.lhs)``).
+
+
+def _vec_add(field, acc, scale, row):
+    """acc += scale * row, entrywise on dense lists."""
+    for t, x in enumerate(row):
+        if not field.is_zero(x):
+            acc[t] = field.add(acc[t], field.mul(scale, x))
+
+
+def first_hopf_violation(H):
+    """Dense first violation in ``verify_hopf_axioms`` order, or None.
+
+    Per (i, j) bialgebra-mult comes before bialgebra-counit; for the unit,
+    counit and antipode laws the left side is reported unless only the right
+    side fails.  antipode-invertible is not covered: None means every law up
+    to the antipode holds.
+    """
+    f = H.field
+    n = H.dim
+    d = hopf_dense(H)
+    mu, unit, cm, eps, s = d["mult"], d["unit"], d["comult"], d["counit"], d["antipode"]
+    rng = range(n)
+
+    def zeros(*shape):
+        if len(shape) == 1:
+            return [f.zero] * shape[0]
+        return [zeros(*shape[1:]) for _ in range(shape[0])]
+
+    def basis(i):
+        v = zeros(n)
+        v[i] = f.one
+        return v
+
+    for i, j, k in product(rng, repeat=3):
+        lhs, rhs = zeros(n), zeros(n)
+        for m in rng:
+            _vec_add(f, lhs, mu[i][j][m], mu[m][k])
+            _vec_add(f, rhs, mu[j][k][m], mu[i][m])
+        if lhs != rhs:
+            return ("associativity", (i, j, k), lhs, rhs)
+
+    for i in rng:
+        left, right = zeros(n), zeros(n)
+        for j in rng:
+            _vec_add(f, left, unit[j], mu[j][i])
+            _vec_add(f, right, unit[j], mu[i][j])
+        want = basis(i)
+        if left != want or right != want:
+            return ("unit", (i,), left if left != want else right, want)
+
+    for i in rng:
+        lhs, rhs = zeros(n, n, n), zeros(n, n, n)
+        for m, c in product(rng, repeat=2):
+            x = cm[i][m][c]
+            if not f.is_zero(x):
+                for a, b in product(rng, repeat=2):
+                    lhs[a][b][c] = f.add(lhs[a][b][c], f.mul(x, cm[m][a][b]))
+        for a, m in product(rng, repeat=2):
+            for b in rng:
+                _vec_add(f, rhs[a][b], cm[i][a][m], cm[m][b])
+        if lhs != rhs:
+            return ("coassociativity", (i,), lhs, rhs)
+
+    for i in rng:
+        left, right = zeros(n), zeros(n)
+        for j in rng:
+            _vec_add(f, left, eps[j], cm[i][j])
+            _vec_add(f, right, eps[j], [cm[i][k][j] for k in rng])
+        want = basis(i)
+        if left != want or right != want:
+            return ("counit", (i,), left if left != want else right, want)
+
+    legs = [[(p, q, cm[i][p][q]) for p, q in product(rng, repeat=2)
+             if not f.is_zero(cm[i][p][q])] for i in rng]
+    for i, j in product(rng, repeat=2):
+        lhs = zeros(n, n)
+        for k in rng:
+            for a in rng:
+                _vec_add(f, lhs[a], mu[i][j][k], cm[k][a])
+        rhs = zeros(n, n)
+        for (p, q, ci), (r, t, cj) in product(legs[i], legs[j]):
+            c = f.mul(ci, cj)
+            for a in rng:
+                _vec_add(f, rhs[a], f.mul(c, mu[p][r][a]), mu[q][t])
+        if lhs != rhs:
+            return ("bialgebra-mult", (i, j), lhs, rhs)
+        got = sum_(f, (f.mul(mu[i][j][k], eps[k]) for k in rng))
+        want = f.mul(eps[i], eps[j])
+        if got != want:
+            return ("bialgebra-counit", (i, j), got, want)
+
+    lhs = zeros(n, n)
+    for i, a in product(rng, repeat=2):
+        _vec_add(f, lhs[a], unit[i], cm[i][a])
+    rhs = [[f.mul(unit[a], unit[b]) for b in rng] for a in rng]
+    if lhs != rhs:
+        return ("bialgebra-unit", (0,), lhs, rhs)
+    got = sum_(f, (f.mul(unit[i], eps[i]) for i in rng))
+    if got != f.one:
+        return ("bialgebra-unit", (0,), got, f.one)
+
+    for i in rng:
+        left, right = zeros(n), zeros(n)
+        for j, k, m in product(rng, repeat=3):
+            _vec_add(f, left, f.mul(cm[i][j][k], s[j][m]), mu[m][k])
+            _vec_add(f, right, f.mul(cm[i][j][k], s[k][m]), mu[j][m])
+        want = [f.mul(eps[i], unit[l]) for l in rng]
+        if left != want or right != want:
+            return ("antipode", (i,), left if left != want else right, want)
+    return None
+
+
+def first_compat_violation(M, anti, sinv):
+    """Dense first violation of check_ayd (anti=True) or check_yd, or None.
+
+    ``sinv`` is the inverse antipode as a dense matrix.  The identity, per
+    case, with T the twisting antipode power and (h1, h2, h3) the legs of the
+    two-step coproduct of h:
+    ll: (h.m)_h (x) (h.m)_0 == h1 m_h T(h3) (x) h2.m_0;  lr: the mirror with
+    the Hopf leg last and h3 m_h T(h1); rl: T(h3) m_h h1 (x) m_0.h2;
+    rr: m_0.h2 (x) T(h1) m_h h3.
+    """
+    H = M.hopf
+    f = H.field
+    n, m = H.dim, M.dim
+    case = M.case
+    mu, s = dense(H.mult), dense(H.antipode)
+    cm = dense(H.comult)
+    act = dense(M.action.tensor)
+    co = dense(M.coaction.tensor)
+    left_co = M.coaction.side == "left"
+    twist = (sinv if anti else s) if case in ("ll", "rr") else (s if anti else sinv)
+    rng, mrng = range(n), range(m)
+
+    def coef(a, h, b):
+        return co[a][h][b] if left_co else co[a][b][h]
+
+    def prod(u, v):
+        w = [f.zero] * n
+        for x, y in product(rng, repeat=2):
+            if not (f.is_zero(u[x]) or f.is_zero(v[y])):
+                _vec_add(f, w, f.mul(u[x], v[y]), mu[x][y])
+        return w
+
+    def e(i):
+        return [f.one if t == i else f.zero for t in rng]
+
+    elements = {}
+
+    def element(p, h, r):
+        if (p, h, r) not in elements:
+            elements[(p, h, r)] = twisted(p, h, r)
+        return elements[(p, h, r)]
+
+    def twisted(p, h, r):
+        if case == "ll":
+            return prod(prod(e(p), e(h)), twist[r])
+        if case == "lr":
+            return prod(prod(e(r), e(h)), twist[p])
+        if case == "rl":
+            return prod(prod(twist[r], e(h)), e(p))
+        return prod(prod(twist[p], e(h)), e(r))
+
+    def put(acc, j, b, c):
+        if case in ("ll", "rl"):
+            acc[j][b] = f.add(acc[j][b], c)
+        else:
+            acc[b][j] = f.add(acc[b][j], c)
+
+    def zeros():
+        rows, cols = (n, m) if case in ("ll", "rl") else (m, n)
+        return [[f.zero] * cols for _ in range(rows)]
+
+    cop3 = [{} for _ in rng]
+    for i, p, y in product(rng, repeat=3):
+        if f.is_zero(cm[i][p][y]):
+            continue
+        for q, r in product(rng, repeat=2):
+            c3 = f.mul(cm[i][p][y], cm[y][q][r])
+            if not f.is_zero(c3):
+                cop3[i][(p, q, r)] = f.add(cop3[i].get((p, q, r), f.zero), c3)
+
+    kind = "anti-yetter-drinfeld" if anti else "yetter-drinfeld"
+    for i, a in product(rng, mrng):
+        lhs = zeros()
+        for x in mrng:
+            if f.is_zero(act[i][a][x]):
+                continue
+            for j, b in product(rng, mrng):
+                if not f.is_zero(coef(x, j, b)):
+                    put(lhs, j, b, f.mul(act[i][a][x], coef(x, j, b)))
+        rhs = zeros()
+        for (p, q, r), c3 in cop3[i].items():
+            for h, x in product(rng, mrng):
+                c = f.mul(c3, coef(a, h, x))
+                if f.is_zero(c):
+                    continue
+                u = element(p, h, r)
+                for j, b in product(rng, mrng):
+                    if not (f.is_zero(u[j]) or f.is_zero(act[q][x][b])):
+                        put(rhs, j, b, f.mul(c, f.mul(u[j], act[q][x][b])))
+        if lhs != rhs:
+            return (f"{kind}-{case}", (i, a), lhs, rhs)
+    return None

@@ -18,6 +18,7 @@ from hayd.errors import CheckFailedError, InputError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic, symmetric
 from hayd.hopf import (
+    antipode_inverse,
     function_algebra,
     group_algebra,
     sweedler,
@@ -33,7 +34,7 @@ from hayd.suite import (
 )
 from hayd.tensor import Tensor
 
-from helpers import graded_structure
+from helpers import dense, first_compat_violation, graded_structure
 
 Q = rationals()
 
@@ -100,6 +101,39 @@ def test_ayd_equals_yd_whenever_antipode_is_involutive(kS3):
     ]
     for M in structures:
         assert check_ayd(M).passed == check_yd(M).passed
+
+
+def test_compatibility_witness_matches_dense_oracle_on_corrupted_gradings(kS3):
+    # single-entry corruptions of the action and the coaction of the
+    # conjugation-graded kS3 module, in every case, for both families: each
+    # nonzero constant is copied one step along the last axis (doubling one
+    # would scale both sides alike)
+    G = symmetric(3)
+    sinv = dense(antipode_inverse(kS3))
+    witnesses = set()
+    for case in ("ll", "lr", "rl", "rr"):
+        M = graded_structure(kS3, G, list(range(6)), case)
+        for part in ("action", "coaction"):
+            structure = getattr(M, part)
+            t = structure.tensor
+            for idx, c in sorted(t.entries.items()):
+                shifted = idx[:-1] + ((idx[-1] + 1) % t.shape[-1],)
+                bad = type(structure)(
+                    structure.side, structure.dim,
+                    Tensor(Q, t.shape, {**t.entries, shifted: c}),
+                )
+                parts = {"action": M.action, "coaction": M.coaction, part: bad}
+                C = TwoSidedStructure(kS3, parts["action"], parts["coaction"])
+                for check, anti in ((check_ayd, True), (check_yd, False)):
+                    r = check(C)
+                    want = first_compat_violation(C, anti, sinv)
+                    if want is None:
+                        assert r.passed, (case, part, idx)
+                        continue
+                    witnesses.add(r.witness)
+                    got = (r.axiom, r.witness, dense(r.lhs), dense(r.rhs))
+                    assert got == want, (case, part, idx)
+    assert len(witnesses) > 10
 
 
 def test_crossed_module_failing_conjugation_fails_with_witness():

@@ -20,7 +20,7 @@ from hayd.hopf import (
 )
 from hayd.tensor import Tensor, contract
 
-from helpers import naive_hopf_axioms
+from helpers import dense, first_hopf_violation, naive_hopf_axioms
 
 Q = rationals()
 
@@ -271,3 +271,35 @@ def test_antipode_is_antialgebra_map_on_all_builtins():
                 lhs = H.apply_antipode(H.product(ei, ej))
                 rhs = H.product(H.apply_antipode(ej), H.apply_antipode(ei))
                 assert lhs == rhs, (name, i, j)
+
+
+def _single_entry_corruptions():
+    """Every nonzero constant of the builtins' five structure tensors, doubled
+    (over F_p: 2c mod p, or 1 if that is 0), one at a time."""
+    from hayd.suite import BUILTINS
+
+    labels = ("mult", "unit", "comult", "counit", "antipode")
+    for name, factory in sorted(BUILTINS.items()):
+        H = factory()
+        f = H.field
+        for label in labels:
+            tensor = getattr(H, label)
+            for idx, c in sorted(tensor.entries.items()):
+                bad = f.add(c, c) if f.p is None else (2 * c) % f.p or 1
+                data = {key: getattr(H, key) for key in labels}
+                data[label] = Tensor(f, tensor.shape, {**tensor.entries, idx: bad})
+                yield (name, label, idx), FinHopfAlgebra(f, name=H.name, **data)
+
+
+def test_hopf_witness_matches_dense_oracle_on_every_single_entry_corruption():
+    count = 0
+    for case, C in _single_entry_corruptions():
+        count += 1
+        r = verify_hopf_axioms(C)
+        want = first_hopf_violation(C)
+        if want is None:
+            assert r.passed or r.axiom == "antipode-invertible", case
+            continue
+        assert not r.passed, case
+        assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == want, case
+    assert count == 261
