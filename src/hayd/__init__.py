@@ -36,18 +36,19 @@ from .galois import (
     canonical_map,
     centralizer,
     check_comodule_algebra,
+    check_sandwich,
     coinvariants,
     comodule_algebra_from_hopf,
     make_sayd_prop5,
     mu_action,
     relative_tensor,
+    restrict_coaction,
     translation_map,
 )
 from .groups import Group, cyclic, symmetric
 from .hopf import (
     FinHopfAlgebra,
     antipode_inverse,
-    builtin_hopf,
     check_element,
     dual_hopf,
     find_characters,

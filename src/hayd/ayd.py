@@ -3,9 +3,10 @@ conventions, plus the constructions that produce compatible pairs: tensor
 products, entwinings, one-dimensional modules from a character and a
 group-like, quotient-induced stability, and group gradings.
 
-The two families of compatibility conditions differ only in which antipode
-power twists the outer legs; ``check_ayd`` uses the inverse antipode where
-``check_yd`` uses the antipode and vice versa.
+Every check is a spec of ``hayd.identity``.  The two families of
+compatibility conditions differ only in which antipode power twists the outer
+legs; ``check_ayd`` uses the inverse antipode where ``check_yd`` uses the
+antipode and vice versa, so one spec per side convention serves both.
 """
 
 from __future__ import annotations
@@ -16,10 +17,17 @@ from .algebra import FinAlgebra
 from .errors import CheckFailedError, InputError, ShapeError
 from .fields import Field
 from .groups import Group
-from .hopf import FinHopfAlgebra, check_element, group_algebra
+from .hopf import (
+    FinHopfAlgebra,
+    antipode_inverse,
+    check_element,
+    group_algebra,
+    iterated_coproduct,
+)
+from .identity import Identity, check
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
-from .tensor import Tensor, matrix_rank
+from .tensor import Tensor, accumulate, matrix_rank
 
 CASES = ("ll", "lr", "rl", "rr")
 
@@ -55,94 +63,34 @@ class TwoSidedStructure:
         return verify_coaction(self.hopf, self.coaction)
 
 
-def _acc(field, acc, key, c):
-    s = field.add(acc.get(key, field.zero), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
-def _pair_tensor(field, shape, acc):
-    return Tensor(field, shape, dict(acc), _normalized=True)
-
-
 def _compatibility(M: TwoSidedStructure, anti: bool) -> Report:
-    """Evaluate the case-matching action/coaction compatibility identity."""
+    """Evaluate the case-matching action/coaction compatibility identity.
+
+    With (h1, h2, h3) the legs of the two-step coproduct of h and T the
+    twisting antipode power, the coaction of h.m must equal, per case:
+    ll  h1 m_h T(h3) (x) h2.m_0      lr  h2.m_0 (x) h3 m_h T(h1)
+    rl  T(h3) m_h h1 (x) m_0.h2      rr  m_0.h2 (x) T(h1) m_h h3
+    """
     H = M.hopf
     H.require_verified()
-    f = H.field
-    n, m = H.dim, M.dim
     case = M.case
-    mrows = H.mult_rows()
-    cop3 = H.coproduct3_rows()
-    arows = M.action.rows()
-    lrows = M.coaction.rows()
-    s_rows = H.antipode_rows()
-    sinv_rows = H.antipode_inv_rows()
+    mult, act, co = H.mult, M.action.tensor, M.coaction.tensor
     # which antipode power twists the outer coproduct leg, per case
-    twist = {
-        "ll": sinv_rows if anti else s_rows,
-        "lr": s_rows if anti else sinv_rows,
-        "rl": s_rows if anti else sinv_rows,
-        "rr": sinv_rows if anti else s_rows,
+    twist = antipode_inverse(H) if anti == (case in ("ll", "rr")) else H.antipode
+    twisted = {
+        "ll": [(mult, "phw"), (twist, "rt"), (mult, "wtj")],
+        "lr": [(mult, "rhw"), (twist, "pt"), (mult, "wtj")],
+        "rl": [(twist, "rt"), (mult, "thw"), (mult, "wpj")],
+        "rr": [(twist, "pt"), (mult, "thw"), (mult, "wrj")],
     }[case]
-    kind = "anti-yetter-drinfeld" if anti else "yetter-drinfeld"
-    label = f"{kind}-{case}"
-    hm_shape = (n, m) if case in ("ll", "rl") else (m, n)
-
-    for i in range(n):
-        triples = cop3.get(i, ())
-        for a in range(m):
-            lhs: dict[tuple, object] = {}
-            for b0, c in arows.get((i, a), ()):
-                for (j, b, d) in lrows.get(b0, ()):
-                    key = (j, b) if case in ("ll", "rl") else (b, j)
-                    _acc(f, lhs, key, f.mul(c, d))
-            rhs: dict[tuple, object] = {}
-            for (p, q, r, c3) in triples:
-                for (hleg, b0, cl) in lrows.get(a, ()):
-                    base = f.mul(c3, cl)
-                    if case == "ll":
-                        # h1 . m_h . T(h3)  (x)  h2 . m_0
-                        for w, cw in mrows.get((p, hleg), ()):
-                            for rp, ct in twist.get(r, ()):
-                                for j, cj in mrows.get((w, rp), ()):
-                                    hc = f.mul(f.mul(cw, ct), cj)
-                                    for b, cb in arows.get((q, b0), ()):
-                                        _acc(f, rhs, (j, b), f.mul(base, f.mul(hc, cb)))
-                    elif case == "lr":
-                        # h2 . m_0  (x)  h3 . m_h . T(h1)
-                        for w, cw in mrows.get((r, hleg), ()):
-                            for pp, ct in twist.get(p, ()):
-                                for j, cj in mrows.get((w, pp), ()):
-                                    hc = f.mul(f.mul(cw, ct), cj)
-                                    for b, cb in arows.get((q, b0), ()):
-                                        _acc(f, rhs, (b, j), f.mul(base, f.mul(hc, cb)))
-                    elif case == "rl":
-                        # T(h3) . m_h . h1  (x)  m_0 . h2
-                        for rp, ct in twist.get(r, ()):
-                            for w, cw in mrows.get((rp, hleg), ()):
-                                for j, cj in mrows.get((w, p), ()):
-                                    hc = f.mul(f.mul(ct, cw), cj)
-                                    for b, cb in arows.get((q, b0), ()):
-                                        _acc(f, rhs, (j, b), f.mul(base, f.mul(hc, cb)))
-                    else:
-                        # m_0 . h2  (x)  T(h1) . m_h . h3
-                        for pp, ct in twist.get(p, ()):
-                            for w, cw in mrows.get((pp, hleg), ()):
-                                for j, cj in mrows.get((w, r), ()):
-                                    hc = f.mul(f.mul(ct, cw), cj)
-                                    for b, cb in arows.get((q, b0), ()):
-                                        _acc(f, rhs, (b, j), f.mul(base, f.mul(hc, cb)))
-            if lhs != rhs:
-                return Report.fail(
-                    label,
-                    (i, a),
-                    _pair_tensor(f, hm_shape, lhs),
-                    _pair_tensor(f, hm_shape, rhs),
-                )
-    return Report.ok(label)
+    # the coaction legs (m_in, h, m_out) on the left, (m_in, m_out, h) on the right
+    legs, out = ("ahx", "jb") if case[1] == "l" else ("axh", "bj")
+    label = f"{'anti-yetter-drinfeld' if anti else 'yetter-drinfeld'}-{case}"
+    return check(label, Identity(
+        label, "ia", out,
+        [(act, "iax"), (co, "x" + out)],
+        [(iterated_coproduct(H, 3), "ipqr"), (co, legs), *twisted, (act, "qxb")],
+    ))
 
 
 def check_ayd(M: TwoSidedStructure) -> Report:
@@ -157,26 +105,13 @@ def check_yd(M: TwoSidedStructure) -> Report:
 
 def check_stability(M: TwoSidedStructure) -> Report:
     """The coaction leg acting back on the rest must reproduce each element."""
-    H = M.hopf
-    H.require_verified()
-    f = H.field
-    m = M.dim
-    arows = M.action.rows()
-    lrows = M.coaction.rows()
+    M.hopf.require_verified()
+    legs = "ahx" if M.coaction.side == "left" else "axh"
     label = f"stability-{M.case}"
-    for a in range(m):
-        acc: dict[int, object] = {}
-        for (hleg, b0, c) in lrows.get(a, ()):
-            for b, d in arows.get((hleg, b0), ()):
-                _acc(f, acc, b, f.mul(c, d))
-        if acc != {a: f.one}:
-            return Report.fail(
-                label,
-                (a,),
-                Tensor(f, (m,), {(b,): c for b, c in acc.items()}),
-                Tensor(f, (m,), {(a,): f.one}),
-            )
-    return Report.ok(label)
+    return check(label, Identity(
+        label, "a", "b", [(M.coaction.tensor, legs), (M.action.tensor, "hxb")],
+        [(Tensor.identity(M.hopf.field, M.dim), "ab")],
+    ))
 
 
 # -- tensor construction ---------------------------------------------------------
@@ -234,7 +169,7 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
                     for u2, cn in nrows.get((jn, u), ()):
                         for v in range(mM):
                             for v2, cm in mrows_act.get((jm, v), ()):
-                                _acc(f, act, (i, flat(u, v), flat(u2, v2)),
+                                accumulate(f, act, (i, flat(u, v), flat(u2, v2)),
                                      f.mul(c, f.mul(cn, cm)))
         for u in range(mN):
             for (a, u2, cn) in nco.get(u, ()):
@@ -246,7 +181,7 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
                                 if case == "ll"
                                 else (flat(u, v), flat(u2, v2), t)
                             )
-                            _acc(f, lam, key, f.mul(f.mul(cn, cm), ct))
+                            accumulate(f, lam, key, f.mul(f.mul(cn, cm), ct))
         act_side, co_side = ("left", "left") if case == "ll" else ("left", "right")
     else:
         dim = mM * mN
@@ -261,7 +196,7 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
                     for v2, cm in mrows_act.get((jm, v), ()):
                         for u in range(mN):
                             for u2, cn in nrows.get((jn, u), ()):
-                                _acc(f, act, (i, flat(v, u), flat(v2, u2)),
+                                accumulate(f, act, (i, flat(v, u), flat(v2, u2)),
                                      f.mul(c, f.mul(cm, cn)))
         for v in range(mM):
             for (a, v2, cm) in mco.get(v, ()):
@@ -273,7 +208,7 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
                                 if case == "rl"
                                 else (flat(v, u), flat(v2, u2), t)
                             )
-                            _acc(f, lam, key, f.mul(f.mul(cm, cn), ct))
+                            accumulate(f, lam, key, f.mul(f.mul(cm, cn), ct))
         act_side, co_side = ("right", "left") if case == "rl" else ("right", "right")
 
     action = ActionStructure(act_side, dim, Tensor(f, (n, dim, dim), act, _normalized=True))
@@ -295,15 +230,6 @@ class EntwiningData:
     hopf: FinHopfAlgebra
     psi: Tensor
     label: str = "custom"
-    _rows: dict = None
-
-    def rows(self):
-        if self._rows is None:
-            rows: dict[tuple, list] = {}
-            for (i, j, k, l), c in self.psi.entries.items():
-                rows.setdefault((i, j), []).append((k, l, c))
-            self._rows = rows
-        return self._rows
 
 
 def entwining_map(H: FinHopfAlgebra, variant: str) -> EntwiningData:
@@ -322,7 +248,7 @@ def entwining_map(H: FinHopfAlgebra, variant: str) -> EntwiningData:
                 for pp, ct in twist.get(p, ()):
                     for w, cw in mrows.get((pp, i), ()):
                         for l, cl in mrows.get((w, r), ()):
-                            _acc(f, entries, (i, j, q, l),
+                            accumulate(f, entries, (i, j, q, l),
                                  f.mul(f.mul(c3, ct), f.mul(cw, cl)))
     psi = Tensor(f, (n, n, n, n), entries, _normalized=True)
     data = EntwiningData(H, psi, label=variant)
@@ -336,113 +262,38 @@ def check_entwining(E: EntwiningData) -> Report:
     """The four compatibility axioms of an entwining map, exhaustively."""
     H = E.hopf
     H.require_verified()
-    f = H.field
-    n = H.dim
-    mrows = H.mult_rows()
-    crows = H.comult_rows()
-    prows = E.rows()
-    eps = {i: c for (i,), c in H.counit.entries.items()}
-    unit = {i: c for (i,), c in H.unit.entries.items()}
-
-    # psi(c (x) ab) == (mult (x) id)(id (x) psi)(psi (x) id)
-    for c0 in range(n):
-        for a in range(n):
-            for b in range(n):
-                lhs: dict[tuple, object] = {}
-                for m, cm in mrows.get((a, b), ()):
-                    for (x, d, cp) in prows.get((c0, m), ()):
-                        _acc(f, lhs, (x, d), f.mul(cm, cp))
-                rhs: dict[tuple, object] = {}
-                for (x, d, cp) in prows.get((c0, a), ()):
-                    for (y, e, cq) in prows.get((d, b), ()):
-                        for z, cz in mrows.get((x, y), ()):
-                            _acc(f, rhs, (z, e), f.mul(f.mul(cp, cq), cz))
-                if lhs != rhs:
-                    return Report.fail(
-                        "entwining-multiplicativity", (c0, a, b),
-                        _pair_tensor(f, (n, n), lhs), _pair_tensor(f, (n, n), rhs),
-                    )
-
-    # (id (x) comult) psi == (psi (x) id)(id (x) psi)(comult (x) id)
-    for c0 in range(n):
-        for a in range(n):
-            lhs = {}
-            for (x, d, cp) in prows.get((c0, a), ()):
-                for (d1, d2, cd) in crows.get(d, ()):
-                    _acc(f, lhs, (x, d1, d2), f.mul(cp, cd))
-            rhs = {}
-            for (d, e, cd) in crows.get(c0, ()):
-                for (x, v, cp) in prows.get((e, a), ()):
-                    for (x2, u, cq) in prows.get((d, x), ()):
-                        _acc(f, rhs, (x2, u, v), f.mul(f.mul(cd, cp), cq))
-            if lhs != rhs:
-                return Report.fail(
-                    "entwining-comultiplicativity", (c0, a),
-                    _pair_tensor(f, (n, n, n), lhs), _pair_tensor(f, (n, n, n), rhs),
-                )
-
-    # psi(c (x) 1) == 1 (x) c
-    for c0 in range(n):
-        lhs = {}
-        for j, u in unit.items():
-            for (x, d, cp) in prows.get((c0, j), ()):
-                _acc(f, lhs, (x, d), f.mul(u, cp))
-        rhs = {(b, c0): u for b, u in unit.items()}
-        if lhs != rhs:
-            return Report.fail(
-                "entwining-unit", (c0,),
-                _pair_tensor(f, (n, n), lhs), _pair_tensor(f, (n, n), rhs),
-            )
-
-    # (id (x) counit) psi == counit (x) id
-    for c0 in range(n):
-        for a in range(n):
-            lhs1: dict[int, object] = {}
-            for (x, d, cp) in prows.get((c0, a), ()):
-                if d in eps:
-                    _acc(f, lhs1, x, f.mul(cp, eps[d]))
-            rhs1: dict[int, object] = {}
-            e = eps.get(c0, f.zero)
-            if not f.is_zero(e):
-                rhs1[a] = e
-            if lhs1 != rhs1:
-                return Report.fail(
-                    "entwining-counit", (c0, a),
-                    Tensor(f, (n,), {(k,): v for k, v in lhs1.items()}),
-                    Tensor(f, (n,), {(k,): v for k, v in rhs1.items()}),
-                )
-    return Report.ok(f"entwining-{E.label}")
+    mult, comult, psi = H.mult, H.comult, E.psi
+    delta = Tensor.identity(H.field, H.dim)
+    return check(
+        f"entwining-{E.label}",
+        # psi(c (x) ab) == (mult (x) id)(id (x) psi)(psi (x) id)
+        Identity("entwining-multiplicativity", "cab", "zd",
+                 [(psi, "cmzd"), (mult, "abm")],
+                 [(psi, "caxe"), (psi, "ebyd"), (mult, "xyz")]),
+        # (id (x) comult) psi == (psi (x) id)(id (x) psi)(comult (x) id)
+        Identity("entwining-comultiplicativity", "ca", "xyz",
+                 [(psi, "caxd"), (comult, "dyz")],
+                 [(comult, "cde"), (psi, "eawz"), (psi, "dwxy")]),
+        # psi(c (x) 1) == 1 (x) c
+        Identity("entwining-unit", "c", "xd",
+                 [(H.unit, "j"), (psi, "cjxd")], [(H.unit, "x"), (delta, "cd")]),
+        # (id (x) counit) psi == counit (x) id
+        Identity("entwining-counit", "ca", "x",
+                 [(psi, "caxd"), (H.counit, "d")], [(H.counit, "c"), (delta, "ax")]),
+    )
 
 
 def check_entwined_module(E: EntwiningData, M: TwoSidedStructure) -> Report:
     """Right-right compatibility through psi: coaction(m.a) = m0 psi(m1 (x) a)."""
     if M.case != "rr":
         raise InputError(f"entwined-module check expects the rr case, got {M.case}")
-    H = E.hopf
-    H.require_verified()
-    f = H.field
-    n, m = H.dim, M.dim
-    arows = M.action.rows()
-    lrows = M.coaction.rows()
-    prows = E.rows()
+    E.hopf.require_verified()
+    act, co = M.action.tensor, M.coaction.tensor
     label = f"entwined-module-{E.label}"
-    for i in range(n):
-        for r in range(m):
-            lhs: dict[tuple, object] = {}
-            for b0, c in arows.get((i, r), ()):
-                for (j, b, d) in lrows.get(b0, ()):
-                    _acc(f, lhs, (b, j), f.mul(c, d))
-            rhs: dict[tuple, object] = {}
-            for (t, b0, cl) in lrows.get(r, ()):
-                for (x, d, cp) in prows.get((t, i), ()):
-                    for b, cb in arows.get((x, b0), ()):
-                        _acc(f, rhs, (b, d), f.mul(cl, f.mul(cp, cb)))
-            if lhs != rhs:
-                return Report.fail(
-                    label, (i, r),
-                    _pair_tensor(f, (m, n), lhs), _pair_tensor(f, (m, n), rhs),
-                )
-    return Report.ok(label)
+    return check(label, Identity(
+        label, "ir", "bd",
+        [(act, "irx"), (co, "xbd")], [(E.psi, "tiyd"), (co, "rxt"), (act, "yxb")],
+    ))
 
 
 # -- one-dimensional structures and modular pairs ---------------------------------
@@ -514,7 +365,6 @@ def check_pi_stability(
     stability itself.
     """
     H.require_verified()
-    f = H.field
     n, m = H.dim, M.dim
     if pi.shape != (n, m):
         raise ShapeError(f"pi has shape {pi.shape}, expected {(n, m)}")
@@ -526,31 +376,14 @@ def check_pi_stability(
         return r
 
     # pi is an algebra map
-    pirows: dict[int, list] = {}
-    for (i, w), c in pi.entries.items():
-        pirows.setdefault(i, []).append((w, c))
-    mrows_h = H.mult_rows()
-    mrows_m = M.rows()
-    for i in range(n):
-        for j in range(n):
-            lhs: dict[int, object] = {}
-            for k, c in mrows_h.get((i, j), ()):
-                for w, d in pirows.get(k, ()):
-                    _acc(f, lhs, w, f.mul(c, d))
-            rhs: dict[int, object] = {}
-            for w1, c1 in pirows.get(i, ()):
-                for w2, c2 in pirows.get(j, ()):
-                    for w, cw in mrows_m.get((w1, w2), ()):
-                        _acc(f, rhs, w, f.mul(f.mul(c1, c2), cw))
-            if lhs != rhs:
-                return Report.fail(
-                    "pi-algebra-map", (i, j),
-                    Tensor(f, (m,), {(w,): c for w, c in lhs.items()}),
-                    Tensor(f, (m,), {(w,): c for w, c in rhs.items()}),
-                )
-    img_unit = H.unit.contract(pi, [(0, 0)])
-    if img_unit != M.unit:
-        return Report.fail("pi-algebra-map", (0,), img_unit, M.unit)
+    r = check(
+        "pi-algebra-map",
+        Identity("pi-algebra-map", "ij", "w",
+                 [(H.mult, "ijk"), (pi, "kw")], [(pi, "iu"), (pi, "jv"), (M.mult, "uvw")]),
+        Identity("pi-algebra-map", "", "w", [(H.unit, "i"), (pi, "iw")], [(M.unit, "w")]),
+    )
+    if not r.passed:
+        return r
 
     if matrix_rank(pi) != m:
         return Report.fail("pi-surjective", (matrix_rank(pi),), pi, None)
@@ -567,20 +400,12 @@ def check_pi_stability(
         return r
 
     # pi applied to the coaction leg of 1 must multiply back to 1
-    lrows = coaction.rows()
-    acc: dict[int, object] = {}
-    for (a,), u in M.unit.entries.items():
-        for (i, b, c) in lrows.get(a, ()):
-            for w1, c1 in pirows.get(i, ()):
-                for w, cw in mrows_m.get((w1, b), ()):
-                    _acc(f, acc, w, f.mul(f.mul(u, c), f.mul(c1, cw)))
-    want = {a: u for (a,), u in M.unit.entries.items()}
-    if acc != want:
-        return Report.fail(
-            "unit-condition", (0,),
-            Tensor(f, (m,), {(w,): c for w, c in acc.items()}),
-            M.unit,
-        )
+    r = check("unit-condition", Identity(
+        "unit-condition", "", "w",
+        [(M.unit, "a"), (coaction.tensor, "aib"), (pi, "iu"), (M.mult, "ubw")], [(M.unit, "w")],
+    ))
+    if not r.passed:
+        return r
 
     r = check_stability(structure)
     if not r.passed:

@@ -16,15 +16,7 @@ from .errors import CheckFailedError, InternalConsistencyError, ShapeError
 from .galois import check_comodule_algebra
 from .hopf import FinHopfAlgebra, antipode_inverse, verify_hopf_axioms
 from .reps import ActionStructure, CoactionStructure
-from .tensor import Tensor
-
-
-def _acc(field, acc, key, c):
-    s = field.add(acc.get(key, field.zero), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
+from .tensor import Tensor, accumulate
 
 
 def _triple_product_rows(H: FinHopfAlgebra):
@@ -87,7 +79,7 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
                     cs = s2_s.get(r)
                     if cs is None:
                         continue
-                    _acc(f, weight, (q, t), f.mul(f.mul(cj, ck), f.mul(cu, cs)))
+                    accumulate(f, weight, (q, t), f.mul(f.mul(cj, ck), f.mul(cu, cs)))
             if not weight:
                 continue
             for (q, t), w in weight.items():
@@ -96,7 +88,7 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
                         cw = f.mul(w, ca)
                         for l in range(n):
                             for b, cb in mrows.get((t, l), ()):
-                                _acc(
+                                accumulate(
                                     f,
                                     entries,
                                     (i * n + j, k * n + l, a * n + b),
@@ -174,19 +166,19 @@ def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
             left: dict[int, object] = {}
             for b, cb in srows.get(l, ()):
                 for i, ce in eps.items():
-                    _acc(f, left, i * n + b, f.mul(ce, cb))
+                    accumulate(f, left, i * n + b, f.mul(ce, cb))
             right: dict[int, object] = {}
             for a in range(n):
                 c = sinv.get((a, k))
                 if f.is_zero(c):
                     continue
                 for j, cu in unit_h.items():
-                    _acc(f, right, a * n + j, f.mul(c, cu))
+                    accumulate(f, right, a * n + j, f.mul(c, cu))
             image: dict[int, object] = {}
             for x, cx in left.items():
                 for y, cy in right.items():
                     for z, cz in rows.get((x, y), ()):
-                        _acc(f, image, z, f.mul(f.mul(cx, cy), cz))
+                        accumulate(f, image, z, f.mul(f.mul(cx, cy), cz))
             for z, cz in image.items():
                 antipode_entries[(k * n + l, z)] = cz
     antipode = Tensor(f, (dim, dim), antipode_entries, _normalized=True)
@@ -219,7 +211,7 @@ def _conversion_action(H: FinHopfAlgebra, M: TwoSidedStructure) -> Tensor:
         for r in range(m):
             for c0, ca in arows.get((j, r), ()):
                 for (i, s, cl) in lrows.get(c0, ()):
-                    _acc(f, entries, (i * n + j, r, s), f.mul(ca, cl))
+                    accumulate(f, entries, (i * n + j, r, s), f.mul(ca, cl))
     return Tensor(f, (n * n, m, m), entries, _normalized=True)
 
 
@@ -266,11 +258,11 @@ def ah_module_to_ayd(H: FinHopfAlgebra, V: AlgebraModule) -> TwoSidedStructure:
         for j in range(n):
             for i, ce in eps.items():
                 for s, c in vrows.get((i * n + j, r), ()):
-                    _acc(f, act, (j, r, s), f.mul(ce, c))
+                    accumulate(f, act, (j, r, s), f.mul(ce, c))
         for i in range(n):
             for j, cu in unit_h.items():
                 for s, c in vrows.get((i * n + j, r), ()):
-                    _acc(f, lam, (r, s, i), f.mul(cu, c))
+                    accumulate(f, lam, (r, s, i), f.mul(cu, c))
     action = ActionStructure("left", m, Tensor(f, (n, m, m), act, _normalized=True))
     coaction = CoactionStructure("right", m, Tensor(f, (m, m, n), lam, _normalized=True))
     M = TwoSidedStructure(H, action, coaction)

@@ -113,19 +113,6 @@ class Field:
         return a == self.one
 
 
-def field_ops(field: Field, op: str, a, b=None):
-    """Dispatch a named scalar operation: add, mul, neg, or inv."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "neg":
-        return field.neg(a)
-    if op == "inv":
-        return field.inv(a)
-    raise FieldError(f"unknown scalar operation {op!r}")
-
-
 _RAT = Field(RATIONALS)
 _PRIME_CACHE: dict[int, Field] = {}
 

@@ -4,7 +4,7 @@ The pipeline is: coinvariants -> relative tensor square -> canonical map ->
 translation table -> sandwich actions.  The relative tensor square is realized
 as an explicit quotient of P (x) P with a stored projection and section, so
 bijectivity of the canonical map is a rank statement and well-definedness of
-the sandwich actions is checked, not assumed.
+the sandwich actions is checked, on every relation, not assumed.
 """
 
 from __future__ import annotations
@@ -15,17 +15,10 @@ from .algebra import FinAlgebra
 from .ayd import TwoSidedStructure, check_ayd, check_stability
 from .errors import CheckFailedError, InputError, NotGaloisError, ShapeError
 from .hopf import FinHopfAlgebra, antipode_inverse
+from .identity import Identity, check
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
-from .tensor import SpanSolver, Tensor, invert_matrix, kernel_rows, rref
-
-
-def _acc(field, acc, key, c):
-    s = field.add(acc.get(key, field.zero), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
+from .tensor import SpanSolver, Tensor, accumulate, invert_matrix, kernel_rows, rref
 
 
 def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionStructure) -> Report:
@@ -42,43 +35,17 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
     r = verify_coaction(K, coaction)
     if not r.passed:
         return r
-    f = A.field
-    m, n = A.dim, K.dim
-    arows = A.rows()
-    krows = K.mult_rows()
-    lrows = coaction.rows()
-    for a in range(m):
-        la = lrows.get(a, ())
-        for b in range(m):
-            lhs: dict[tuple, object] = {}
-            for w, c in arows.get((a, b), ()):
-                for (i, w2, d) in lrows.get(w, ()):
-                    _acc(f, lhs, (w2, i), f.mul(c, d))
-            rhs: dict[tuple, object] = {}
-            for (i, a2, c1) in la:
-                for (j, b2, c2) in lrows.get(b, ()):
-                    c12 = f.mul(c1, c2)
-                    for w, cw in arows.get((a2, b2), ()):
-                        for k, ck in krows.get((i, j), ()):
-                            _acc(f, rhs, (w, k), f.mul(c12, f.mul(cw, ck)))
-            if lhs != rhs:
-                return Report.fail(
-                    "coaction-multiplicative", (a, b),
-                    Tensor(f, (m, n), lhs), Tensor(f, (m, n), rhs),
-                )
-    acc: dict[tuple, object] = {}
-    for (a,), u in A.unit.entries.items():
-        for (i, b, c) in lrows.get(a, ()):
-            _acc(f, acc, (b, i), f.mul(u, c))
-    want: dict[tuple, object] = {}
-    for (a,), u in A.unit.entries.items():
-        for (i,), v in K.unit.entries.items():
-            _acc(f, want, (a, i), f.mul(u, v))
-    if acc != want:
-        return Report.fail(
-            "coaction-unital", (0,), Tensor(f, (m, n), acc), Tensor(f, (m, n), want)
-        )
-    return Report.ok("comodule-algebra")
+    co = coaction.tensor
+    return check(
+        "comodule-algebra",
+        # coaction(ab) == coaction(a) coaction(b); the factor order keeps the
+        # join narrow: a's legs, their products, then b's legs
+        Identity("coaction-multiplicative", "ab", "xk",
+                 [(A.mult, "abw"), (co, "wxk")],
+                 [(co, "api"), (A.mult, "pqx"), (co, "bqj"), (K.mult, "ijk")]),
+        Identity("coaction-unital", "", "xk",
+                 [(A.unit, "a"), (co, "axk")], [(A.unit, "x"), (K.unit, "k")]),
+    )
 
 
 class ComoduleAlgebra:
@@ -120,7 +87,7 @@ def coinvariants(CA: ComoduleAlgebra):
     for a in range(m):
         for i, u in unit_h.items():
             key = (a, a * n + i)
-            _acc(f, entries, key, f.neg(u))
+            accumulate(f, entries, key, f.neg(u))
     mat = Tensor(f, (m, m * n), entries, _normalized=True)
     basis = kernel_rows(mat)
     # closure under multiplication is forced by multiplicativity of the coaction
@@ -153,21 +120,34 @@ def centralizer(CA: ComoduleAlgebra, b_basis):
             stacked_entries[(a, t_idx * m + c)] = v
     mat = Tensor(f, (m, len(cols) * m), stacked_entries, _normalized=True)
     basis = kernel_rows(mat)
-    # subcomodule property: each Hopf-slice of the coaction stays in the span
-    solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in basis])
+    restrict_coaction(CA, basis)  # raises unless the span is a subcomodule
+    return basis
+
+
+def restrict_coaction(CA: ComoduleAlgebra, carrier) -> Tensor:
+    """The coaction in the coordinates of a subcomodule basis of P.
+
+    Raises CheckFailedError ('centralizer-subcomodule', witness (r, i)) when
+    the Hopf slice i of the coaction of carrier vector r leaves the span.
+    """
+    f = CA.field
+    m = CA.dim
+    solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in carrier])
     lrows = CA.coaction.rows()
-    for z in basis:
+    entries: dict[tuple, object] = {}
+    for r, z in enumerate(carrier):
         slices: dict[int, dict] = {}
         for (a,), cz in z.entries.items():
             for (i, b, c) in lrows.get(a, ()):
-                _acc(f, slices.setdefault(i, {}), b, f.mul(cz, c))
-        for i, vec in slices.items():
-            dense = [vec.get(j, f.zero) for j in range(m)]
-            if solver.coords(dense) is None:
-                raise CheckFailedError(
-                    Report.fail("centralizer-subcomodule", (i,), z, None)
-                )
-    return basis
+                accumulate(f, slices.setdefault(i, {}), b, f.mul(cz, c))
+        for i, vec in sorted(slices.items()):
+            coords = solver.coords([vec.get(j, f.zero) for j in range(m)])
+            if coords is None:
+                raise CheckFailedError(Report.fail("centralizer-subcomodule", (r, i), z, None))
+            for s, c in enumerate(coords):
+                if not f.is_zero(c):
+                    entries[(r, s, i)] = c
+    return Tensor(f, (len(carrier), len(carrier), CA.H.dim), entries, _normalized=True)
 
 
 @dataclass
@@ -190,8 +170,8 @@ class RelativeTensor:
                 out[s] = field.add(out[s], field.mul(c, row[s]))
         return out
 
-    def lift(self, field, dense_quot, perturb=False):
-        """A representative in P (x) P; perturb=True uses a second section."""
+    def lift(self, field, dense_quot):
+        """A representative in P (x) P, through the section."""
         out = [field.zero] * self.full_dim
         for s, c in enumerate(dense_quot):
             if field.is_zero(c):
@@ -199,10 +179,6 @@ class RelativeTensor:
             row = self.section[s]
             for t in range(self.full_dim):
                 out[t] = field.add(out[t], field.mul(c, row[t]))
-            if perturb and self.relations:
-                rel = self.relations[s % len(self.relations)]
-                for t in range(self.full_dim):
-                    out[t] = field.add(out[t], field.mul(c, rel[t]))
         return out
 
 
@@ -370,7 +346,7 @@ def translation_map(G: GaloisData):
             for col in range(m * n):
                 v = G.can[s][col]
                 if not f.is_zero(v):
-                    _acc(f, back, col, f.mul(c, v))
+                    accumulate(f, back, col, f.mul(c, v))
         if back != {col: c for col, c in target.items() if not f.is_zero(c)}:
             raise CheckFailedError(Report.fail("translation-exactness", (i,), None, None))
         table.append(Tensor(f, (G.rel.dim,), {(s,): c for s, c in enumerate(coords)}))
@@ -392,8 +368,27 @@ def _sandwich(CA: ComoduleAlgebra, lift_dense, vec: Tensor, reverse: bool) -> di
         for (w,), cp in vec.entries.items():
             for mid, c1 in mrows.get((first, w), ()):
                 for res, c2 in mrows.get((mid, second), ()):
-                    _acc(f, out, res, f.mul(f.mul(c, cp), f.mul(c1, c2)))
+                    accumulate(f, out, res, f.mul(f.mul(c, cp), f.mul(c1, c2)))
     return out
+
+
+def check_sandwich(CA: ComoduleAlgebra, rel: RelativeTensor, carrier, reverse=False) -> Report:
+    """The sandwich is well defined on P (x)_B P: every relation row r sends
+    every carrier vector z to zero (witness (r, z))."""
+    f, m = CA.field, CA.dim
+    relations = Tensor(f, (len(rel.relations), m, m), {
+        (r, *divmod(t, m)): c for r, row in enumerate(rel.relations)
+        for t, c in enumerate(row) if not f.is_zero(c)
+    }, _normalized=True)
+    vectors = Tensor(f, (len(carrier), m), {
+        (z, w): c for z, v in enumerate(carrier) for (w,), c in v.entries.items()
+    }, _normalized=True)
+    mult = CA.P.mult
+    # u (x) v acts as p -> u p v, or v p u when reversed
+    outer = [(mult, "bwx"), (mult, "xal")] if reverse else [(mult, "awx"), (mult, "xbl")]
+    return check("sandwich-well-defined", Identity(
+        "sandwich-well-defined", "rz", "l", [(relations, "rab"), (vectors, "zw"), *outer], None,
+    ))
 
 
 def mu_action(G: GaloisData, flipped: bool = False):
@@ -417,6 +412,9 @@ def mu_action(G: GaloisData, flipped: bool = False):
     else:
         carrier = centralizer(CA, G.b_basis)
     solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in carrier])
+    report = check_sandwich(CA, G.rel, carrier, reverse=flipped)
+    if not report.passed:
+        raise CheckFailedError(report)
 
     sinv = antipode_inverse(CA.H) if flipped else None
 
@@ -434,27 +432,15 @@ def mu_action(G: GaloisData, flipped: bool = False):
 
     entries: dict[tuple, object] = {}
     for i in range(n):
-        quot = table_row(i)
-        lift0 = G.rel.lift(f, quot)
-        lift1 = G.rel.lift(f, quot, perturb=True)
+        lift = G.rel.lift(f, table_row(i))
         for r, z in enumerate(carrier):
-            out0 = _sandwich(CA, lift0, z, reverse=flipped)
-            out1 = _sandwich(CA, lift1, z, reverse=flipped)
-            if out0 != out1:
-                raise CheckFailedError(
-                    Report.fail(
-                        "sandwich-well-defined", (i, r),
-                        Tensor(f, (m,), {(k,): v for k, v in out0.items()}),
-                        Tensor(f, (m,), {(k,): v for k, v in out1.items()}),
-                    )
-                )
-            dense = [out0.get(j, f.zero) for j in range(m)]
-            coords = solver.coords(dense)
+            out = _sandwich(CA, lift, z, reverse=flipped)
+            coords = solver.coords([out.get(j, f.zero) for j in range(m)])
             if coords is None:
                 raise CheckFailedError(
                     Report.fail(
                         "sandwich-closed", (i, r),
-                        Tensor(f, (m,), {(k,): v for k, v in out0.items()}), None,
+                        Tensor(f, (m,), {(k,): v for k, v in out.items()}), None,
                     )
                 )
             for s, c in enumerate(coords):

@@ -8,10 +8,11 @@ Conventions, fixed once for the whole package:
 * counit[i]:      the counit evaluated on e_i
 * antipode[i,j]:  S(e_i) = sum_j antipode[i,j] e_j
 
-Linear maps are stored (input, output) and act on row vectors.  Axiom
-verification is exhaustive over basis tuples; exact arithmetic turns every
-check into a strict equality, so a pass is a proof at this dimension, not
-statistical evidence.
+Linear maps are stored (input, output) and act on row vectors.  Each axiom
+is an identity between these tensors, declared as a spec and scanned
+exhaustively over basis tuples by ``hayd.identity``; exact arithmetic turns
+every check into a strict equality, so a pass is a proof at this dimension,
+not statistical evidence.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .errors import (
 )
 from .fields import Field, rationals
 from .groups import Group, cyclic, symmetric
+from .identity import Identity, check
 from .report import Report
-from .tensor import Tensor, invert_matrix
+from .tensor import Tensor, accumulate, invert_matrix
 
 GROUP_LIKE_GUARD = 2**20
 
@@ -144,12 +146,7 @@ class FinHopfAlgebra:
                 cd = f.mul(c, d)
                 for a, ca in rows.get((i, k), ()):
                     for b, cb in rows.get((j, l), ()):
-                        key = (a, b)
-                        s = f.add(out.get(key, f.zero), f.mul(cd, f.mul(ca, cb)))
-                        if f.is_zero(s):
-                            out.pop(key, None)
-                        else:
-                            out[key] = s
+                        accumulate(f, out, (a, b), f.mul(cd, f.mul(ca, cb)))
         return Tensor(f, (self.dim, self.dim), out, _normalized=True)
 
     def basis_vector(self, i: int) -> Tensor:
@@ -168,144 +165,41 @@ class FinHopfAlgebra:
         return verify_hopf_axioms(self)
 
 
-def _vec_tensor(field, dim, acc: dict) -> Tensor:
-    return Tensor(field, (dim,), {(k,): v for k, v in acc.items()}, _normalized=True)
-
-
-def _mat_tensor(field, shape, acc: dict) -> Tensor:
-    return Tensor(field, shape, dict(acc), _normalized=True)
-
-
 def verify_hopf_axioms(H: FinHopfAlgebra) -> Report:
     """Run every Hopf axiom exhaustively, in a fixed order; first failure wins."""
     f = H.field
-    n = H.dim
-    rows = H.mult_rows()
-    crows = H.comult_rows()
-    eps = {i: c for (i,), c in H.counit.entries.items()}
-    unit = {i: c for (i,), c in H.unit.entries.items()}
+    mult, unit, comult, counit, s = H.mult, H.unit, H.comult, H.counit, H.antipode
+    delta = Tensor.identity(f, H.dim)
 
-    r = associativity_report(f, n, rows)
+    r = associativity_report(mult)
     if not r.passed:
         return r
-    r = unit_report(f, n, rows, H.unit)
+    r = unit_report(mult, unit)
     if not r.passed:
         return r
-
-    # coassociativity: (coproduct (x) id) vs (id (x) coproduct) on each e_i
-    for i in range(n):
-        lhs: dict[tuple, object] = {}
-        rhs: dict[tuple, object] = {}
-        for (j, k, c) in crows.get(i, ()):
-            for (a, b, d) in crows.get(j, ()):
-                _acc(f, lhs, (a, b, k), f.mul(c, d))
-            for (a, b, d) in crows.get(k, ()):
-                _acc(f, rhs, (j, a, b), f.mul(c, d))
-        if lhs != rhs:
-            return Report.fail(
-                "coassociativity",
-                (i,),
-                _mat_tensor(f, (n, n, n), lhs),
-                _mat_tensor(f, (n, n, n), rhs),
-            )
-
-    # counit law on each leg
-    for i in range(n):
-        left: dict[int, object] = {}
-        right: dict[int, object] = {}
-        for (j, k, c) in crows.get(i, ()):
-            if j in eps:
-                _acc(f, left, k, f.mul(eps[j], c))
-            if k in eps:
-                _acc(f, right, j, f.mul(eps[k], c))
-        expected = {i: f.one}
-        if left != expected or right != expected:
-            got = left if left != expected else right
-            return Report.fail(
-                "counit",
-                (i,),
-                _vec_tensor(f, n, got),
-                _vec_tensor(f, n, expected),
-            )
-
-    # bialgebra: coproduct and counit are algebra maps, and respect the unit
-    for i in range(n):
-        for j in range(n):
-            lhs = {}
-            for k, c in rows.get((i, j), ()):
-                for (a, b, d) in crows.get(k, ()):
-                    _acc(f, lhs, (a, b), f.mul(c, d))
-            rhs = {}
-            for (p, q, c1) in crows.get(i, ()):
-                for (r, s, c2) in crows.get(j, ()):
-                    c12 = f.mul(c1, c2)
-                    for a, ca in rows.get((p, r), ()):
-                        for b, cb in rows.get((q, s), ()):
-                            _acc(f, rhs, (a, b), f.mul(c12, f.mul(ca, cb)))
-            if lhs != rhs:
-                return Report.fail(
-                    "bialgebra-mult",
-                    (i, j),
-                    _mat_tensor(f, (n, n), lhs),
-                    _mat_tensor(f, (n, n), rhs),
-                )
-            got = f.zero
-            for k, c in rows.get((i, j), ()):
-                if k in eps:
-                    got = f.add(got, f.mul(c, eps[k]))
-            want = f.mul(eps.get(i, f.zero), eps.get(j, f.zero))
-            if got != want:
-                return Report.fail(
-                    "bialgebra-counit",
-                    (i, j),
-                    Tensor(f, (), {(): got}),
-                    Tensor(f, (), {(): want}),
-                )
-    lhs = {}
-    for i, u in unit.items():
-        for (a, b, c) in crows.get(i, ()):
-            _acc(f, lhs, (a, b), f.mul(u, c))
-    rhs = {}
-    for a, ua in unit.items():
-        for b, ub in unit.items():
-            _acc(f, rhs, (a, b), f.mul(ua, ub))
-    if lhs != rhs:
-        return Report.fail(
-            "bialgebra-unit", (0,), _mat_tensor(f, (n, n), lhs), _mat_tensor(f, (n, n), rhs)
-        )
-    eps_one = f.zero
-    for i, u in unit.items():
-        eps_one = f.add(eps_one, f.mul(u, eps.get(i, f.zero)))
-    if eps_one != f.one:
-        return Report.fail(
-            "bialgebra-unit",
-            (0,),
-            Tensor(f, (), {(): eps_one}),
-            Tensor(f, (), {(): f.one}),
-        )
-
-    # antipode axiom: mult(S (x) id)coproduct = unit.counit = mult(id (x) S)coproduct
-    srows = H.antipode_rows()
-    for i in range(n):
-        left: dict[int, object] = {}
-        right: dict[int, object] = {}
-        for (j, k, c) in crows.get(i, ()):
-            for m, cs in srows.get(j, ()):
-                for l, cm in rows.get((m, k), ()):
-                    _acc(f, left, l, f.mul(c, f.mul(cs, cm)))
-            for m, cs in srows.get(k, ()):
-                for l, cm in rows.get((j, m), ()):
-                    _acc(f, right, l, f.mul(c, f.mul(cs, cm)))
-        want = {}
-        e_i = eps.get(i, f.zero)
-        if not f.is_zero(e_i):
-            for l, u in unit.items():
-                want[l] = f.mul(e_i, u)
-        if left != want or right != want:
-            got = left if left != want else right
-            return Report.fail(
-                "antipode", (i,), _vec_tensor(f, n, got), _vec_tensor(f, n, want)
-            )
+    r = check(
+        "hopf",
+        # (coproduct (x) id) coproduct == (id (x) coproduct) coproduct
+        Identity("coassociativity", "i", "xyz",
+                 [(comult, "ipz"), (comult, "pxy")], [(comult, "ixp"), (comult, "pyz")]),
+        [Identity("counit", "i", "k", [(comult, "ijk"), (counit, "j")], [(delta, "ik")]),
+         Identity("counit", "i", "k", [(comult, "ikj"), (counit, "j")], [(delta, "ik")])],
+        # coproduct and counit are algebra maps, and respect the unit
+        [Identity("bialgebra-mult", "ij", "ab", [(mult, "ijk"), (comult, "kab")],
+                  [(comult, "ipq"), (mult, "pra"), (comult, "jrs"), (mult, "qsb")]),
+         Identity("bialgebra-counit", "ij", "", [(mult, "ijk"), (counit, "k")],
+                  [(counit, "i"), (counit, "j")])],
+        Identity("bialgebra-unit", "", "ab", [(unit, "i"), (comult, "iab")],
+                 [(unit, "a"), (unit, "b")]),
+        Identity("bialgebra-unit", "", "", [(unit, "i"), (counit, "i")], []),
+        # mult (S (x) id) coproduct == unit counit == mult (id (x) S) coproduct
+        [Identity("antipode", "i", "l", [(comult, "ijk"), (s, "jm"), (mult, "mkl")],
+                  [(counit, "i"), (unit, "l")]),
+         Identity("antipode", "i", "l", [(comult, "ijk"), (s, "km"), (mult, "jml")],
+                  [(counit, "i"), (unit, "l")])],
+    )
+    if not r.passed:
+        return r
 
     try:
         H._antipode_inv = invert_matrix(H.antipode)
@@ -314,14 +208,6 @@ def verify_hopf_axioms(H: FinHopfAlgebra) -> Report:
 
     H.verified = True
     return Report.ok("hopf")
-
-
-def _acc(field, acc: dict, key, c):
-    s = field.add(acc.get(key, field.zero), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 def antipode_inverse(H: FinHopfAlgebra) -> Tensor:
@@ -533,7 +419,7 @@ def taft(n: int, field: Field, zeta) -> FinHopfAlgebra:
         for (i,), c in x.entries.items():
             for (j,), d in y.entries.items():
                 for k, ck in rows.get((i, j), ()):
-                    _acc(field, out, (k,), field.mul(field.mul(c, d), ck))
+                    accumulate(field, out, (k,), field.mul(field.mul(c, d), ck))
         return Tensor(field, (dim,), out, _normalized=True)
 
     def basis_v(a, b):
@@ -571,19 +457,6 @@ def sweedler(field: Field | None = None) -> FinHopfAlgebra:
     H = taft(2, field, field.neg(field.one))
     H.name = "sweedler"
     return H
-
-
-def builtin_hopf(name: str, **params) -> FinHopfAlgebra:
-    """Construct one of the builtin families by name."""
-    if name == "group_algebra":
-        return group_algebra(params["group"], params.get("field"))
-    if name == "function_algebra":
-        return function_algebra(params["group"], params.get("field"))
-    if name == "sweedler":
-        return sweedler(params.get("field"))
-    if name == "taft":
-        return taft(params["n"], params["field"], params["zeta"])
-    raise InputError(f"unknown builtin family {name!r}")
 
 
 # -- group-likes and characters --------------------------------------------------
@@ -652,7 +525,6 @@ __all__ = [
     "function_algebra",
     "sweedler",
     "taft",
-    "builtin_hopf",
     "check_element",
     "find_group_likes",
     "find_characters",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError, ShapeError
 from .hopf import FinHopfAlgebra
+from .identity import Identity, check
 from .report import Report
 from .tensor import Tensor
 
@@ -79,22 +80,6 @@ class CoactionStructure:
         return self._rows
 
 
-def _acc(field, acc, key, c):
-    s = field.add(acc.get(key, field.zero), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
-def _vec(field, dim, acc):
-    return Tensor(field, (dim,), {(k,): v for k, v in acc.items()}, _normalized=True)
-
-
-def _mat(field, shape, acc):
-    return Tensor(field, shape, dict(acc), _normalized=True)
-
-
 def verify_action(H: FinHopfAlgebra, A: ActionStructure) -> Report:
     """Unit and associativity of a module structure, exhaustively."""
     H.require_verified()
@@ -102,38 +87,15 @@ def verify_action(H: FinHopfAlgebra, A: ActionStructure) -> Report:
         raise ShapeError(f"action is over dim {A.hopf_dim}, Hopf algebra has dim {H.dim}")
     if A.tensor.field != H.field:
         raise ShapeError("field mismatch between action and Hopf algebra")
-    f = H.field
-    m = A.dim
-    arows = A.rows()
-    for a in range(m):
-        acc: dict[int, object] = {}
-        for (j,), u in H.unit.entries.items():
-            for b, c in arows.get((j, a), ()):
-                _acc(f, acc, b, f.mul(u, c))
-        if acc != {a: f.one}:
-            return Report.fail(
-                "action-unit", (a,), _vec(f, m, acc), _vec(f, m, {a: f.one})
-            )
-    mrows = H.mult_rows()
-    for i in range(H.dim):
-        for j in range(H.dim):
-            prod = mrows.get((i, j), ())
-            # left: (e_i e_j) m = e_i (e_j m); right: m (e_i e_j) = (m e_i) e_j
-            first, second = (j, i) if A.side == "left" else (i, j)
-            for a in range(m):
-                lhs: dict[int, object] = {}
-                for k, c in prod:
-                    for b, d in arows.get((k, a), ()):
-                        _acc(f, lhs, b, f.mul(c, d))
-                rhs: dict[int, object] = {}
-                for mid, c in arows.get((first, a), ()):
-                    for b, d in arows.get((second, mid), ()):
-                        _acc(f, rhs, b, f.mul(c, d))
-                if lhs != rhs:
-                    return Report.fail(
-                        "action-associativity", (i, j, a), _vec(f, m, lhs), _vec(f, m, rhs)
-                    )
-    return Report.ok(f"action-{A.side}")
+    act = A.tensor
+    # left: (e_i e_j) m = e_i (e_j m); right: m (e_i e_j) = (m e_i) e_j
+    twice = [(act, "icb"), (act, "jac")] if A.side == "left" else [(act, "iac"), (act, "jcb")]
+    return check(
+        f"action-{A.side}",
+        Identity("action-unit", "a", "b", [(H.unit, "j"), (act, "jab")],
+                 [(Tensor.identity(H.field, A.dim), "ab")]),
+        Identity("action-associativity", "ija", "b", [(H.mult, "ijk"), (act, "kab")], twice),
+    )
 
 
 def verify_coaction(H: FinHopfAlgebra, C: CoactionStructure) -> Report:
@@ -143,44 +105,18 @@ def verify_coaction(H: FinHopfAlgebra, C: CoactionStructure) -> Report:
         raise ShapeError(f"coaction is over dim {C.hopf_dim}, Hopf algebra has dim {H.dim}")
     if C.tensor.field != H.field:
         raise ShapeError("field mismatch between coaction and Hopf algebra")
-    f = H.field
-    m = C.dim
-    lrows = C.rows()
-    eps = {i: c for (i,), c in H.counit.entries.items()}
-    for a in range(m):
-        acc: dict[int, object] = {}
-        for (i, b, c) in lrows.get(a, ()):
-            if i in eps:
-                _acc(f, acc, b, f.mul(eps[i], c))
-        if acc != {a: f.one}:
-            return Report.fail(
-                "coaction-counit", (a,), _vec(f, m, acc), _vec(f, m, {a: f.one})
-            )
-    crows = H.comult_rows()
-    for a in range(m):
-        lhs: dict[tuple, object] = {}
-        rhs: dict[tuple, object] = {}
-        if C.side == "left":
-            # (comult (x) id).lam == (id (x) lam).lam, legs ordered (h, h, m)
-            for (i, b, c) in lrows.get(a, ()):
-                for (j, k, d) in crows.get(i, ()):
-                    _acc(f, lhs, (j, k, b), f.mul(c, d))
-                for (j, b2, d) in lrows.get(b, ()):
-                    _acc(f, rhs, (i, j, b2), f.mul(c, d))
-            shape = (H.dim, H.dim, m)
-        else:
-            # (lam (x) id).lam == (id (x) comult).lam, legs ordered (m, h, h)
-            for (i, b, c) in lrows.get(a, ()):
-                for (j, b2, d) in lrows.get(b, ()):
-                    _acc(f, lhs, (b2, j, i), f.mul(c, d))
-                for (j, k, d) in crows.get(i, ()):
-                    _acc(f, rhs, (b, j, k), f.mul(c, d))
-            shape = (m, H.dim, H.dim)
-        if lhs != rhs:
-            return Report.fail(
-                "coaction-coassociativity", (a,), _mat(f, shape, lhs), _mat(f, shape, rhs)
-            )
-    return Report.ok(f"coaction-{C.side}")
+    co = C.tensor
+    # left: (comult (x) id).lam == (id (x) lam).lam, legs ordered (h, h, m);
+    # right: (lam (x) id).lam == (id (x) comult).lam, legs ordered (m, h, h)
+    first, second = (H.comult, co) if C.side == "left" else (co, H.comult)
+    legs = "aib" if C.side == "left" else "abi"
+    return check(
+        f"coaction-{C.side}",
+        Identity("coaction-counit", "a", "b", [(co, legs), (H.counit, "i")],
+                 [(Tensor.identity(H.field, C.dim), "ab")]),
+        Identity("coaction-coassociativity", "a", "xyz",
+                 [(co, "apz"), (first, "pxy")], [(co, "axp"), (second, "pyz")]),
+    )
 
 
 # -- stock structures ------------------------------------------------------------

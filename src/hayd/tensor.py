@@ -220,6 +220,15 @@ def contract(t: Tensor, u: Tensor, pairs) -> Tensor:
     return t.contract(u, pairs)
 
 
+def accumulate(field, acc: dict, key, c):
+    """acc[key] += c, dropping the key when the sum becomes zero."""
+    s = field.add(acc.get(key, field.zero), c)
+    if field.is_zero(s):
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 # -- dense elimination core ---------------------------------------------------
 #
 # Dense routines take lists of row lists.  Orientation note: hayd stores linear

@@ -38,6 +38,7 @@ from hayd.galois import (
     comodule_algebra_from_hopf,
     make_sayd_prop5,
     mu_action,
+    restrict_coaction,
     translation_map,
 )
 from hayd.groups import cyclic, symmetric
@@ -54,7 +55,6 @@ from hayd.suite import (
     adjoint_structure,
     one_dim_structure,
     trivial_structure,
-    _restrict_coaction,
 )
 from hayd.reps import CoactionStructure
 from hayd.tensor import Tensor
@@ -313,7 +313,7 @@ def test_criterion_7_galois_baseline(builtins):
             assert check_ayd(M).passed and check_stability(M).passed, name
             action, carrier = mu_action(G, flipped=False)
             co = CoactionStructure(
-                "right", len(carrier), _restrict_coaction(CA, carrier)
+                "right", len(carrier), restrict_coaction(CA, carrier)
             )
             from hayd.ayd import TwoSidedStructure
 

@@ -3,20 +3,18 @@ from fractions import Fraction
 import pytest
 
 from hayd.errors import FieldError
-from hayd.fields import Field, field_ops, is_prime, prime_field, rationals
+from hayd.fields import Field, is_prime, prime_field, rationals
 
 
 def test_field_ops_dispatch():
     q = rationals()
-    assert field_ops(q, "inv", q.coerce(2)) == Fraction(1, 2)
-    assert field_ops(prime_field(7), "inv", 2) == 4
-    assert field_ops(q, "add", Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    assert field_ops(prime_field(5), "mul", 3, 4) == 2
-    assert field_ops(q, "neg", Fraction(2)) == Fraction(-2)
+    assert q.inv(q.coerce(2)) == Fraction(1, 2)
+    assert prime_field(7).inv(2) == 4
+    assert q.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert prime_field(5).mul(3, 4) == 2
+    assert q.neg(Fraction(2)) == Fraction(-2)
     with pytest.raises(FieldError):
-        field_ops(q, "inv", q.zero)
-    with pytest.raises(FieldError):
-        field_ops(q, "pow", q.one)
+        q.inv(q.zero)
 
 
 def test_inverse_over_rationals():

@@ -2,18 +2,20 @@ import pytest
 
 from hayd.algebra import FinAlgebra
 from hayd.ayd import TwoSidedStructure, check_ayd, check_stability, check_yd
-from hayd.errors import InputError, NotGaloisError
+from hayd.errors import CheckFailedError, InputError, NotGaloisError
 from hayd.fields import rationals
 from hayd.galois import (
     ComoduleAlgebra,
     canonical_map,
     centralizer,
     check_comodule_algebra,
+    check_sandwich,
     coinvariants,
     comodule_algebra_from_hopf,
     make_sayd_prop5,
     mu_action,
     relative_tensor,
+    restrict_coaction,
     translation_map,
 )
 from hayd.groups import cyclic, symmetric
@@ -21,7 +23,20 @@ from hayd.hopf import function_algebra, group_algebra, sweedler
 from hayd.reps import CoactionStructure
 from hayd.tensor import Tensor
 
+from helpers import dense
+
 Q = rationals()
+
+
+def _sign_graded_s3():
+    """kS3 graded by the sign character over kC2: the coinvariants are the
+    even span kA3, which is not central."""
+    G = symmetric(3)
+    H = group_algebra(cyclic(2))
+    sign = [0, 1, 1, 0, 0, 1]  # parity of each permutation
+    P = FinAlgebra(Q, group_algebra(G).mult, group_algebra(G).unit)
+    entries = {(a, a, sign[a]): Q.one for a in range(6)}
+    return ComoduleAlgebra(P, H, CoactionStructure("right", 6, Tensor(Q, (6, 6, 2), entries)))
 
 
 @pytest.fixture(scope="module")
@@ -258,14 +273,7 @@ def test_flipped_mu_action_on_sweedler_conjugates_x_to_minus_x(CA4):
 
 
 def test_flipped_mu_action_requires_central_coinvariants():
-    # group algebra of S3 graded by the sign character over kC2:
-    # coinvariants = the even span, which is not central
-    G = symmetric(3)
-    H = group_algebra(cyclic(2))
-    sign = [0, 1, 1, 0, 0, 1]  # parity of each permutation
-    P = FinAlgebra(Q, group_algebra(G).mult, group_algebra(G).unit)
-    entries = {(a, a, sign[a]): Q.one for a in range(6)}
-    CA = ComoduleAlgebra(P, H, CoactionStructure("right", 6, Tensor(Q, (6, 6, 2), entries)))
+    CA = _sign_graded_s3()
     B = coinvariants(CA)
     assert len(B) == 3  # the even permutations
     data = canonical_map(CA)
@@ -280,19 +288,44 @@ def test_flipped_mu_action_requires_central_coinvariants():
 def test_sign_graded_group_algebra_mu_action_is_yd():
     # continues the previous construction: standard action + coaction is
     # compatible in the plain sense on the centralizer
-    G = symmetric(3)
-    H = group_algebra(cyclic(2))
-    sign = [0, 1, 1, 0, 0, 1]
-    P = FinAlgebra(Q, group_algebra(G).mult, group_algebra(G).unit)
-    entries = {(a, a, sign[a]): Q.one for a in range(6)}
-    CA = ComoduleAlgebra(P, H, CoactionStructure("right", 6, Tensor(Q, (6, 6, 2), entries)))
+    CA = _sign_graded_s3()
     data = canonical_map(CA)
     action, carrier = mu_action(data, flipped=False)
-    from hayd.suite import _restrict_coaction
-
-    co = CoactionStructure("right", len(carrier), _restrict_coaction(CA, carrier))
-    M = TwoSidedStructure(H, action, co)
+    co = CoactionStructure("right", len(carrier), restrict_coaction(CA, carrier))
+    M = TwoSidedStructure(CA.H, action, co)
     assert check_yd(M).passed
+
+
+def test_sandwich_is_well_defined_on_every_relation_over_the_centralizer():
+    CA = _sign_graded_s3()
+    data = canonical_map(CA)
+    carrier = centralizer(CA, data.b_basis)
+    assert len(data.rel.relations) == 24 and len(carrier) == 4
+    assert check_sandwich(CA, data.rel, carrier).passed
+
+
+def test_reversed_sandwich_over_all_of_p_fails_at_the_first_relation_and_vector():
+    CA = _sign_graded_s3()
+    data = canonical_map(CA)
+    carrier = [Tensor.basis(Q, (6,), (a,)) for a in range(6)]
+    r = check_sandwich(CA, data.rel, carrier, reverse=True)
+    # dense scan: relation row sum c u (x) v sends e_z to sum c v e_z u
+    mult = dense(CA.P.mult)
+    images = []
+    for ri, row in enumerate(data.rel.relations):
+        for z in range(6):
+            out = [Q.zero] * 6
+            for t, c in enumerate(row):
+                if c:
+                    a, b = divmod(t, 6)
+                    for x in range(6):
+                        for l in range(6):
+                            out[l] += c * mult[b][z][x] * mult[x][a][l]
+            if any(out):
+                images.append(((ri, z), out))
+    assert len(images) == 72  # of 24 x 6 products
+    assert not r.passed and r.axiom == "sandwich-well-defined"
+    assert (r.witness, dense(r.lhs), dense(r.rhs)) == (*images[0], [Q.zero] * 6)
 
 
 def test_make_sayd_prop5_on_builtins():
@@ -340,3 +373,14 @@ def test_quotient_galois_extension_with_bigger_coinvariants():
         for a in range(4):
             expected[(i, a, a)] = c
     assert M.action.tensor == Tensor(f, (2, 4, 4), expected)
+
+
+def test_restrict_coaction_rejects_a_span_that_is_not_a_subcomodule(CA4):
+    # coproduct(x) = x (x) 1 + g (x) x: the h = x slice of the coaction of x is g
+    x = Tensor.basis(Q, (4,), (1,))
+    with pytest.raises(CheckFailedError) as info:
+        restrict_coaction(CA4, [x])
+    r = info.value.report
+    assert (r.axiom, r.witness, r.lhs) == ("centralizer-subcomodule", (0, 1), x)
+    full = [Tensor.basis(Q, (4,), (a,)) for a in range(4)]
+    assert restrict_coaction(CA4, full) == CA4.coaction.tensor
