@@ -26,6 +26,28 @@ def dense_get(nested, idx):
     return node
 
 
+def entry_rows(t: Tensor, lead: int = 1):
+    """Entries of t grouped by their first ``lead`` coordinates (a plain key
+    for one): key -> list of (remaining coordinates..., coeff)."""
+    rows = {}
+    for idx, c in t.entries.items():
+        key = idx[0] if lead == 1 else idx[:lead]
+        rows.setdefault(key, []).append((*idx[lead:], c))
+    return rows
+
+
+def coproduct3_rows(H):
+    """i -> list of (p, q, r, coeff) of the two-step coproduct (id (x) comult)
+    comult; a triple may repeat, once per middle leg."""
+    f = H.field
+    rows = {}
+    for (i, p, w), c in H.comult.entries.items():
+        for (w2, q, r), d in H.comult.entries.items():
+            if w2 == w:
+                rows.setdefault(i, []).append((p, q, r, f.mul(c, d)))
+    return rows
+
+
 def dense_contract(field: Field, a, shape_a, b, shape_b, pairs):
     """Brute-force contraction over the full index space."""
     a_axes = [p[0] for p in pairs]

@@ -34,7 +34,13 @@ from hayd.suite import (
 )
 from hayd.tensor import Tensor
 
-from helpers import dense, first_compat_violation, graded_structure
+from helpers import (
+    coproduct3_rows,
+    dense,
+    entry_rows,
+    first_compat_violation,
+    graded_structure,
+)
 
 Q = rationals()
 
@@ -285,11 +291,11 @@ def test_entwining_of_unit_input(H4):
     one_slice = {
         (j, q, l): c for (i, j, q, l), c in E.psi.entries.items() if i == 0
     }
-    sinv_rows = H4.antipode_inv_rows()
-    mrows = H4.mult_rows()
+    sinv_rows = entry_rows(antipode_inverse(H4))
+    mrows = entry_rows(H4.mult, 2)
     expected = {}
     for j in range(4):
-        for (p, q, r, c3) in H4.coproduct3_rows().get(j, ()):
+        for (p, q, r, c3) in coproduct3_rows(H4).get(j, ()):
             for pp, ct in sinv_rows.get(p, ()):
                 for l, cl in mrows.get((pp, r), ()):
                     key = (j, q, l)

@@ -22,7 +22,7 @@ from hayd.reps import verify_coaction
 from hayd.suite import one_dim_structure, trivial_structure
 from hayd.tensor import Tensor
 
-from helpers import graded_structure
+from helpers import entry_rows, graded_structure
 
 Q = rationals()
 
@@ -150,7 +150,7 @@ def test_characters_of_product_space_give_one_dim_modules():
     f5 = prime_field(5)
     H = group_algebra(cyclic(2), f5)
     A = build_ah(H)
-    rows = A.rows()
+    rows = entry_rows(A.mult, 2)
     chars = []
     for coords in product(range(5), repeat=4):
         chi = {i: c for i, c in enumerate(coords) if c}

@@ -23,7 +23,7 @@ from hayd.hopf import function_algebra, group_algebra, sweedler
 from hayd.reps import CoactionStructure
 from hayd.tensor import Tensor
 
-from helpers import dense
+from helpers import dense, entry_rows
 
 Q = rationals()
 
@@ -213,8 +213,8 @@ def test_translation_matches_antipode_coproduct_formula(CA4, H4):
     m = 4
     for i in range(m):
         dense = [f.zero] * (m * m)
-        for (j, k, c) in H4.comult_rows().get(i, ()):
-            for l, cs in H4.antipode_rows().get(j, ()):
+        for (j, k, c) in entry_rows(H4.comult).get(i, ()):
+            for l, cs in entry_rows(H4.antipode).get(j, ()):
                 dense[l * m + k] = f.add(dense[l * m + k], f.mul(c, cs))
         expected = G.rel.project(f, dense)
         assert [T[i].get((s,)) for s in range(G.rel.dim)] == expected
