@@ -14,14 +14,6 @@ from .report import Report
 from .tensor import Tensor
 
 
-def mult_rows(mult: Tensor):
-    """Structure tensor as a dict (i, j) -> list of (k, coeff)."""
-    rows: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in mult.entries.items():
-        rows.setdefault((i, j), []).append((k, c))
-    return rows
-
-
 def associativity_report(mult: Tensor, label="associativity") -> Report:
     """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple (i, j, k)."""
     return check(label, Identity(
@@ -55,16 +47,10 @@ class FinAlgebra:
         self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(n)]
         if len(self.basis_names) != n:
             raise ShapeError("basis_names length does not match dimension")
-        self._rows = None
         if check:
             report = self.verify()
             if not report.passed:
                 raise CheckFailedError(report)
-
-    def rows(self):
-        if self._rows is None:
-            self._rows = mult_rows(self.mult)
-        return self._rows
 
     def verify(self) -> Report:
         r = associativity_report(self.mult)
@@ -100,20 +86,10 @@ class AlgebraModule:
         self.algebra = algebra
         self.dim = action.shape[1]
         self.action = action
-        self._rows = None
         if check:
             report = self.verify()
             if not report.passed:
                 raise CheckFailedError(report)
-
-    def rows(self):
-        """Action tensor as dict (alg_idx, m_in) -> list of (m_out, coeff)."""
-        if self._rows is None:
-            rows: dict[tuple[int, int], list] = {}
-            for (i, a, b), c in self.action.entries.items():
-                rows.setdefault((i, a), []).append((b, c))
-            self._rows = rows
-        return self._rows
 
     def verify(self) -> Report:
         """The unit acts as the identity, and (e_i e_j) m == e_i (e_j m)."""

@@ -24,10 +24,10 @@ from .hopf import (
     group_algebra,
     iterated_coproduct,
 )
-from .identity import Identity, check
+from .identity import Identity, check, evaluate
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
-from .tensor import Tensor, accumulate, matrix_rank
+from .tensor import Tensor, matrix_rank
 
 CASES = ("ll", "lr", "rl", "rr")
 
@@ -146,75 +146,30 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
         )
 
     H = N.hopf
-    f = H.field
-    n = H.dim
-    mN, mM = N.dim, M.dim
-    crows = H.comult_rows()
-    mrows = H.mult_rows()
-    nrows, mrows_act = N.action.rows(), M.action.rows()
-    nco, mco = N.coaction.rows(), M.coaction.rows()
+    n, dim = H.dim, N.dim * M.dim
+    # the carrier's first factor is N for left modules, M for right ones; it
+    # takes the first coproduct leg j of h in ll and rr, the second k otherwise
+    first, second = (N, M) if case[0] == "l" else (M, N)
+    hf, hs = ("j", "k") if case in ("ll", "rr") else ("k", "j")
+    act = evaluate("iuvUV", [
+        (H.comult, "ijk"), (first.action.tensor, hf + "uU"), (second.action.tensor, hs + "vV"),
+    ]).reshape((n, dim, dim))
 
-    act = {}
-    lam = {}
-    if case in ("ll", "lr"):
-        dim = mN * mM
+    # the coaction legs (m_in, h, m_out) on the left, (m_in, m_out, h) on the right;
+    # the first factor's leg multiplies on the left
+    def legs(m_in, m_out, h):
+        return m_in + h + m_out if case[1] == "l" else m_in + m_out + h
 
-        def flat(u, v):
-            return u * mM + v
-
-        for i in range(n):
-            for (j, k, c) in crows.get(i, ()):
-                jn, jm = (j, k) if case == "ll" else (k, j)
-                for u in range(mN):
-                    for u2, cn in nrows.get((jn, u), ()):
-                        for v in range(mM):
-                            for v2, cm in mrows_act.get((jm, v), ()):
-                                accumulate(f, act, (i, flat(u, v), flat(u2, v2)),
-                                     f.mul(c, f.mul(cn, cm)))
-        for u in range(mN):
-            for (a, u2, cn) in nco.get(u, ()):
-                for v in range(mM):
-                    for (b, v2, cm) in mco.get(v, ()):
-                        for t, ct in mrows.get((a, b), ()):
-                            key = (
-                                (flat(u, v), t, flat(u2, v2))
-                                if case == "ll"
-                                else (flat(u, v), flat(u2, v2), t)
-                            )
-                            accumulate(f, lam, key, f.mul(f.mul(cn, cm), ct))
-        act_side, co_side = ("left", "left") if case == "ll" else ("left", "right")
-    else:
-        dim = mM * mN
-
-        def flat(v, u):
-            return v * mN + u
-
-        for i in range(n):
-            for (j, k, c) in crows.get(i, ()):
-                jm, jn = (k, j) if case == "rl" else (j, k)
-                for v in range(mM):
-                    for v2, cm in mrows_act.get((jm, v), ()):
-                        for u in range(mN):
-                            for u2, cn in nrows.get((jn, u), ()):
-                                accumulate(f, act, (i, flat(v, u), flat(v2, u2)),
-                                     f.mul(c, f.mul(cm, cn)))
-        for v in range(mM):
-            for (a, v2, cm) in mco.get(v, ()):
-                for u in range(mN):
-                    for (b, u2, cn) in nco.get(u, ()):
-                        for t, ct in mrows.get((a, b), ()):
-                            key = (
-                                (flat(v, u), t, flat(v2, u2))
-                                if case == "rl"
-                                else (flat(v, u), flat(v2, u2), t)
-                            )
-                            accumulate(f, lam, key, f.mul(f.mul(cm, cn), ct))
-        act_side, co_side = ("right", "left") if case == "rl" else ("right", "right")
-
-    action = ActionStructure(act_side, dim, Tensor(f, (n, dim, dim), act, _normalized=True))
-    lshape = (dim, n, dim) if co_side == "left" else (dim, dim, n)
-    coaction = CoactionStructure(co_side, dim, Tensor(f, lshape, lam, _normalized=True))
-    return TwoSidedStructure(H, action, coaction)
+    lam = evaluate(legs("uv", "UV", "t"), [
+        (first.coaction.tensor, legs("u", "U", "a")),
+        (second.coaction.tensor, legs("v", "V", "b")), (H.mult, "abt"),
+    ])
+    lshape = (dim, n, dim) if case[1] == "l" else (dim, dim, n)
+    return TwoSidedStructure(
+        H,
+        ActionStructure(first.action.side, dim, act),
+        CoactionStructure(first.coaction.side, dim, lam.reshape(lshape)),
+    )
 
 
 # -- entwinings -------------------------------------------------------------------
@@ -237,20 +192,10 @@ def entwining_map(H: FinHopfAlgebra, variant: str) -> EntwiningData:
     H.require_verified()
     if variant not in ("yd", "ayd"):
         raise InputError(f"entwining variant must be yd or ayd, got {variant!r}")
-    f = H.field
-    n = H.dim
-    twist = H.antipode_inv_rows() if variant == "ayd" else H.antipode_rows()
-    mrows = H.mult_rows()
-    entries: dict[tuple, object] = {}
-    for j in range(n):
-        for (p, q, r, c3) in H.coproduct3_rows().get(j, ()):
-            for i in range(n):
-                for pp, ct in twist.get(p, ()):
-                    for w, cw in mrows.get((pp, i), ()):
-                        for l, cl in mrows.get((w, r), ()):
-                            accumulate(f, entries, (i, j, q, l),
-                                 f.mul(f.mul(c3, ct), f.mul(cw, cl)))
-    psi = Tensor(f, (n, n, n, n), entries, _normalized=True)
+    twist = antipode_inverse(H) if variant == "ayd" else H.antipode
+    psi = evaluate("ijql", [
+        (iterated_coproduct(H, 3), "jpqr"), (twist, "px"), (H.mult, "xiw"), (H.mult, "wrl"),
+    ])
     data = EntwiningData(H, psi, label=variant)
     report = check_entwining(data)
     if not report.passed:

@@ -8,6 +8,7 @@ package never touches floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,6 +16,9 @@ from .errors import FieldError
 
 RATIONALS = "rationals"
 PRIME = "prime-field"
+
+# an ASCII integer or 'a/b': no decimals, spaces, underscores or other digits
+_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def is_prime(n: int) -> bool:
@@ -62,20 +66,20 @@ class Field:
 
     def coerce(self, x):
         """Turn an int, Fraction, or 'a/b' string into a normalized scalar."""
-        if self.kind == RATIONALS:
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            if isinstance(x, str):
-                try:
-                    return Fraction(x)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise FieldError(f"bad rational literal {x!r}") from exc
+        if isinstance(x, bool):
             raise FieldError(f"cannot coerce {x!r} into {self}")
         if isinstance(x, str):
-            try:
-                x = int(x)
-            except ValueError as exc:
-                raise FieldError(f"bad integer literal {x!r}") from exc
+            m = _LITERAL.fullmatch(x)
+            den = int(m[2] or 1) if m else 0
+            if not den:
+                raise FieldError(f"bad scalar literal {x!r}")
+            x = Fraction(int(m[1]), den)
+        if self.kind == RATIONALS:
+            if isinstance(x, Fraction):
+                return x
+            if isinstance(x, int):
+                return Fraction(x)
+            raise FieldError(f"cannot coerce {x!r} into {self}")
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise FieldError(f"cannot coerce {x} into {self}")

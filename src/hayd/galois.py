@@ -15,10 +15,19 @@ from .algebra import FinAlgebra
 from .ayd import TwoSidedStructure, check_ayd, check_stability
 from .errors import CheckFailedError, InputError, NotGaloisError, ShapeError
 from .hopf import FinHopfAlgebra, antipode_inverse
-from .identity import Identity, check
+from .identity import Identity, check, evaluate
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
-from .tensor import SpanSolver, Tensor, accumulate, invert_matrix, kernel_rows, rref
+from .tensor import (
+    SpanSolver,
+    Tensor,
+    from_rows,
+    invert_matrix,
+    kernel_rows,
+    matrix_rank,
+    rref,
+    to_rows,
+)
 
 
 def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionStructure) -> Report:
@@ -80,15 +89,8 @@ def coinvariants(CA: ComoduleAlgebra):
     """Basis of {p : coaction(p) = p (x) 1}, closed under multiplication."""
     f = CA.field
     m, n = CA.dim, CA.H.dim
-    unit_h = {i: c for (i,), c in CA.H.unit.entries.items()}
-    entries = dict(
-        ((a, b * n + i), c) for (a, b, i), c in CA.coaction.tensor.entries.items()
-    )
-    for a in range(m):
-        for i, u in unit_h.items():
-            key = (a, a * n + i)
-            accumulate(f, entries, key, f.neg(u))
-    mat = Tensor(f, (m, m * n), entries, _normalized=True)
+    p_one = evaluate("abi", [(Tensor.identity(f, m), "ab"), (CA.H.unit, "i")])
+    mat = (CA.coaction.tensor - p_one).reshape((m, m * n))
     basis = kernel_rows(mat)
     # closure under multiplication is forced by multiplicativity of the coaction
     solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in basis])
@@ -131,23 +133,23 @@ def restrict_coaction(CA: ComoduleAlgebra, carrier) -> Tensor:
     the Hopf slice i of the coaction of carrier vector r leaves the span.
     """
     f = CA.field
-    m = CA.dim
+    m, n, r = CA.dim, CA.H.dim, len(carrier)
     solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in carrier])
-    lrows = CA.coaction.rows()
-    entries: dict[tuple, object] = {}
-    for r, z in enumerate(carrier):
-        slices: dict[int, dict] = {}
-        for (a,), cz in z.entries.items():
-            for (i, b, c) in lrows.get(a, ()):
-                accumulate(f, slices.setdefault(i, {}), b, f.mul(cz, c))
-        for i, vec in sorted(slices.items()):
-            coords = solver.coords([vec.get(j, f.zero) for j in range(m)])
-            if coords is None:
-                raise CheckFailedError(Report.fail("centralizer-subcomodule", (r, i), z, None))
-            for s, c in enumerate(coords):
-                if not f.is_zero(c):
-                    entries[(r, s, i)] = c
-    return Tensor(f, (len(carrier), len(carrier), CA.H.dim), entries, _normalized=True)
+    slices = evaluate("rib", [(_stack(f, carrier, m), "ra"), (CA.coaction.tensor, "abi")])
+    coords = []
+    for t, vec in enumerate(to_rows(slices.reshape((r * n, m)))):
+        coords.append(solver.coords(vec))
+        if coords[-1] is None:
+            raise CheckFailedError(
+                Report.fail("centralizer-subcomodule", divmod(t, n), carrier[t // n], None))
+    return from_rows(f, coords).reshape((r, n, r)).transpose((0, 2, 1))
+
+
+def _stack(field, vectors, m) -> Tensor:
+    """The vectors of length m as the rows of a matrix."""
+    return Tensor(field, (len(vectors), m), {
+        (r, w): c for r, v in enumerate(vectors) for (w,), c in v.entries.items()
+    }, _normalized=True)
 
 
 @dataclass
@@ -187,22 +189,11 @@ def relative_tensor(CA: ComoduleAlgebra, b_basis) -> RelativeTensor:
     f = CA.field
     m = CA.dim
     full = m * m
-    mrows = CA.P.rows()
-    rel_rows = []
-    for i in range(m):
-        for vb in b_basis:
-            for j in range(m):
-                row = [f.zero] * full
-                nonzero = False
-                for (w,), cb in vb.entries.items():
-                    for a, c in mrows.get((i, w), ()):
-                        row[a * m + j] = f.add(row[a * m + j], f.mul(cb, c))
-                        nonzero = True
-                    for b2, c in mrows.get((w, j), ()):
-                        row[i * m + b2] = f.sub(row[i * m + b2], f.mul(cb, c))
-                        nonzero = True
-                if nonzero and any(not f.is_zero(x) for x in row):
-                    rel_rows.append(row)
+    coinv, mult, delta = _stack(f, b_basis, m), CA.P.mult, Tensor.identity(f, m)
+    # relation (i, z, j) is e_i b_z (x) e_j - e_i (x) b_z e_j, a row over P (x) P
+    rel = (evaluate("izjab", [(coinv, "zw"), (mult, "iwa"), (delta, "jb")])
+           - evaluate("izjab", [(coinv, "zw"), (delta, "ia"), (mult, "wjb")]))
+    rel_rows = [row for row in to_rows(rel.reshape((m * len(b_basis) * m, full))) if any(row)]
     reduced, pivots = rref(rel_rows, f) if rel_rows else ([], [])
     nonpivot = [c for c in range(full) if c not in pivots]
     dim = len(nonpivot)
@@ -253,55 +244,14 @@ def canonical_map(CA: ComoduleAlgebra) -> GaloisData:
     m, n = CA.dim, CA.H.dim
     b_basis = coinvariants(CA)
     rel = relative_tensor(CA, b_basis)
-    mrows = CA.P.rows()
-    lrows = CA.coaction.rows()
-    can_full = []
-    for i in range(m):
-        for j in range(m):
-            row = [f.zero] * (m * n)
-            for (k, c2, cl) in lrows.get(j, ()):
-                for b, cm in mrows.get((i, c2), ()):
-                    row[b * n + k] = f.add(row[b * n + k], f.mul(cl, cm))
-            can_full.append(row)
+    can = evaluate("ijbk", [(CA.coaction.tensor, "jck"), (CA.P.mult, "icb")])
+    can = can.reshape((m * m, m * n))
     # the map must kill every relation (truth of B = coinvariants makes it so)
-    for rrow in rel.relations:
-        image = [f.zero] * (m * n)
-        for t, c in enumerate(rrow):
-            if f.is_zero(c):
-                continue
-            for col in range(m * n):
-                image[col] = f.add(image[col], f.mul(c, can_full[t][col]))
-        if any(not f.is_zero(x) for x in image):
-            raise CheckFailedError(
-                Report.fail("canonical-map-defined", (0,), None, None)
-            )
-    can_q = []
-    for s in range(rel.dim):
-        sec = rel.section[s]
-        row = [f.zero] * (m * n)
-        for t, c in enumerate(sec):
-            if f.is_zero(c):
-                continue
-            for col in range(m * n):
-                row[col] = f.add(row[col], f.mul(c, can_full[t][col]))
-        can_q.append(row)
-    bijective = False
-    if rel.dim == m * n:
-        mat = Tensor(
-            f,
-            (rel.dim, m * n),
-            {
-                (i, j): c
-                for i, r in enumerate(can_q)
-                for j, c in enumerate(r)
-                if not f.is_zero(c)
-            },
-            _normalized=True,
-        )
-        from .tensor import matrix_rank
-
-        bijective = matrix_rank(mat) == m * n
-    return GaloisData(CA, b_basis, rel, can_q, bijective)
+    if rel.relations and evaluate("rk", [(from_rows(f, rel.relations), "rt"), (can, "tk")]).entries:
+        raise CheckFailedError(Report.fail("canonical-map-defined", (0,), None, None))
+    can_q = evaluate("sk", [(from_rows(f, rel.section), "st"), (can, "tk")])
+    bijective = rel.dim == m * n and matrix_rank(can_q) == m * n
+    return GaloisData(CA, b_basis, rel, to_rows(can_q), bijective)
 
 
 def translation_map(G: GaloisData):
@@ -313,81 +263,37 @@ def translation_map(G: GaloisData):
     f = G.field
     CA = G.ca
     m, n = CA.dim, CA.H.dim
+    can = from_rows(f, G.can)
     if G._can_inv is None:
-        mat = Tensor(
-            f,
-            (G.rel.dim, m * n),
-            {
-                (i, j): c
-                for i, r in enumerate(G.can)
-                for j, c in enumerate(r)
-                if not f.is_zero(c)
-            },
-            _normalized=True,
-        )
-        G._can_inv = invert_matrix(mat)
-    inv = G._can_inv
-    unit_p = {b: c for (b,), c in CA.P.unit.entries.items()}
+        G._can_inv = invert_matrix(can)
     table = []
     for i in range(n):
-        target: dict[int, object] = {b * n + i: c for b, c in unit_p.items()}
-        coords = [f.zero] * G.rel.dim
-        # target . can^{-1} in row convention
-        for s in range(G.rel.dim):
-            acc = f.zero
-            for col, c in target.items():
-                acc = f.add(acc, f.mul(c, inv.get((col, s))))
-            coords[s] = acc
+        target = Tensor(f, (m * n,), {
+            (b * n + i,): c for (b,), c in CA.P.unit.entries.items()
+        }, _normalized=True)
+        coords = evaluate("s", [(target, "t"), (G._can_inv, "ts")])
         # exactness: coords . can == 1 (x) h_i
-        back: dict[int, object] = {}
-        for s, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            for col in range(m * n):
-                v = G.can[s][col]
-                if not f.is_zero(v):
-                    accumulate(f, back, col, f.mul(c, v))
-        if back != {col: c for col, c in target.items() if not f.is_zero(c)}:
+        if evaluate("k", [(coords, "s"), (can, "sk")]) != target:
             raise CheckFailedError(Report.fail("translation-exactness", (i,), None, None))
-        table.append(Tensor(f, (G.rel.dim,), {(s,): c for s, c in enumerate(coords)}))
+        table.append(coords)
     G._translation = table
     return table
 
 
-def _sandwich(CA: ComoduleAlgebra, lift_dense, vec: Tensor, reverse: bool) -> dict:
-    """sum over lift legs u (x) v of  u . p . v  (or v . p . u when reversed)."""
-    f = CA.field
-    m = CA.dim
-    mrows = CA.P.rows()
-    out: dict[int, object] = {}
-    for t, c in enumerate(lift_dense):
-        if f.is_zero(c):
-            continue
-        a, b = divmod(t, m)
-        first, second = (b, a) if reverse else (a, b)
-        for (w,), cp in vec.entries.items():
-            for mid, c1 in mrows.get((first, w), ()):
-                for res, c2 in mrows.get((mid, second), ()):
-                    accumulate(f, out, res, f.mul(f.mul(c, cp), f.mul(c1, c2)))
-    return out
+def _sandwich(mult: Tensor, reverse: bool):
+    """Factors letting u (x) v (letters a, b) act on p (letter w) as u p v,
+    or v p u when reversed, with the result at letter l."""
+    return [(mult, "bwx"), (mult, "xal")] if reverse else [(mult, "awx"), (mult, "xbl")]
 
 
 def check_sandwich(CA: ComoduleAlgebra, rel: RelativeTensor, carrier, reverse=False) -> Report:
     """The sandwich is well defined on P (x)_B P: every relation row r sends
     every carrier vector z to zero (witness (r, z))."""
     f, m = CA.field, CA.dim
-    relations = Tensor(f, (len(rel.relations), m, m), {
-        (r, *divmod(t, m)): c for r, row in enumerate(rel.relations)
-        for t, c in enumerate(row) if not f.is_zero(c)
-    }, _normalized=True)
-    vectors = Tensor(f, (len(carrier), m), {
-        (z, w): c for z, v in enumerate(carrier) for (w,), c in v.entries.items()
-    }, _normalized=True)
-    mult = CA.P.mult
-    # u (x) v acts as p -> u p v, or v p u when reversed
-    outer = [(mult, "bwx"), (mult, "xal")] if reverse else [(mult, "awx"), (mult, "xbl")]
+    relations = from_rows(f, rel.relations).reshape((len(rel.relations), m, m))
     return check("sandwich-well-defined", Identity(
-        "sandwich-well-defined", "rz", "l", [(relations, "rab"), (vectors, "zw"), *outer], None,
+        "sandwich-well-defined", "rz", "l",
+        [(relations, "rab"), (_stack(f, carrier, m), "zw"), *_sandwich(CA.P.mult, reverse)], None,
     ))
 
 
@@ -416,38 +322,22 @@ def mu_action(G: GaloisData, flipped: bool = False):
     if not report.passed:
         raise CheckFailedError(report)
 
-    sinv = antipode_inverse(CA.H) if flipped else None
-
-    def table_row(i):
-        if not flipped:
-            return [table[i].get((s,)) for s in range(G.rel.dim)]
-        row = [f.zero] * G.rel.dim
-        for j in range(n):
-            c = sinv.get((i, j))
-            if f.is_zero(c):
-                continue
-            for s in range(G.rel.dim):
-                row[s] = f.add(row[s], f.mul(c, table[j].get((s,))))
-        return row
-
-    entries: dict[tuple, object] = {}
-    for i in range(n):
-        lift = G.rel.lift(f, table_row(i))
-        for r, z in enumerate(carrier):
-            out = _sandwich(CA, lift, z, reverse=flipped)
-            coords = solver.coords([out.get(j, f.zero) for j in range(m)])
-            if coords is None:
-                raise CheckFailedError(
-                    Report.fail(
-                        "sandwich-closed", (i, r),
-                        Tensor(f, (m,), {(k,): v for k, v in out.items()}), None,
-                    )
-                )
-            for s, c in enumerate(coords):
-                if not f.is_zero(c):
-                    entries[(i, r, s)] = c
+    # the table row of h (of S^-1(h) when flipped), lifted through the section
+    table = _stack(f, table, G.rel.dim)
+    lifts = [(antipode_inverse(CA.H), "ij"), (table, "js")] if flipped else [(table, "is")]
+    section = from_rows(f, G.rel.section).reshape((G.rel.dim, m, m))
+    out = evaluate("irl", [
+        *lifts, (section, "sab"), (_stack(f, carrier, m), "rw"), *_sandwich(CA.P.mult, flipped),
+    ])
     dim = len(carrier)
-    action = ActionStructure("right", dim, Tensor(f, (n, dim, dim), entries, _normalized=True))
+    coords = []
+    for t, vec in enumerate(to_rows(out.reshape((n * dim, m)))):
+        coords.append(solver.coords(vec))
+        if coords[-1] is None:
+            raise CheckFailedError(Report.fail(
+                "sandwich-closed", divmod(t, dim), from_rows(f, [vec]).reshape((m,)), None,
+            ))
+    action = ActionStructure("right", dim, from_rows(f, coords).reshape((n, dim, dim)))
     report = verify_action(CA.H, action)
     if not report.passed:
         raise CheckFailedError(report)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .algebra import associativity_report, mult_rows, unit_report
+from .algebra import associativity_report, unit_report
 from .errors import (
     GuardError,
     InputError,
@@ -29,9 +29,9 @@ from .errors import (
 )
 from .fields import Field, rationals
 from .groups import Group, cyclic, symmetric
-from .identity import Identity, check
+from .identity import Identity, check, evaluate
 from .report import Report
-from .tensor import Tensor, accumulate, invert_matrix
+from .tensor import Tensor, invert_matrix
 
 GROUP_LIKE_GUARD = 2**20
 
@@ -80,48 +80,6 @@ class FinHopfAlgebra:
     def __repr__(self):
         return f"FinHopfAlgebra({self.name}, dim={self.dim}, field={self.field})"
 
-    # -- cached sparse views ---------------------------------------------------
-
-    def mult_rows(self):
-        if "mult_rows" not in self._cache:
-            self._cache["mult_rows"] = mult_rows(self.mult)
-        return self._cache["mult_rows"]
-
-    def comult_rows(self):
-        """dict i -> list of (j, k, coeff) with coproduct(e_i) = sum c e_j (x) e_k."""
-        if "comult_rows" not in self._cache:
-            rows: dict[int, list] = {}
-            for (i, j, k), c in self.comult.entries.items():
-                rows.setdefault(i, []).append((j, k, c))
-            self._cache["comult_rows"] = rows
-        return self._cache["comult_rows"]
-
-    def antipode_rows(self):
-        if "antipode_rows" not in self._cache:
-            rows: dict[int, list] = {}
-            for (i, j), c in self.antipode.entries.items():
-                rows.setdefault(i, []).append((j, c))
-            self._cache["antipode_rows"] = rows
-        return self._cache["antipode_rows"]
-
-    def antipode_inv_rows(self):
-        if "antipode_inv_rows" not in self._cache:
-            rows: dict[int, list] = {}
-            for (i, j), c in antipode_inverse(self).entries.items():
-                rows.setdefault(i, []).append((j, c))
-            self._cache["antipode_inv_rows"] = rows
-        return self._cache["antipode_inv_rows"]
-
-    def coproduct3_rows(self):
-        """dict i -> list of (p, q, r, coeff): the two-step iterated coproduct."""
-        if "cop3_rows" not in self._cache:
-            t = iterated_coproduct(self, 3)
-            rows: dict[int, list] = {}
-            for (i, p, q, r), c in t.entries.items():
-                rows.setdefault(i, []).append((p, q, r, c))
-            self._cache["cop3_rows"] = rows
-        return self._cache["cop3_rows"]
-
     # -- element helpers -------------------------------------------------------
 
     def product(self, x: Tensor, y: Tensor) -> Tensor:
@@ -135,19 +93,6 @@ class FinHopfAlgebra:
 
     def apply_antipode(self, x: Tensor) -> Tensor:
         return x.contract(self.antipode, [(0, 0)])
-
-    def square_product(self, x: Tensor, y: Tensor) -> Tensor:
-        """Componentwise product of two elements of H (x) H (rank-2 tensors)."""
-        f = self.field
-        rows = self.mult_rows()
-        out: dict[tuple, object] = {}
-        for (i, j), c in x.entries.items():
-            for (k, l), d in y.entries.items():
-                cd = f.mul(c, d)
-                for a, ca in rows.get((i, k), ()):
-                    for b, cb in rows.get((j, l), ()):
-                        accumulate(f, out, (a, b), f.mul(cd, f.mul(ca, cb)))
-        return Tensor(f, (self.dim, self.dim), out, _normalized=True)
 
     def basis_vector(self, i: int) -> Tensor:
         return Tensor.basis(self.field, (self.dim,), (i,))
@@ -388,10 +333,10 @@ def taft(n: int, field: Field, zeta) -> FinHopfAlgebra:
     )
 
     names = [_monomial_name(a, b) for a in range(n) for b in range(n)]
-    stub = FinHopfAlgebra.__new__(FinHopfAlgebra)
-    stub.field, stub.dim, stub.mult = field, dim, mult
-    stub._cache = {}
-    sq = stub.square_product
+
+    def sq(x: Tensor, y: Tensor) -> Tensor:
+        """Componentwise product in H (x) H."""
+        return evaluate("ab", [(x, "ij"), (y, "kl"), (mult, "ika"), (mult, "jlb")])
 
     # comultiplication: extend the generator images multiplicatively
     d_g = Tensor(field, (dim, dim), {(idx(1, 0), idx(1, 0)): field.one})
@@ -412,15 +357,8 @@ def taft(n: int, field: Field, zeta) -> FinHopfAlgebra:
     comult = Tensor(field, (dim, dim, dim), comult_entries, _normalized=True)
 
     # antipode: S(g) = g^(n-1), S(x) = -g^(n-1) x; S(g^a x^b) = S(x)^b S(g)^a
-    rows = mult_rows(mult)
-
     def mul_vec(x: Tensor, y: Tensor) -> Tensor:
-        out: dict[tuple, object] = {}
-        for (i,), c in x.entries.items():
-            for (j,), d in y.entries.items():
-                for k, ck in rows.get((i, j), ()):
-                    accumulate(field, out, (k,), field.mul(field.mul(c, d), ck))
-        return Tensor(field, (dim,), out, _normalized=True)
+        return evaluate("k", [(x, "i"), (y, "j"), (mult, "ijk")])
 
     def basis_v(a, b):
         return Tensor.basis(field, (dim,), (idx(a, b),))

@@ -1,4 +1,5 @@
-"""One evaluator for the identities that define every structure in hayd.
+"""One evaluator for the identities that define, and the einsums that build,
+every structure in hayd.
 
 Each axiom is an ``Identity``: two multilinear expressions in structure
 tensors that must agree for every value of the witness letters.  A side is a
@@ -23,6 +24,13 @@ the least key on which the two sides differ in the first failing slice: its
 witness part is the lexicographically first violating basis tuple, and lhs
 and rhs are both sides' slices there.  No whole side is ever built, and the
 scan stops at the first failing slice.
+
+``evaluate(out, factors)`` runs the same join on one factor list with no
+witness slice and returns the whole result as a Tensor with axes in the order
+of ``out``.  Every builder is such a spec: the product spaces, the double's
+coalgebra and antipode, tensor products, entwinings, the adjoint and sandwich
+actions, and ``Tensor.contract`` itself, so this module holds the package's
+only sparse contraction loop.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ class Identity:
         for side in (self.lhs, self.rhs or ()):
             dims: dict[str, int] = {}  # summed letters are local to a side
             for tensor, letters in side:
+                if tensor.field is not self.field and tensor.field != self.field:
+                    raise ShapeError(f"{label}: factors over {self.field} and {tensor.field}")
                 if len(letters) != tensor.rank or len(set(letters)) != len(letters):
                     raise ShapeError(f"{label}: letters {letters!r} do not index {tensor.shape}")
                 for letter, dim in zip(letters, tensor.shape):
@@ -80,27 +90,33 @@ def check(ok_label: str, *groups) -> Report:
     return Report.ok(ok_label)
 
 
+def evaluate(out: str, factors) -> Tensor:
+    """The einsum of ``factors`` (``(tensor, letters)`` pairs, joined in the
+    order written), with result axes in the order of ``out``.
+
+    Letters not in ``out`` are summed over.  Over Q the entries are
+    Fractions, over F_p reduced residues; zeros are dropped.
+    """
+    ident = Identity("evaluate", "", out, factors, None)
+    field = ident.field
+    entries = _evaluate(_plan(ident, ident.lhs, {}), ())
+    if field.p is None:
+        entries = {k: Fraction(c) for k, c in entries.items()}
+    shape = tuple(ident.dims[x] for x in out)
+    return Tensor(field, shape, entries, _normalized=True)
+
+
 def _first_failure(identities) -> Report | None:
     cache: dict = {}
     plans = [(ident, _plan(ident, ident.lhs, cache), _plan(ident, ident.rhs, cache))
              for ident in identities]
     lead = identities[0]
-    field = lead.field
-    if field.p is None:
-        def normal(state):
-            return {k: c for k, c in state.items() if c}
-    else:
-        p = field.p
-
-        def normal(state):
-            return {k: r for k, c in state.items() if (r := c % p)}
-
     starts = [(v,) for v in range(lead.dims[lead.witness[0]])] if lead.witness else [()]
     for start in starts:
         best = None
         for ident, lplan, rplan in plans:
-            lhs = normal(_evaluate(lplan, start))
-            rhs = normal(_evaluate(rplan, start)) if rplan is not None else {}
+            lhs = _evaluate(lplan, start)
+            rhs = _evaluate(rplan, start) if rplan is not None else {}
             if lhs == rhs:
                 continue
             key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
@@ -113,7 +129,9 @@ def _first_failure(identities) -> Report | None:
 
 
 def _evaluate(plan, start) -> dict:
-    steps, order = plan
+    """One slice of a side: its nonzero entries keyed by the result letters
+    in order, reduced mod p over F_p, in a single pass after the join."""
+    steps, order, p = plan
     state = {start: 1}
     for rows, bound, keep in steps:
         nxt: dict = {}
@@ -127,16 +145,21 @@ def _evaluate(plan, start) -> dict:
                     k = key + new
                     nxt[k] = get(k, 0) + c * d
         state = nxt
-    if order is not None:
-        return {order(k): c for k, c in state.items()}
-    return state
+    items = state.items()
+    if p is None:
+        if order is None:
+            return {k: c for k, c in items if c}
+        return {order(k): c for k, c in items if c}
+    if order is None:
+        return {k: r for k, c in items if (r := c % p)}
+    return {order(k): r for k, c in items if (r := c % p)}
 
 
 def _plan(ident: Identity, side, cache):
     """Per factor: its row index, the lookup key into it, and the projection
     of the bound letters that a later factor or the result still needs; new
     letters that nothing needs are summed out inside the row index.  Then the
-    permutation that puts the result letters in order."""
+    permutation that puts the result letters in order, and the characteristic."""
     if side is None:
         return None
     result = ident.witness + ident.out
@@ -154,7 +177,7 @@ def _plan(ident: Identity, side, cache):
     if sorted(live) != sorted(result):
         raise ShapeError(f"{ident.label}: a side does not bind {result!r}")
     order = None if live == result else _tuple_getter([live.index(x) for x in result])
-    return steps, order
+    return steps, order, ident.field.p
 
 
 def _rows(tensor: Tensor, bound, new, cache) -> dict:

@@ -9,7 +9,7 @@ right lam[m_in, m_out, h]   (m maps to m-leg (x) h-leg)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import InputError, ShapeError
 from .hopf import FinHopfAlgebra
@@ -23,7 +23,6 @@ class ActionStructure:
     side: str
     dim: int
     tensor: Tensor
-    _rows: dict = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -35,22 +34,12 @@ class ActionStructure:
     def hopf_dim(self) -> int:
         return self.tensor.shape[0]
 
-    def rows(self):
-        """dict (h, m_in) -> list of (m_out, coeff)."""
-        if self._rows is None:
-            rows: dict[tuple, list] = {}
-            for (i, a, b), c in self.tensor.entries.items():
-                rows.setdefault((i, a), []).append((b, c))
-            self._rows = rows
-        return self._rows
-
 
 @dataclass
 class CoactionStructure:
     side: str
     dim: int
     tensor: Tensor
-    _rows: dict = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -65,19 +54,6 @@ class CoactionStructure:
     @property
     def hopf_dim(self) -> int:
         return self.tensor.shape[1] if self.side == "left" else self.tensor.shape[2]
-
-    def rows(self):
-        """dict m_in -> list of (h, m_out, coeff), the h-leg first either side."""
-        if self._rows is None:
-            rows: dict[int, list] = {}
-            if self.side == "left":
-                for (a, i, b), c in self.tensor.entries.items():
-                    rows.setdefault(a, []).append((i, b, c))
-            else:
-                for (a, b, i), c in self.tensor.entries.items():
-                    rows.setdefault(a, []).append((i, b, c))
-            self._rows = rows
-        return self._rows
 
 
 def verify_action(H: FinHopfAlgebra, A: ActionStructure) -> Report:

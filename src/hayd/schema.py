@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 
 from .algebra import FinAlgebra
-from .errors import InputError, SchemaError
+from .errors import FieldError, InputError, SchemaError
 from .fields import Field, is_prime, prime_field, rationals
 from .hopf import FinHopfAlgebra
 from .reps import ActionStructure, CoactionStructure
@@ -30,10 +29,15 @@ _INDEX_KEYS = ("i", "j", "k", "l")
 
 def max_dim() -> int:
     raw = os.environ.get("HAYD_MAX_DIM", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_DIM
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_DIM
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InputError(f"HAYD_MAX_DIM={raw!r} is not a positive integer")
+    return cap
 
 
 class _Check:
@@ -68,7 +72,7 @@ def _validate_field(doc, chk: _Check) -> Field | None:
 
 def _validate_dim(doc, key, chk: _Check) -> int | None:
     d = doc.get(key)
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         chk.fail(f"/{key}", f"expected a positive integer, got {d!r}")
         return None
     cap = max_dim()
@@ -84,8 +88,8 @@ def _parse_scalar(field: Field, raw, pointer, chk: _Check):
             chk.fail(pointer, f"rational scalar must be int or 'a/b' string, got {raw!r}")
             return None
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
+            return field.coerce(raw)
+        except FieldError:
             chk.fail(pointer, f"bad rational literal {raw!r}")
             return None
     if isinstance(raw, bool) or not isinstance(raw, int):
@@ -120,8 +124,8 @@ def _validate_tensor(doc, key, shape, field, chk: _Check, base="") -> Tensor | N
         idx = []
         for ax, kname in enumerate(keys):
             v = entry.get(kname)
-            if not isinstance(v, int) or not 0 <= v < shape[ax]:
-                chk.fail(f"{ep}/{kname}", f"index {v!r} out of range [0, {shape[ax]})")
+            if type(v) is not int or not 0 <= v < shape[ax]:
+                chk.fail(f"{ep}/{kname}", f"index {v!r} is not an integer in [0, {shape[ax]})")
                 ok = False
                 idx = None
                 break

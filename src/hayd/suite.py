@@ -54,7 +54,7 @@ from .hopf import (
     variant,
     verify_hopf_axioms,
 )
-from .identity import Identity, check
+from .identity import Identity, check, evaluate
 from .report import Report
 from .reps import (
     ActionStructure,
@@ -62,7 +62,7 @@ from .reps import (
     trivial_action,
     trivial_coaction,
 )
-from .tensor import Tensor, accumulate
+from .tensor import Tensor
 
 BUILTINS = {
     "group-c2": lambda: group_algebra(cyclic(2)),
@@ -114,20 +114,10 @@ def adjoint_structure(H: FinHopfAlgebra, twisted: bool) -> TwoSidedStructure:
     """H on itself: p.h = T(h1) p h2 with T = S (plain) or S^-1 (twisted),
     with the comultiplication as right coaction (the rr convention)."""
     H.require_verified()
-    f = H.field
-    n = H.dim
-    twist = H.antipode_inv_rows() if twisted else H.antipode_rows()
-    mrows = H.mult_rows()
-    entries: dict[tuple, object] = {}
-    for i in range(n):
-        for (j, k, c) in H.comult_rows().get(i, ()):
-            for jp, ct in twist.get(j, ()):
-                for a in range(n):
-                    for w, c1 in mrows.get((jp, a), ()):
-                        for b, c2 in mrows.get((w, k), ()):
-                            accumulate(f, entries, (i, a, b), f.mul(f.mul(c, ct), f.mul(c1, c2)))
-    action = ActionStructure("right", n, Tensor(f, (n, n, n), entries, _normalized=True))
-    return TwoSidedStructure(H, action, CoactionStructure("right", n, H.comult))
+    twist = antipode_inverse(H) if twisted else H.antipode
+    act = evaluate("iab", [(H.comult, "ijk"), (twist, "jx"), (H.mult, "xaw"), (H.mult, "wkb")])
+    action = ActionStructure("right", H.dim, act)
+    return TwoSidedStructure(H, action, CoactionStructure("right", H.dim, H.comult))
 
 
 def screened_group_likes(H: FinHopfAlgebra):
@@ -392,6 +382,8 @@ def run_suite(targets, checks=None) -> SuiteResult:
         if name not in SUITE_CHECKS:
             raise InputError(f"unknown check {name!r}; known: {sorted(SUITE_CHECKS)}")
     for label, H in targets.items():
+        if H.verified:  # builtin factories verify what they build
+            continue
         report = verify_hopf_axioms(H)
         if not report.passed:
             raise InputError(

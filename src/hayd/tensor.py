@@ -7,15 +7,22 @@ returns normalized entries (no stored zeros, residues reduced).
 
 ``contract`` sums over paired axes; the unpaired axes of the left operand come
 first in the output, then those of the right operand.  The empty pairing is
-the Kronecker (outer) product.  Matrix utilities (inverse, rank, kernels,
+the Kronecker (outer) product.  It names the axes with letters and hands them
+to ``hayd.identity.evaluate``, the package's one sparse contraction.
+``reshape`` merges or splits axes in row-major order, which is how the
+flattened pair indices of product spaces are written.  Matrix utilities (inverse, rank, kernels,
 solving inside a span) work on dense scalar rows internally; dimensions here
 stay at desk scale, so dense elimination is fine.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import ShapeError, SingularMatrixError
 from .fields import Field
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Tensor:
@@ -36,7 +43,7 @@ class Tensor:
             if len(idx) != rank:
                 raise ShapeError(f"index {idx} has wrong rank for shape {self.shape}")
             for ax, i in enumerate(idx):
-                if not 0 <= i < self.shape[ax]:
+                if type(i) is not int or not 0 <= i < self.shape[ax]:
                     raise ShapeError(f"index {idx} out of range for shape {self.shape}")
             if not field.is_zero(c):
                 norm[idx] = c
@@ -192,41 +199,37 @@ class Tensor:
                     f"paired axes have different dimensions: "
                     f"{self.shape[ai]} vs {other.shape[bi]}"
                 )
-        a_keep = [ax for ax in range(self.rank) if ax not in a_axes]
-        b_keep = [ax for ax in range(other.rank) if ax not in b_axes]
-        shape = tuple(self.shape[ax] for ax in a_keep) + tuple(other.shape[ax] for ax in b_keep)
+        from .identity import evaluate
 
-        buckets: dict[tuple, list] = {}
-        for bidx, d in other.entries.items():
-            key = tuple(bidx[ax] for ax in b_axes)
-            buckets.setdefault(key, []).append((tuple(bidx[ax] for ax in b_keep), d))
+        a = _LETTERS[: self.rank]
+        b = list(_LETTERS[self.rank : self.rank + other.rank])
+        for ai, bi in pairs:
+            b[bi] = a[ai]
+        out = "".join(x for ax, x in enumerate(a) if ax not in a_axes)
+        out += "".join(x for ax, x in enumerate(b) if ax not in b_axes)
+        return evaluate(out, [(self, a), (other, "".join(b))])
 
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out: dict[tuple, object] = {}
-        for aidx, c in self.entries.items():
-            hits = buckets.get(tuple(aidx[ax] for ax in a_axes))
-            if not hits:
-                continue
-            left = tuple(aidx[ax] for ax in a_keep)
-            for right, d in hits:
-                oidx = left + right
-                out[oidx] = add(out.get(oidx, zero), mul(c, d))
-        out = {idx: c for idx, c in out.items() if not f.is_zero(c)}
-        return Tensor(f, shape, out, _normalized=True)
+    def reshape(self, shape) -> "Tensor":
+        """The same entries in row-major order under another shape of equal
+        size: (i, j) -> i*n + j merges two axes, the inverse splits one."""
+        shape = tuple(int(d) for d in shape)
+        if prod(shape) != prod(self.shape):
+            raise ShapeError(f"cannot reshape {self.shape} into {shape}")
+        entries = {}
+        for idx, c in self.entries.items():
+            flat = 0
+            for i, d in zip(idx, self.shape):
+                flat = flat * d + i
+            new = []
+            for d in reversed(shape):
+                flat, i = divmod(flat, d)
+                new.append(i)
+            entries[tuple(reversed(new))] = c
+        return Tensor(self.field, shape, entries, _normalized=True)
 
 
 def contract(t: Tensor, u: Tensor, pairs) -> Tensor:
     return t.contract(u, pairs)
-
-
-def accumulate(field, acc: dict, key, c):
-    """acc[key] += c, dropping the key when the sum becomes zero."""
-    s = field.add(acc.get(key, field.zero), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 # -- dense elimination core ---------------------------------------------------

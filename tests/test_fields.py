@@ -65,6 +65,19 @@ def test_coerce_rejects_garbage():
         prime_field(5).coerce(Fraction(1, 2))
 
 
+def test_coerce_rejects_decimals_and_booleans():
+    for literal in ("1.0", "1e3", " 1/2", "0x1", "1_0", "\u0663"):
+        with pytest.raises(FieldError):
+            rationals().coerce(literal)
+        with pytest.raises(FieldError):
+            prime_field(5).coerce(literal)
+    for flag in (True, False):
+        with pytest.raises(FieldError):
+            rationals().coerce(flag)
+        with pytest.raises(FieldError):
+            prime_field(5).coerce(flag)
+
+
 def test_field_axioms_exhaustive_f5():
     f = prime_field(5)
     elems = list(range(5))

@@ -1,10 +1,14 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from hayd.errors import ShapeError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic, symmetric
 from hayd.hopf import group_algebra, sweedler
-from hayd.identity import Identity, check
+from hayd.identity import Identity, check, evaluate
 from hayd.tensor import Tensor
 
 from helpers import dense
@@ -119,3 +123,59 @@ def test_malformed_specs_are_rejected():
         Identity("x", "i", "", [(H.mult, "ijk"), (Tensor.identity(Q, 3), "kl")], None)
     with pytest.raises(ShapeError):
         check("x", Identity("x", "i", "k", [(H.counit, "i")], None))  # k never bound
+
+
+def _random(rng, field, shape):
+    entries = {}
+    for idx in product(*(range(d) for d in shape)):
+        if rng.random() < 0.5:
+            c = rng.randrange(-4, 5)
+            entries[idx] = field.coerce(Fraction(c, rng.randrange(1, 4)) if field.p is None else c)
+    return Tensor(field, shape, entries)
+
+
+def _dense_einsum(field, out, factors):
+    """Sum over every assignment of every letter: no sparsity, no planning."""
+    dims = {x: t.shape[k] for t, letters in factors for k, x in enumerate(letters)}
+    letters = sorted(dims)
+    total = {}
+    for values in product(*(range(dims[x]) for x in letters)):
+        at = dict(zip(letters, values))
+        c = field.one
+        for t, idx in factors:
+            c = field.mul(c, t.get(tuple(at[x] for x in idx)))
+        key = tuple(at[x] for x in out)
+        total[key] = field.add(total.get(key, field.zero), c)
+    return Tensor(field, tuple(dims[x] for x in out), total)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(5)], ids=["Q", "F5"])
+def test_evaluate_agrees_with_a_dense_einsum(field):
+    rng = random.Random(7)
+    a, b, c = (_random(rng, field, s) for s in [(3, 4, 2), (2, 4, 5), (5,)])
+    for out, factors in [
+        ("ki", [(a, "ijl"), (b, "ljk")]),
+        ("ik", [(a, "ijl"), (b, "ljm"), (c, "m"), (c, "k")]),
+        ("", [(a, "ijl"), (b, "ljm"), (c, "m")]),
+        ("mji", [(c, "m"), (a, "ijl")]),
+    ]:
+        got = evaluate(out, factors)
+        assert got == _dense_einsum(field, out, factors)
+        assert all(type(v) is type(field.one) for v in got.entries.values())
+
+
+def test_evaluate_returns_fractions_over_q_even_for_integral_entries():
+    H = group_algebra(cyclic(3))
+    square = evaluate("ik", [(H.mult, "ijk"), (H.counit, "j")])
+    assert square.entries and all(type(v) is Fraction for v in square.entries.values())
+    assert square == H.mult.contract(H.counit, [(1, 0)])
+
+
+def test_evaluate_rejects_malformed_specs():
+    H = group_algebra(cyclic(2))
+    with pytest.raises(ShapeError):
+        evaluate("i", [(H.mult, "ij")])  # wrong rank
+    with pytest.raises(ShapeError):
+        evaluate("l", [(H.mult, "ijk")])  # l is never bound
+    with pytest.raises(ShapeError):
+        evaluate("i", [(H.counit, "i"), (group_algebra(cyclic(2), prime_field(5)).unit, "j")])

@@ -4,7 +4,7 @@ import pytest
 
 from hayd import schema
 from hayd.cli import main
-from hayd.errors import SchemaError
+from hayd.errors import InputError, SchemaError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic
 from hayd.hopf import group_algebra, sweedler
@@ -116,6 +116,22 @@ def test_schema_rejects_bad_scalars():
     _expect_violation(doc, "/unit/0/c")
 
 
+def test_schema_rejects_booleans_as_indices_and_dimensions():
+    doc = _valid_hopf_doc()
+    assert doc["unit"] == [{"i": 0, "c": "1"}]
+    doc["unit"][0]["i"] = False  # equal to 0, but not an index
+    _expect_violation(doc, "/unit/0/i")
+    doc = schema.hopf_to_doc(group_algebra(cyclic(1)))
+    doc["dim"] = True  # equal to 1, but not a dimension
+    _expect_violation(doc, "/dim")
+
+
+def test_schema_rejects_decimal_rationals():
+    doc = _valid_hopf_doc()
+    doc["unit"][0]["c"] = "1.0"  # only integers and 'a/b' strings are rationals
+    _expect_violation(doc, "/unit/0/c")
+
+
 def test_schema_rejects_unknown_kind_and_bad_json():
     _expect_violation({"kind": "nonsense"}, "/kind")
     with pytest.raises(SchemaError) as err:
@@ -129,6 +145,17 @@ def test_dimension_cap_respects_environment(monkeypatch):
     _expect_violation(doc, "/dim")
     monkeypatch.setenv("HAYD_MAX_DIM", "64")
     schema.parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5"])
+def test_malformed_dimension_cap_is_an_input_error(monkeypatch, tmp_path, capsys, raw):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(_valid_hopf_doc()))
+    monkeypatch.setenv("HAYD_MAX_DIM", raw)
+    with pytest.raises(InputError, match="HAYD_MAX_DIM"):
+        schema.load_document(path)
+    assert main(["verify", str(path)]) == 2
+    assert f"HAYD_MAX_DIM={raw!r}" in capsys.readouterr().err
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -342,6 +369,18 @@ def test_run_suite_accepts_name_lists():
 
     result = run_suite(["group-c2"], checks=["hopf-axioms"])
     assert result.passed and len(result.items) == 1
+
+
+def test_run_suite_verifies_only_unverified_targets(monkeypatch):
+    from hayd import suite
+
+    verified = []
+    real = suite.verify_hopf_axioms
+    monkeypatch.setattr(suite, "verify_hopf_axioms", lambda H: verified.append(H) or real(H))
+    built = sweedler()  # verified by its factory
+    loaded = schema.doc_to_hopf(schema.hopf_to_doc(group_algebra(cyclic(2))))
+    result = suite.run_suite({"built": built, "loaded": loaded}, checks=["antipode-inverse"])
+    assert result.passed and verified == [loaded]
 
 
 def test_cli_verify_json_failure_carries_machine_schema(tmp_path, capsys):

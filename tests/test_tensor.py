@@ -43,6 +43,33 @@ def test_out_of_range_index_rejected():
         Tensor(Q, (2,), {(2,): Q.one})
 
 
+def test_reshape_is_row_major_and_round_trips():
+    rng = random.Random(3)
+    t = random_tensor(rng, F5, (2, 3, 4))
+    merged = t.reshape((6, 4))
+    assert merged.shape == (6, 4)
+    assert all(merged.get((i * 3 + j, k)) == c for (i, j, k), c in t.entries.items())
+    assert len(merged.entries) == len(t.entries)
+    for shape in [(24,), (2, 12), (4, 3, 2), (1, 24, 1)]:
+        assert t.reshape(shape).reshape((2, 3, 4)) == t
+    scalar = Tensor(Q, (), {(): Q.coerce(3)})
+    assert scalar.reshape((1, 1)).get((0, 0)) == Q.coerce(3)
+
+
+def test_reshape_rejects_a_size_mismatch():
+    t = Tensor.identity(Q, 3)
+    with pytest.raises(ShapeError):
+        t.reshape((2, 4))
+    with pytest.raises(ShapeError):
+        t.reshape((10,))
+
+
+def test_boolean_index_rejected():
+    for flag in (False, True):
+        with pytest.raises(ShapeError):
+            Tensor(Q, (2,), {(flag,): Q.one})
+
+
 def test_contract_identity_composition():
     i2 = Tensor.identity(Q, 2)
     assert contract(i2, i2, [(1, 0)]) == i2
