@@ -23,11 +23,11 @@ from .ayd import (
     tensor_product,
 )
 from .errors import CheckFailedError, HaydError, InputError, SchemaError
-from .galois import check_comodule_algebra, comodule_algebra_from_hopf, make_sayd_prop5
+from .galois import comodule_algebra_from_hopf, make_sayd_prop5
 from .hopf import verify_hopf_axioms
 from .report import Report
 from .reps import verify_action, verify_coaction
-from .suite import BUILTINS, builtin, resolve_targets, run_suite
+from .suite import BUILTINS, builtin, hopf_target, resolve_targets, run_suite, verified_input
 from .tensor import Tensor
 
 CHECK_NAMES = (
@@ -43,29 +43,40 @@ CHECK_NAMES = (
 )
 
 
+# the checks that read a two_sided document, run once its structures verify
+_TWO_SIDED_CHECKS = {
+    "ayd": lambda H, M: check_ayd(M),
+    "yd": lambda H, M: check_yd(M),
+    "stability": lambda H, M: check_stability(M),
+    "entwined_ayd": lambda H, M: check_entwined_module(entwining_map(H, "ayd"), M),
+    "entwined_yd": lambda H, M: check_entwined_module(entwining_map(H, "yd"), M),
+}
+
+
 def _tensor_json(t):
     if t is None:
         return None
     if isinstance(t, Tensor):
-        return schema._tensor_doc(t)
+        return schema.tensor_to_doc(t)
     return str(t)
 
 
-def _report_json(report: Report, target: str, millis: int) -> dict:
+def _result_json(check: str, target: str, result, millis: int) -> dict:
+    """One machine-output item; ``result`` is a Report or a suite item."""
     return {
-        "check": report.axiom,
+        "check": check,
         "target": target,
-        "passed": report.passed,
-        "witness": list(report.witness) if report.witness is not None else None,
-        "lhs": _tensor_json(report.lhs) if not report.passed else None,
-        "rhs": _tensor_json(report.rhs) if not report.passed else None,
+        "passed": result.passed,
+        "witness": list(result.witness) if result.witness is not None else None,
+        "lhs": _tensor_json(result.lhs),
+        "rhs": _tensor_json(result.rhs),
         "millis": millis,
     }
 
 
 def _emit_report(report: Report, target: str, millis: int, as_json: bool) -> int:
     if as_json:
-        print(json.dumps(_report_json(report, target, millis), sort_keys=True))
+        print(json.dumps(_result_json(report.axiom, target, report, millis), sort_keys=True))
     elif report.passed:
         print(f"{report.axiom:<32} {target}: pass ({millis} ms)")
     else:
@@ -77,28 +88,25 @@ def _emit_report(report: Report, target: str, millis: int, as_json: bool) -> int
     return 0 if report.passed else 1
 
 
-def _load_hopf(path):
-    doc = schema.load_document(path)
-    if doc.get("kind") != "hopf":
-        raise InputError(f"{path}: expected a hopf document, got {doc.get('kind')!r}")
-    return schema.doc_to_hopf(doc)
+def _hopf_input(name_or_path):
+    """The --hopf context of a command: a builtin or hopf document, verified."""
+    return verified_input(hopf_target(name_or_path), name_or_path)
 
 
-def _hopf_target(args):
-    name_or_path = args.hopf
-    if name_or_path in BUILTINS:
-        return builtin(name_or_path)
-    return _load_hopf(name_or_path)
-
-
-def _require_verified_input(H, label):
-    report = verify_hopf_axioms(H)
-    if not report.passed:
-        raise InputError(
-            f"{label} fails '{report.axiom}' at {report.witness}; "
-            "supply a valid Hopf structure"
-        )
-    return H
+def _structure_report(doc, H) -> Report:
+    """Verify an action, coaction, two_sided or comodule_algebra document over H."""
+    kind = doc["kind"]
+    if kind == "action":
+        return verify_action(H, schema.doc_to_action(doc, H))
+    if kind == "coaction":
+        return verify_coaction(H, schema.doc_to_coaction(doc, H))
+    if kind == "two_sided":
+        return schema.doc_to_two_sided(doc, H).verify()
+    try:
+        schema.doc_to_comodule_algebra(doc, H)
+    except CheckFailedError as exc:
+        return exc.report
+    return Report.ok("comodule-algebra")
 
 
 def cmd_verify(args) -> int:
@@ -107,38 +115,14 @@ def cmd_verify(args) -> int:
     start = time.monotonic()
     if kind == "hopf":
         report = verify_hopf_axioms(schema.doc_to_hopf(doc))
-        target = args.file
     elif kind == "algebra":
-        try:
-            schema.doc_to_algebra(doc, check=True)
-            report = Report.ok("algebra")
-        except CheckFailedError as exc:
-            report = exc.report
-        target = args.file
+        report = schema.doc_to_algebra(doc, check=False).verify()
+    elif not args.hopf:
+        raise InputError(f"verifying a {kind} document needs --hopf")
     else:
-        if not args.hopf:
-            raise InputError(f"verifying a {kind} document needs --hopf")
-        H = _require_verified_input(_hopf_target(args), args.hopf)
-        if kind == "action":
-            report = verify_action(H, schema.doc_to_action(doc, H.dim))
-        elif kind == "coaction":
-            report = verify_coaction(H, schema.doc_to_coaction(doc, H.dim))
-        elif kind == "two_sided":
-            report = schema.doc_to_two_sided(doc, H).verify()
-        else:  # comodule_algebra
-            P = schema.doc_to_algebra(dict(doc, kind="algebra"), check=False)
-            r = P.verify()
-            if r.passed:
-                try:
-                    schema.doc_to_comodule_algebra(doc, H)
-                    report = Report.ok("comodule-algebra")
-                except CheckFailedError as exc:
-                    report = exc.report
-            else:
-                report = r
-        target = args.file
+        report = _structure_report(doc, _hopf_input(args.hopf))
     millis = int((time.monotonic() - start) * 1000)
-    return _emit_report(report, target, 0 if args.json and not args.timing else millis, args.json)
+    return _emit_report(report, args.file, 0 if args.json and not args.timing else millis, args.json)
 
 
 def cmd_check(args) -> int:
@@ -146,47 +130,24 @@ def cmd_check(args) -> int:
     if args.name == "hopf_axioms":
         # the verification IS the requested check here, so a failing Hopf
         # structure is a check failure, not an input error
-        report = verify_hopf_axioms(_hopf_target(args))
+        report = verify_hopf_axioms(hopf_target(args.hopf))
     else:
-        H = _require_verified_input(_hopf_target(args), args.hopf)
+        H = _hopf_input(args.hopf)
         if not args.module:
             raise InputError(f"check {args.name} needs --module")
         doc = schema.load_document(args.module)
-        if args.name == "action":
-            report = verify_action(H, schema.doc_to_action(doc, H.dim))
-        elif args.name == "coaction":
-            report = verify_coaction(H, schema.doc_to_coaction(doc, H.dim))
-        elif args.name == "comodule_algebra":
-            if doc["kind"] != "comodule_algebra":
-                raise InputError("comodule_algebra check expects a comodule_algebra document")
-            P = schema.doc_to_algebra(dict(doc, kind="algebra"), check=True)
-            from .reps import CoactionStructure
-
-            m = doc["dim"]
-            co = CoactionStructure(
-                "right", m, schema._tensor_of(doc, "coaction", (m, m, H.dim), P.field)
+        kind = "two_sided" if args.name in _TWO_SIDED_CHECKS else args.name
+        if doc["kind"] != kind:
+            raise InputError(
+                f"check {args.name} expects a document of kind {kind!r}, got {doc['kind']!r}"
             )
-            report = check_comodule_algebra(P, H, co)
-        else:
-            if doc["kind"] != "two_sided":
-                raise InputError(f"check {args.name} expects a two_sided document")
+        if kind == "two_sided":
             M = schema.doc_to_two_sided(doc, H)
             if args.case and M.case != args.case:
                 raise InputError(f"document is the {M.case} case, --case says {args.case}")
-            r = M.verify()
-            if not r.passed:
-                report = r
-            elif args.name == "ayd":
-                report = check_ayd(M)
-            elif args.name == "yd":
-                report = check_yd(M)
-            elif args.name == "stability":
-                report = check_stability(M)
-            elif args.name in ("entwined_ayd", "entwined_yd"):
-                variant = args.name.split("_")[1]
-                report = check_entwined_module(entwining_map(H, variant), M)
-            else:
-                raise InputError(f"unknown check {args.name!r}")
+        report = _structure_report(doc, H)
+        if report.passed and kind == "two_sided":
+            report = _TWO_SIDED_CHECKS[args.name](H, M)
     millis = int((time.monotonic() - start) * 1000)
     return _emit_report(report, args.module or args.hopf, 0 if args.json and not args.timing else millis, args.json)
 
@@ -203,7 +164,7 @@ def _write_doc(doc, out_path):
 def cmd_build(args) -> int:
     from .double import build_ah, build_double
 
-    H = _require_verified_input(_hopf_target(args), args.hopf)
+    H = _hopf_input(args.hopf)
     if args.what == "ah":
         _write_doc(schema.algebra_to_doc(build_ah(H)), args.out)
         return 0
@@ -212,10 +173,7 @@ def cmd_build(args) -> int:
         return 0
     if args.what == "sayd-prop5":
         if args.module:
-            doc = schema.load_document(args.module)
-            if doc["kind"] != "comodule_algebra":
-                raise InputError("sayd-prop5 expects a comodule_algebra document")
-            CA = schema.doc_to_comodule_algebra(doc, H)
+            CA = schema.doc_to_comodule_algebra(schema.load_document(args.module), H)
         else:
             CA = comodule_algebra_from_hopf(H)
         try:
@@ -248,22 +206,9 @@ def cmd_suite(args) -> int:
     result = run_suite(targets, checks=args.checks.split(",") if args.checks else None)
     items = sorted(result.items, key=lambda it: (it.target, it.check))
     if args.json:
-        payload = {
-            "passed": result.passed,
-            "results": [
-                {
-                    "check": it.check,
-                    "target": it.target,
-                    "passed": it.passed,
-                    "witness": list(it.witness) if it.witness is not None else None,
-                    "lhs": _tensor_json(it.lhs),
-                    "rhs": _tensor_json(it.rhs),
-                    "millis": it.millis if args.timing else 0,
-                }
-                for it in items
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        results = [_result_json(it.check, it.target, it, it.millis if args.timing else 0)
+                   for it in items]
+        print(json.dumps({"passed": result.passed, "results": results}, sort_keys=True, indent=1))
     else:
         for it in items:
             state = "pass" if it.passed else "FAIL"
@@ -341,9 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

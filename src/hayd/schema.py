@@ -6,6 +6,12 @@ rank in axis order.  Rational scalars travel as strings ("3/2", "-1"),
 prime-field scalars as plain integers in [0, p).  Validation reports every
 problem with a JSON-pointer location; dimensions are capped by HAYD_MAX_DIM
 (default 64) to keep exhaustive checks at desk scale.
+
+This module alone knows the tensor shapes of each document kind.
+``parse_document`` walks every entry once and returns the document with its
+``field`` and tensor entry lists replaced by the Field and Tensors it built;
+the ``doc_to_*`` constructors assemble domain objects from those parts after
+one check of kind, field and ``hopf_dim``.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ import json
 import os
 
 from .algebra import FinAlgebra
+from .ayd import TwoSidedStructure
 from .errors import FieldError, InputError, SchemaError
 from .fields import Field, is_prime, prime_field, rationals
+from .galois import ComoduleAlgebra
 from .hopf import FinHopfAlgebra
 from .reps import ActionStructure, CoactionStructure
 from .tensor import Tensor
@@ -101,12 +109,13 @@ def _parse_scalar(field: Field, raw, pointer, chk: _Check):
     return raw
 
 
-def _validate_tensor(doc, key, shape, field, chk: _Check, base="") -> Tensor | None:
+def _validate_tensor(doc, key, shape, field, chk: _Check, base=""):
+    """Validate the entry list doc[key] and replace it by its Tensor."""
     pointer = f"{base}/{key}"
     entries_raw = doc.get(key)
     if not isinstance(entries_raw, list):
         chk.fail(pointer, "missing or not a list of entries")
-        return None
+        return
     rank = len(shape)
     keys = _INDEX_KEYS[:rank]
     entries = {}
@@ -146,9 +155,8 @@ def _validate_tensor(doc, key, shape, field, chk: _Check, base="") -> Tensor | N
             ok = False
             continue
         entries[idx] = c
-    if not ok:
-        return None
-    return Tensor(field, shape, entries, _normalized=True)
+    if ok:
+        doc[key] = Tensor(field, shape, entries, _normalized=True)
 
 
 def _validate_basis(doc, dim, chk: _Check):
@@ -172,7 +180,12 @@ def _validate_side(node, pointer, chk: _Check):
 
 
 def parse_document(text: str) -> dict:
-    """Parse and validate one JSON document; returns the raw dict."""
+    """Parse and validate one JSON document.
+
+    Returns the document with ``field`` replaced by its Field and every tensor
+    entry list by its validated Tensor, the parts the ``doc_to_*``
+    constructors assemble.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -187,6 +200,7 @@ def parse_document(text: str) -> dict:
     field = _validate_field(doc, chk)
     if field is None:
         chk.raise_if_failed()
+    doc["field"] = field
 
     if kind in ("hopf", "algebra"):
         n = _validate_dim(doc, "dim", chk)
@@ -246,116 +260,82 @@ def load_document(path) -> dict:
     return parse_document(text)
 
 
-def parse_input(path_or_text) -> dict:
-    """Validate a document given as a filesystem path or as raw JSON text."""
-    s = str(path_or_text)
-    if not s.lstrip().startswith("{") and os.path.exists(s):
-        return load_document(s)
-    return parse_document(s)
+def load_hopf(path) -> FinHopfAlgebra:
+    """The Hopf algebra of the hopf document at ``path``, not yet verified."""
+    doc = load_document(path)
+    if doc["kind"] != "hopf":
+        raise InputError(f"{path}: expected a hopf document, got {doc['kind']!r}")
+    return doc_to_hopf(doc)
 
 
-# -- realizing domain objects ---------------------------------------------------
+# -- realizing domain objects from parsed documents ------------------------------
 
 
-def _field_of(doc) -> Field:
-    spec = doc["field"]
-    if spec["kind"] == "rationals":
-        return rationals()
-    return prime_field(spec["characteristic"])
-
-
-def _tensor_of(doc, key, shape, field) -> Tensor:
-    entries = {}
-    rank = len(shape)
-    keys = _INDEX_KEYS[:rank]
-    for entry in doc[key]:
-        idx = tuple(entry[k] for k in keys)
-        entries[idx] = field.coerce(entry["c"])
-    return Tensor(field, shape, entries, _normalized=True)
+def _require(doc, kinds, H=None) -> Field:
+    """The field of ``doc``, once its kind is one of ``kinds`` and, given H,
+    its field and ``hopf_dim`` are those of H."""
+    kind = doc["kind"]
+    if kind not in kinds:
+        article = "an" if kinds[0][0] in "aeiou" else "a"
+        raise InputError(f"expected {article} {kinds[0]} document, got kind {kind!r}")
+    if H is not None:
+        if doc["field"] != H.field:
+            raise InputError("document field does not match the Hopf algebra field")
+        if doc["hopf_dim"] != H.dim:
+            raise InputError(
+                f"document hopf_dim {doc['hopf_dim']} does not match the Hopf algebra ({H.dim})"
+            )
+    return doc["field"]
 
 
 def doc_to_hopf(doc) -> FinHopfAlgebra:
-    if doc["kind"] != "hopf":
-        raise InputError(f"expected a hopf document, got kind {doc['kind']!r}")
-    f = _field_of(doc)
-    n = doc["dim"]
     return FinHopfAlgebra(
-        f,
-        _tensor_of(doc, "mult", (n, n, n), f),
-        _tensor_of(doc, "unit", (n,), f),
-        _tensor_of(doc, "comult", (n, n, n), f),
-        _tensor_of(doc, "counit", (n,), f),
-        _tensor_of(doc, "antipode", (n, n), f),
+        _require(doc, ("hopf",)),
+        doc["mult"], doc["unit"], doc["comult"], doc["counit"], doc["antipode"],
         basis_names=doc.get("basis"),
         name=doc.get("name", "H"),
     )
 
 
 def doc_to_algebra(doc, check=True) -> FinAlgebra:
-    if doc["kind"] not in ("algebra", "comodule_algebra"):
-        raise InputError(f"expected an algebra document, got kind {doc['kind']!r}")
-    f = _field_of(doc)
-    m = doc["dim"]
+    """The algebra of an algebra or comodule_algebra document; with ``check``
+    a failing algebra axiom raises CheckFailedError."""
     return FinAlgebra(
-        f,
-        _tensor_of(doc, "mult", (m, m, m), f),
-        _tensor_of(doc, "unit", (m,), f),
+        _require(doc, ("algebra", "comodule_algebra")),
+        doc["mult"], doc["unit"],
         basis_names=doc.get("basis"),
         name=doc.get("name", "algebra"),
         check=check,
     )
 
 
-def doc_to_action(doc, hopf_dim=None) -> ActionStructure:
-    f = _field_of(doc)
-    n, m, side = doc["hopf_dim"], doc["dim"], doc["side"]
-    if hopf_dim is not None and n != hopf_dim:
-        raise InputError(f"document hopf_dim {n} does not match the Hopf algebra ({hopf_dim})")
-    return ActionStructure(side, m, _tensor_of(doc, "tensor", (n, m, m), f))
+def doc_to_action(doc, H: FinHopfAlgebra) -> ActionStructure:
+    _require(doc, ("action",), H)
+    return ActionStructure(doc["side"], doc["dim"], doc["tensor"])
 
 
-def doc_to_coaction(doc, hopf_dim=None) -> CoactionStructure:
-    f = _field_of(doc)
-    n, m, side = doc["hopf_dim"], doc["dim"], doc["side"]
-    if hopf_dim is not None and n != hopf_dim:
-        raise InputError(f"document hopf_dim {n} does not match the Hopf algebra ({hopf_dim})")
-    shape = _structure_shape("coaction", side, n, m)
-    return CoactionStructure(side, m, _tensor_of(doc, "tensor", shape, f))
+def doc_to_coaction(doc, H: FinHopfAlgebra) -> CoactionStructure:
+    _require(doc, ("coaction",), H)
+    return CoactionStructure(doc["side"], doc["dim"], doc["tensor"])
 
 
-def doc_to_two_sided(doc, H: FinHopfAlgebra):
-    from .ayd import TwoSidedStructure
-
-    f = _field_of(doc)
-    if f != H.field:
-        raise InputError("document field does not match the Hopf algebra field")
-    n, m = doc["hopf_dim"], doc["dim"]
-    if n != H.dim:
-        raise InputError(f"document hopf_dim {n} does not match the Hopf algebra ({H.dim})")
-    act_node, co_node = doc["action"], doc["coaction"]
-    act = ActionStructure(
-        act_node["side"], m,
-        _tensor_of(act_node, "tensor", (n, m, m), f),
+def doc_to_two_sided(doc, H: FinHopfAlgebra) -> TwoSidedStructure:
+    _require(doc, ("two_sided",), H)
+    act, co = doc["action"], doc["coaction"]
+    return TwoSidedStructure(
+        H,
+        ActionStructure(act["side"], doc["dim"], act["tensor"]),
+        CoactionStructure(co["side"], doc["dim"], co["tensor"]),
     )
-    co_shape = _structure_shape("coaction", co_node["side"], n, m)
-    co = CoactionStructure(
-        co_node["side"], m, _tensor_of(co_node, "tensor", co_shape, f)
-    )
-    return TwoSidedStructure(H, act, co)
 
 
-def doc_to_comodule_algebra(doc, H: FinHopfAlgebra):
-    from .galois import ComoduleAlgebra
-
-    f = _field_of(doc)
-    if f != H.field:
-        raise InputError("document field does not match the Hopf algebra field")
-    n, m = doc["hopf_dim"], doc["dim"]
-    if n != H.dim:
-        raise InputError(f"document hopf_dim {n} does not match the Hopf algebra ({H.dim})")
-    P = doc_to_algebra(dict(doc, kind="algebra"), check=True)
-    co = CoactionStructure("right", m, _tensor_of(doc, "coaction", (m, m, n), f))
-    return ComoduleAlgebra(P, H, co)
+def doc_to_comodule_algebra(doc, H: FinHopfAlgebra) -> ComoduleAlgebra:
+    """The comodule algebra of the document over H.  Its algebra axioms are
+    scanned first, then the coaction's; the first failure raises
+    CheckFailedError with its report."""
+    _require(doc, ("comodule_algebra",), H)
+    P = doc_to_algebra(doc)
+    return ComoduleAlgebra(P, H, CoactionStructure("right", P.dim, doc["coaction"]))
 
 
 # -- serialization ----------------------------------------------------------------
@@ -371,7 +351,7 @@ def _scalar_doc(field: Field, c):
     return str(c) if field.kind == "rationals" else int(c)
 
 
-def _tensor_doc(t: Tensor):
+def tensor_to_doc(t: Tensor):
     keys = _INDEX_KEYS[: t.rank]
     out = []
     for idx in sorted(t.entries):
@@ -388,11 +368,11 @@ def hopf_to_doc(H: FinHopfAlgebra) -> dict:
         "field": _field_doc(H.field),
         "dim": H.dim,
         "basis": list(H.basis_names),
-        "mult": _tensor_doc(H.mult),
-        "unit": _tensor_doc(H.unit),
-        "comult": _tensor_doc(H.comult),
-        "counit": _tensor_doc(H.counit),
-        "antipode": _tensor_doc(H.antipode),
+        "mult": tensor_to_doc(H.mult),
+        "unit": tensor_to_doc(H.unit),
+        "comult": tensor_to_doc(H.comult),
+        "counit": tensor_to_doc(H.counit),
+        "antipode": tensor_to_doc(H.antipode),
     }
 
 
@@ -403,8 +383,8 @@ def algebra_to_doc(A: FinAlgebra) -> dict:
         "field": _field_doc(A.field),
         "dim": A.dim,
         "basis": list(A.basis_names),
-        "mult": _tensor_doc(A.mult),
-        "unit": _tensor_doc(A.unit),
+        "mult": tensor_to_doc(A.mult),
+        "unit": tensor_to_doc(A.unit),
     }
 
 
@@ -414,8 +394,8 @@ def two_sided_to_doc(M) -> dict:
         "field": _field_doc(M.hopf.field),
         "hopf_dim": M.hopf.dim,
         "dim": M.dim,
-        "action": {"side": M.action.side, "tensor": _tensor_doc(M.action.tensor)},
-        "coaction": {"side": M.coaction.side, "tensor": _tensor_doc(M.coaction.tensor)},
+        "action": {"side": M.action.side, "tensor": tensor_to_doc(M.action.tensor)},
+        "coaction": {"side": M.coaction.side, "tensor": tensor_to_doc(M.coaction.tensor)},
     }
 
 
@@ -426,7 +406,7 @@ def action_to_doc(A: ActionStructure, hopf_dim: int) -> dict:
         "side": A.side,
         "hopf_dim": hopf_dim,
         "dim": A.dim,
-        "tensor": _tensor_doc(A.tensor),
+        "tensor": tensor_to_doc(A.tensor),
     }
 
 
@@ -437,7 +417,7 @@ def coaction_to_doc(C: CoactionStructure, hopf_dim: int) -> dict:
         "side": C.side,
         "hopf_dim": hopf_dim,
         "dim": C.dim,
-        "tensor": _tensor_doc(C.tensor),
+        "tensor": tensor_to_doc(C.tensor),
     }
 
 
@@ -448,9 +428,9 @@ def comodule_algebra_to_doc(CA) -> dict:
         "hopf_dim": CA.H.dim,
         "dim": CA.dim,
         "basis": list(CA.P.basis_names),
-        "mult": _tensor_doc(CA.P.mult),
-        "unit": _tensor_doc(CA.P.unit),
-        "coaction": _tensor_doc(CA.coaction.tensor),
+        "mult": tensor_to_doc(CA.P.mult),
+        "unit": tensor_to_doc(CA.P.unit),
+        "coaction": tensor_to_doc(CA.coaction.tensor),
     }
 
 

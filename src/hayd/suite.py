@@ -62,6 +62,7 @@ from .reps import (
     trivial_action,
     trivial_coaction,
 )
+from .schema import load_hopf
 from .tensor import Tensor
 
 BUILTINS = {
@@ -81,6 +82,26 @@ def builtin(name: str) -> FinHopfAlgebra:
     except KeyError:
         raise InputError(f"unknown builtin {name!r}; see list-builtins") from None
     return factory()
+
+
+def hopf_target(name: str) -> FinHopfAlgebra:
+    """The builtin called ``name``, or the Hopf algebra of the hopf document
+    at that path."""
+    return builtin(name) if name in BUILTINS else load_hopf(name)
+
+
+def verified_input(H: FinHopfAlgebra, label: str) -> FinHopfAlgebra:
+    """H once every Hopf axiom holds on it; builtins, which their factories
+    verify, are not scanned again.  A failure is an InputError naming
+    ``label``."""
+    if not H.verified:
+        report = verify_hopf_axioms(H)
+        if not report.passed:
+            raise InputError(
+                f"{label} fails '{report.axiom}' at {report.witness}; "
+                "supply a valid Hopf structure"
+            )
+    return H
 
 
 # -- stock two-sided structures used by several checks ----------------------------
@@ -382,14 +403,7 @@ def run_suite(targets, checks=None) -> SuiteResult:
         if name not in SUITE_CHECKS:
             raise InputError(f"unknown check {name!r}; known: {sorted(SUITE_CHECKS)}")
     for label, H in targets.items():
-        if H.verified:  # builtin factories verify what they build
-            continue
-        report = verify_hopf_axioms(H)
-        if not report.passed:
-            raise InputError(
-                f"target {label} fails '{report.axiom}' at {report.witness}; "
-                "fix the input before running the suite"
-            )
+        verified_input(H, f"target {label}")
     result = SuiteResult()
     for label in sorted(targets):
         H = targets[label]
@@ -411,22 +425,9 @@ def run_suite(targets, checks=None) -> SuiteResult:
 
 
 def resolve_targets(names) -> dict:
-    """Builtin names (or 'all') and file paths to verified-parseable algebras."""
-    from .schema import doc_to_hopf, load_document
-
+    """Builtin names (or 'all') and hopf-document paths to their algebras."""
     out = {}
-    expanded = []
     for name in names:
-        if name == "all":
-            expanded.extend(BUILTINS)
-        else:
-            expanded.append(name)
-    for name in expanded:
-        if name in BUILTINS:
-            out[name] = builtin(name)
-        else:
-            doc = load_document(name)
-            if doc.get("kind") != "hopf":
-                raise InputError(f"suite targets must be hopf documents, got {doc.get('kind')!r}")
-            out[name] = doc_to_hopf(doc)
+        for target in BUILTINS if name == "all" else [name]:
+            out[target] = hopf_target(target)
     return out

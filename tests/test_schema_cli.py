@@ -43,10 +43,10 @@ def test_action_coaction_round_trip():
     H = sweedler()
     A = regular_action(H, "left")
     doc = schema.parse_document(schema.dumps(schema.action_to_doc(A, H.dim)))
-    assert schema.doc_to_action(doc, H.dim).tensor == A.tensor
+    assert schema.doc_to_action(doc, H).tensor == A.tensor
     C = comult_coaction(H, "right")
     doc = schema.parse_document(schema.dumps(schema.coaction_to_doc(C, H.dim)))
-    assert schema.doc_to_coaction(doc, H.dim).tensor == C.tensor
+    assert schema.doc_to_coaction(doc, H).tensor == C.tensor
 
 
 def test_comodule_algebra_round_trip():
@@ -287,6 +287,95 @@ def test_cli_check_action_and_comodule_algebra_documents(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _comodule_algebra_file(tmp_path, corrupt_unit_product=False):
+    from hayd.galois import comodule_algebra_from_hopf
+
+    doc = schema.comodule_algebra_to_doc(comodule_algebra_from_hopf(sweedler()))
+    if corrupt_unit_product:
+        assert doc["mult"][3] == {"i": 0, "j": 3, "k": 3, "c": "1"}
+        doc["mult"][3]["c"] = "2"  # e0 e3 = 2 e3: P is no longer associative
+    path = tmp_path / "ca.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_check_comodule_algebra_reports_a_non_associative_algebra(tmp_path, capsys):
+    path = _comodule_algebra_file(tmp_path, corrupt_unit_product=True)
+    assert main(["check", "comodule_algebra", "--hopf", "sweedler-2", "--module", path]) == 1
+    assert "associativity" in capsys.readouterr().out
+    assert main(
+        ["check", "comodule_algebra", "--hopf", "sweedler-2", "--module", path, "--json"]
+    ) == 1
+    item = capsys.readouterr().out
+    assert main(["verify", path, "--hopf", "sweedler-2", "--json"]) == 1
+    assert capsys.readouterr().out == item
+    payload = json.loads(item)
+    assert payload["check"] == "associativity" and payload["witness"] == [0, 0, 3]
+
+
+def test_cli_verify_comodule_algebra_scans_the_algebra_once(tmp_path, monkeypatch, capsys):
+    from hayd import algebra
+
+    calls = []
+    real = algebra.associativity_report
+    monkeypatch.setattr(
+        algebra, "associativity_report", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    path = _comodule_algebra_file(tmp_path)
+    assert main(["verify", path, "--hopf", "sweedler-2"]) == 0
+    assert len(calls) == 1
+    assert main(["check", "comodule_algebra", "--hopf", "sweedler-2", "--module", path]) == 0
+    assert len(calls) == 2
+
+
+def test_cli_check_action_rejects_a_hopf_document(tmp_path, capsys):
+    path = _write_builtin(tmp_path, "sweedler-2")
+    assert main(["check", "action", "--hopf", "sweedler-2", "--module", str(path)]) == 2
+    assert "check action expects a document of kind 'action', got 'hopf'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_cli_check_coaction_rejects_an_action_document(tmp_path, capsys):
+    from hayd.reps import regular_action
+
+    H = sweedler()
+    path = tmp_path / "act.json"
+    path.write_text(schema.dumps(schema.action_to_doc(regular_action(H, "left"), H.dim)))
+    assert main(["check", "coaction", "--hopf", "sweedler-2", "--module", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "check coaction expects a document of kind 'coaction', got 'action'" in captured.err
+
+
+def test_cli_verifies_a_hopf_context_only_when_it_is_not_a_builtin(tmp_path, monkeypatch, capsys):
+    from hayd import cli, suite
+    from hayd.reps import regular_action
+
+    calls = []
+    for mod in (cli, suite):
+        real = mod.verify_hopf_axioms
+        monkeypatch.setattr(
+            mod, "verify_hopf_axioms", lambda H, real=real: calls.append(H.name) or real(H)
+        )
+    H = sweedler()
+    act = tmp_path / "act.json"
+    act.write_text(schema.dumps(schema.action_to_doc(regular_action(H, "left"), H.dim)))
+    assert main(["check", "action", "--hopf", "sweedler-2", "--module", str(act)]) == 0
+    assert main(["verify", str(act), "--hopf", "sweedler-2"]) == 0
+    assert main(["build", "ah", "--hopf", "group-c2", "-o", str(tmp_path / "ah.json")]) == 0
+    assert calls == []  # the builtin factories verified these already
+    hopf_path = _write_builtin(tmp_path, "sweedler-2")
+    assert main(["check", "action", "--hopf", str(hopf_path), "--module", str(act)]) == 0
+    assert len(calls) == 1
+    doc = json.loads(hopf_path.read_text())
+    doc["counit"][0]["c"] = "2"
+    hopf_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", "action", "--hopf", str(hopf_path), "--module", str(act)]) == 2
+    assert f"input error: {hopf_path} fails 'counit'" in capsys.readouterr().err
+
+
 def test_cli_build_tensor(tmp_path, capsys):
     from hayd.suite import one_dim_structure, trivial_structure
 
@@ -356,14 +445,6 @@ def test_cli_list_builtins(capsys):
         assert name in out
 
 
-def test_parse_input_accepts_path_or_text(tmp_path):
-    doc = _valid_hopf_doc()
-    text = schema.dumps(doc)
-    path = tmp_path / "h.json"
-    path.write_text(text)
-    assert schema.parse_input(str(path)) == schema.parse_input(text)
-
-
 def test_run_suite_accepts_name_lists():
     from hayd.suite import run_suite
 
@@ -378,7 +459,7 @@ def test_run_suite_verifies_only_unverified_targets(monkeypatch):
     real = suite.verify_hopf_axioms
     monkeypatch.setattr(suite, "verify_hopf_axioms", lambda H: verified.append(H) or real(H))
     built = sweedler()  # verified by its factory
-    loaded = schema.doc_to_hopf(schema.hopf_to_doc(group_algebra(cyclic(2))))
+    loaded = schema.doc_to_hopf(schema.parse_document(schema.dumps(_valid_hopf_doc())))
     result = suite.run_suite({"built": built, "loaded": loaded}, checks=["antipode-inverse"])
     assert result.passed and verified == [loaded]
 
