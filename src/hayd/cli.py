@@ -126,12 +126,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.module and args.name == "hopf_axioms":
+        raise InputError("check hopf_axioms does not take --module")
+    if args.case and args.name not in _TWO_SIDED_CHECKS:
+        raise InputError(f"check {args.name} does not take --case")
     start = time.monotonic()
     if args.name == "hopf_axioms":
         # the verification IS the requested check here, so a failing Hopf
         # structure is a check failure, not an input error
+        target = args.hopf
         report = verify_hopf_axioms(hopf_target(args.hopf))
     else:
+        target = args.module
         H = _hopf_input(args.hopf)
         if not args.module:
             raise InputError(f"check {args.name} needs --module")
@@ -149,7 +155,7 @@ def cmd_check(args) -> int:
         if report.passed and kind == "two_sided":
             report = _TWO_SIDED_CHECKS[args.name](H, M)
     millis = int((time.monotonic() - start) * 1000)
-    return _emit_report(report, args.module or args.hopf, 0 if args.json and not args.timing else millis, args.json)
+    return _emit_report(report, target, 0 if args.json and not args.timing else millis, args.json)
 
 
 def _write_doc(doc, out_path):
@@ -173,7 +179,10 @@ def cmd_build(args) -> int:
         return 0
     if args.what == "sayd-prop5":
         if args.module:
-            CA = schema.doc_to_comodule_algebra(schema.load_document(args.module), H)
+            try:
+                CA = schema.doc_to_comodule_algebra(schema.load_document(args.module), H)
+            except CheckFailedError as exc:
+                return _emit_report(exc.report, args.module, 0, args.json)
         else:
             CA = comodule_algebra_from_hopf(H)
         try:

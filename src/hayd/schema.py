@@ -90,23 +90,20 @@ def _validate_dim(doc, key, chk: _Check) -> int | None:
     return d
 
 
-def _parse_scalar(field: Field, raw, pointer, chk: _Check):
+def _parse_scalar(field: Field, raw):
+    """``(scalar, None)``, or ``(None, message)`` if raw is not one."""
     if field.kind == "rationals":
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-            chk.fail(pointer, f"rational scalar must be int or 'a/b' string, got {raw!r}")
-            return None
+            return None, f"rational scalar must be int or 'a/b' string, got {raw!r}"
         try:
-            return field.coerce(raw)
+            return field.coerce(raw), None
         except FieldError:
-            chk.fail(pointer, f"bad rational literal {raw!r}")
-            return None
+            return None, f"bad rational literal {raw!r}"
     if isinstance(raw, bool) or not isinstance(raw, int):
-        chk.fail(pointer, f"prime-field scalar must be an integer, got {raw!r}")
-        return None
+        return None, f"prime-field scalar must be an integer, got {raw!r}"
     if not 0 <= raw < field.p:
-        chk.fail(pointer, f"scalar {raw} is not a residue in [0, {field.p})")
-        return None
-    return raw
+        return None, f"scalar {raw} is not a residue in [0, {field.p})"
+    return raw, None
 
 
 def _validate_tensor(doc, key, shape, field, chk: _Check, base=""):
@@ -116,45 +113,38 @@ def _validate_tensor(doc, key, shape, field, chk: _Check, base=""):
     if not isinstance(entries_raw, list):
         chk.fail(pointer, "missing or not a list of entries")
         return
-    rank = len(shape)
-    keys = _INDEX_KEYS[:rank]
+    keys = _INDEX_KEYS[: len(shape)]
+    allowed = {*keys, "c"}
     entries = {}
     ok = True
+    # JSON pointers are formatted only for an entry that is bad
     for pos, entry in enumerate(entries_raw):
-        ep = f"{pointer}/{pos}"
         if not isinstance(entry, dict):
-            chk.fail(ep, "entry is not an object")
+            chk.fail(f"{pointer}/{pos}", "entry is not an object")
             ok = False
             continue
-        extra = set(entry) - set(keys) - {"c"}
-        if extra:
-            chk.fail(ep, f"unexpected keys {sorted(extra)}")
+        if not entry.keys() <= allowed:
+            chk.fail(f"{pointer}/{pos}", f"unexpected keys {sorted(entry.keys() - allowed)}")
             ok = False
-        idx = []
-        for ax, kname in enumerate(keys):
-            v = entry.get(kname)
-            if type(v) is not int or not 0 <= v < shape[ax]:
-                chk.fail(f"{ep}/{kname}", f"index {v!r} is not an integer in [0, {shape[ax]})")
+        idx = tuple(map(entry.get, keys))
+        for v, d, kname in zip(idx, shape, keys):
+            if type(v) is not int or not 0 <= v < d:
+                chk.fail(f"{pointer}/{pos}/{kname}", f"index {v!r} is not an integer in [0, {d})")
                 ok = False
-                idx = None
                 break
-            idx.append(v)
-        if idx is None:
-            continue
-        c = _parse_scalar(field, entry.get("c"), f"{ep}/c", chk)
-        if c is None:
-            ok = False
-            continue
-        if field.is_zero(c):
-            chk.fail(f"{ep}/c", "stored entries must be nonzero")
-            ok = False
-            continue
-        idx = tuple(idx)
-        if idx in entries:
-            chk.fail(ep, f"duplicate index {idx}")
-            ok = False
-            continue
-        entries[idx] = c
+        else:
+            c, error = _parse_scalar(field, entry.get("c"))
+            if error is not None:
+                chk.fail(f"{pointer}/{pos}/c", error)
+                ok = False
+            elif field.is_zero(c):
+                chk.fail(f"{pointer}/{pos}/c", "stored entries must be nonzero")
+                ok = False
+            elif idx in entries:
+                chk.fail(f"{pointer}/{pos}", f"duplicate index {idx}")
+                ok = False
+            else:
+                entries[idx] = c
     if ok:
         doc[key] = Tensor(field, shape, entries, _normalized=True)
 

@@ -411,3 +411,88 @@ def first_compat_violation(M, anti, sinv):
         if lhs != rhs:
             return (f"{kind}-{case}", (i, a), lhs, rhs)
     return None
+
+
+# -- dense oracles for identity specs ----------------------------------------------
+#
+# ``Identity`` specs are plain data: (tensor, letters) factor lists.  These
+# oracles evaluate them by summing over every assignment of every letter,
+# with no sparsity, no planning and no packed keys.
+
+
+def dense_table(field: Field, result: str, factors, dims: dict) -> dict:
+    """Every tuple over ``result`` (dims from ``dims``) -> the sum, over all
+    other letters of ``factors``, of the product of the factors' entries.
+    ``[]`` is the scalar 1 and ``None`` the zero side."""
+    table = {key: field.zero for key in product(*(range(dims[x]) for x in result))}
+    if factors is None:
+        return table
+    letters = sorted({x for _, idx in factors for x in idx} | set(result))
+    for values in product(*(range(dims[x]) for x in letters)):
+        at = dict(zip(letters, values))
+        c = field.one
+        for t, idx in factors:
+            c = field.mul(c, t.get(tuple(at[x] for x in idx)))
+        key = tuple(at[x] for x in result)
+        table[key] = field.add(table[key], c)
+    return table
+
+
+def dense_einsum(field: Field, out: str, factors):
+    """The einsum of ``factors`` with axes ``out``, as a Tensor."""
+    dims = {x: t.shape[k] for t, letters in factors for k, x in enumerate(letters)}
+    table = dense_table(field, out, factors, dims)
+    return Tensor(field, tuple(dims[x] for x in out), table)
+
+
+def dense_first_failure(identities):
+    """What ``identity.check`` must report on one group of identities:
+    (axiom, witness, lhs, rhs) with both sides as dense nested lists of the
+    output letters at the witness, or None if every identity holds.
+
+    Slices of the first witness letter are scanned in order; within the
+    first failing slice the least violating witness wins, and at equal
+    witnesses the identity listed first.  An identity without witness
+    letters reports (0,).
+    """
+    tables = []
+    for ident in identities:
+        dims = {x: t.shape[k] for side in (ident.lhs, ident.rhs or ())
+                for t, letters in side for k, x in enumerate(letters)}
+        result = ident.witness + ident.out
+        tables.append((ident, dims, dense_table(ident.field, result, ident.lhs, dims),
+                       dense_table(ident.field, result, ident.rhs, dims)))
+    lead, lead_dims = tables[0][:2]
+    for v in range(lead_dims[lead.witness[0]]) if lead.witness else [None]:
+        best = None
+        for ident, dims, lhs, rhs in tables:
+            n = len(ident.witness)
+            for key in sorted(lhs):  # lexicographic: the first differing key is the least
+                if (v is None or key[0] == v) and lhs[key] != rhs[key]:
+                    if best is None or key[:n] < best[1]:
+                        best = (ident, key[:n], dims, lhs, rhs)
+                    break
+        if best is not None:
+            ident, witness, dims, lhs, rhs = best
+
+            def at_witness(table):
+                shape = [dims[x] for x in ident.out]
+                if not shape:
+                    return table[witness]
+                out = dense_zeros(ident.field, shape)
+                for key, c in table.items():
+                    if key[: len(witness)] == witness:
+                        node = out
+                        for i in key[len(witness):-1]:
+                            node = node[i]
+                        node[key[-1]] = c
+                return out
+
+            return ident.label, witness or (0,), at_witness(lhs), at_witness(rhs)
+    return None
+
+
+def dense_zeros(field: Field, shape):
+    if len(shape) == 1:
+        return [field.zero] * shape[0]
+    return [dense_zeros(field, shape[1:]) for _ in range(shape[0])]

@@ -11,7 +11,7 @@ from hayd.hopf import group_algebra, sweedler
 from hayd.identity import Identity, check, evaluate
 from hayd.tensor import Tensor
 
-from helpers import dense
+from helpers import dense, dense_einsum, dense_first_failure
 
 Q = rationals()
 
@@ -134,21 +134,6 @@ def _random(rng, field, shape):
     return Tensor(field, shape, entries)
 
 
-def _dense_einsum(field, out, factors):
-    """Sum over every assignment of every letter: no sparsity, no planning."""
-    dims = {x: t.shape[k] for t, letters in factors for k, x in enumerate(letters)}
-    letters = sorted(dims)
-    total = {}
-    for values in product(*(range(dims[x]) for x in letters)):
-        at = dict(zip(letters, values))
-        c = field.one
-        for t, idx in factors:
-            c = field.mul(c, t.get(tuple(at[x] for x in idx)))
-        key = tuple(at[x] for x in out)
-        total[key] = field.add(total.get(key, field.zero), c)
-    return Tensor(field, tuple(dims[x] for x in out), total)
-
-
 @pytest.mark.parametrize("field", [Q, prime_field(5)], ids=["Q", "F5"])
 def test_evaluate_agrees_with_a_dense_einsum(field):
     rng = random.Random(7)
@@ -160,7 +145,7 @@ def test_evaluate_agrees_with_a_dense_einsum(field):
         ("mji", [(c, "m"), (a, "ijl")]),
     ]:
         got = evaluate(out, factors)
-        assert got == _dense_einsum(field, out, factors)
+        assert got == dense_einsum(field, out, factors)
         assert all(type(v) is type(field.one) for v in got.entries.values())
 
 
@@ -179,3 +164,112 @@ def test_evaluate_rejects_malformed_specs():
         evaluate("l", [(H.mult, "ijk")])  # l is never bound
     with pytest.raises(ShapeError):
         evaluate("i", [(H.counit, "i"), (group_algebra(cyclic(2), prime_field(5)).unit, "j")])
+
+
+# -- packed keys against the dense oracles ------------------------------------------
+
+
+def _changed(rng, t):
+    """t with one entry, anywhere in its shape, set to a random value (0 deletes it)."""
+    f = t.field
+    idx = tuple(rng.randrange(d) for d in t.shape)
+    c = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) if f.p is None else rng.randrange(f.p)
+    entries = dict(t.entries)
+    entries.pop(idx, None)
+    if c:
+        entries[idx] = f.coerce(c)
+    return Tensor(f, t.shape, entries)
+
+
+def _agrees_with_oracle(*identities):
+    r = check("ok", list(identities))
+    want = dense_first_failure(identities)
+    if want is None:
+        assert r.passed
+    else:
+        assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == want
+    return want
+
+
+WIDTH_EDGES = (1, 2, 3, 4, 5, 8, 9)  # 0, 1, 2, 2, 3, 3 and 4 bits
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("d", WIDTH_EDGES)
+def test_scans_at_bit_width_edges_match_the_dense_oracle(field, d):
+    rng = random.Random(d)
+    for e in (d, WIDTH_EDGES[WIDTH_EDGES.index(d) - 1]):  # 1 pairs with 9
+        # i, m of dim d and j, k of dim e; with b first, the summed m is
+        # bound while i and k are, but j is not yet
+        a = _random(rng, field, (d, e, d))  # i j m
+        b = _random(rng, field, (d, e))  # m k
+        lhs = [(a, "ijm"), (b, "mk")]
+        assert check("ok", Identity("x", "ij", "k", lhs, [(b, "mk"), (a, "ijm")])).passed
+        assert evaluate("kji", lhs) == dense_einsum(field, "kji", lhs)
+        def agree(*rhs):
+            _agrees_with_oracle(Identity("x", "ij", "k", lhs, rhs))
+
+        for _ in range(2):
+            agree((_changed(rng, b), "mk"), (a, "ijm"))
+            agree((b, "mk"), (_changed(rng, a), "ijm"))
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(7)], ids=["Q", "F7"])
+def test_group_with_differently_placed_first_witness_letters_matches_the_dense_oracle(field):
+    # the first witness letter i sits above 3 + 2 bits, 3 bits and 5 bits
+    rng = random.Random(11)
+    a = _random(rng, field, (3, 5, 2))  # i j m
+    b = _random(rng, field, (2, 4))  # m k
+    c = Tensor(field, (2,), {(0,): field.one, (1,): field.coerce(3)})  # m
+
+    def maybe(t):  # each identity of a draw is broken or not at random
+        return _changed(rng, t) if rng.random() < 0.5 else t
+
+    failures = set()
+    for _ in range(16):
+        group = [
+            Identity("ij-k", "ij", "k", [(a, "ijm"), (b, "mk")], [(b, "mk"), (maybe(a), "ijm")]),
+            Identity("ij", "ij", "", [(a, "ijm"), (c, "m")], [(c, "m"), (maybe(a), "ijm")]),
+            Identity("i-jk", "i", "jk", [(a, "ijm"), (b, "mk")], [(maybe(a), "ijm"), (b, "mk")]),
+        ]
+        for order in (group, group[::-1]):
+            want = _agrees_with_oracle(*order)
+            if want is not None:
+                failures.add(want[:2])
+    # the draws reach every identity of the group and several first slices
+    assert {axiom for axiom, _ in failures} == {"ij-k", "ij", "i-jk"}
+    assert len({witness[0] for _, witness in failures}) > 1
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(5)], ids=["Q", "F5"])
+def test_empty_product_and_zero_sides_match_the_dense_oracle(field):
+    rng = random.Random(5)
+    for _ in range(20):
+        u, v = _random(rng, field, (3,)), _random(rng, field, (3,))
+        # sum_i u_i v_i == 1, against the empty product
+        _agrees_with_oracle(Identity("scalar", "", "", [(u, "i"), (v, "i")], []))
+        a = _random(rng, field, (4, 3, 2))
+        # a v == 0, against the zero side
+        _agrees_with_oracle(Identity("zero", "i", "k", [(a, "ijk"), (v, "j")], None))
+        # no witness letters: one slice, reported at (0,)
+        _agrees_with_oracle(
+            Identity("slice", "", "k", [(u, "i"), (a, "jik")], [(v, "i"), (a, "jik")]))
+        # u_i == 1 for every i: the empty product in each slice of i
+        _agrees_with_oracle(Identity("ones", "i", "", [(u, "i")], []))
+
+
+def test_non_integral_rationals_cancel_exactly():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    a = Tensor(Q, (2, 2), {(0, 0): half, (0, 1): third, (1, 1): Q.coerce(3)})
+    v = Tensor(Q, (2,), {(0,): Q.coerce(1), (1,): half})
+    w = Tensor(Q, (2,), {(0,): Fraction(2, 3), (1,): Fraction(3, 2)})  # a v
+    assert check("ok", Identity("av", "i", "", [(a, "ij"), (v, "j")], [(w, "i")])).passed
+    # nothing is reduced to an integer: 2/3 + 1/10**9 differs from 2/3
+    near = Tensor(Q, (2,), {**w.entries, (0,): Fraction(2, 3) + Fraction(1, 10**9)})
+    r = check("ok", Identity("av", "i", "", [(a, "ij"), (v, "j")], [(near, "i")]))
+    assert (r.witness, r.lhs.get(()), r.rhs.get(())) == ((0,), Fraction(2, 3), near.get(0))
+    assert type(r.lhs.get(())) is Fraction
+    rng = random.Random(2)
+    for _ in range(3):
+        _agrees_with_oracle(
+            Identity("av", "i", "", [(a, "ij"), (v, "j")], [(_changed(rng, w), "i")]))

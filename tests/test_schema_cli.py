@@ -313,6 +313,49 @@ def test_cli_check_comodule_algebra_reports_a_non_associative_algebra(tmp_path, 
     assert payload["check"] == "associativity" and payload["witness"] == [0, 0, 3]
 
 
+def test_cli_build_sayd_prop5_reports_a_non_associative_module(tmp_path, capsys):
+    path = _comodule_algebra_file(tmp_path, corrupt_unit_product=True)
+    out = tmp_path / "sayd.json"
+    argv = ["build", "sayd-prop5", "--hopf", "sweedler-2", "--module", path, "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"associativity                    {path}: FAIL at (0, 0, 3)" in captured.out
+    assert captured.err == ""
+    assert main(argv + ["--json"]) == 1
+    item = json.loads(capsys.readouterr().out)
+    assert (item["check"], item["target"], item["witness"]) == ("associativity", path, [0, 0, 3])
+    assert not out.exists()
+
+
+def test_cli_check_labels_the_report_with_the_input_it_checked(tmp_path, capsys):
+    from hayd.reps import regular_action
+
+    assert main(["check", "hopf_axioms", "--hopf", "sweedler-2"]) == 0
+    assert " sweedler-2: pass " in capsys.readouterr().out
+    assert main(["check", "hopf_axioms", "--hopf", "sweedler-2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == "sweedler-2"
+    H = sweedler()
+    path = tmp_path / "act.json"
+    path.write_text(schema.dumps(schema.action_to_doc(regular_action(H, "left"), H.dim)))
+    assert main(["check", "action", "--hopf", "sweedler-2", "--module", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == str(path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "hopf_axioms", "--hopf", "sweedler-2", "--module", "/nonexistent.json"], "--module"),
+    (["check", "hopf_axioms", "--hopf", "sweedler-2", "--case", "ll"], "--case"),
+    (["check", "action", "--hopf", "sweedler-2", "--module", "/nonexistent.json", "--case", "ll"],
+     "--case"),
+    (["check", "comodule_algebra", "--hopf", "sweedler-2", "--module", "/nonexistent.json",
+      "--case", "rr"], "--case"),
+])
+def test_cli_check_rejects_an_option_the_check_does_not_use(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"input error: check {argv[1]} does not take {flag}" in captured.err
+
+
 def test_cli_verify_comodule_algebra_scans_the_algebra_once(tmp_path, monkeypatch, capsys):
     from hayd import algebra
 
