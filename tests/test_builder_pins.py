@@ -50,7 +50,7 @@ PINS = {
     "ah-double-coaction": "abf3273182715df80a942ed5406ade78031004374a43eefff7db0a2425156cdf",
     "ah-module-to-ayd": "f7e73822b5d15ddac55ae4091b1b2d9bbbfec23e0e2d0e655a749f93f337ff11",
     "ayd-to-ah-module": "4ed730441d9ac86dcd2d51c2a0b28c17dcee572f0a954231f8be122b6b4c5910",
-    "canonical-map": "9c4cb29263d6363b8b048344bd51c54c331b11ff17903fe4c33e904faae93502",
+    "canonical-map": "77fe4e33b216bd3086d688d79ec1c4ced49879d8e39fe40010167163988bb3db",
     "double": "884c4cbf3a035b3e42bbd55c9b7c712453eae28489613a7827b63aaab5f6a2c9",
     "double-antipode": "374c1e0575cf12d7620ac9dc8efddbd498828f6b53166ca45f817d0b06545293",
     "double-comult": "abf3273182715df80a942ed5406ade78031004374a43eefff7db0a2425156cdf",
@@ -75,6 +75,14 @@ def _canon(x):
     if isinstance(x, (list, tuple)):
         return [_canon(y) for y in x]
     return repr(x)
+
+
+def _matrix(field, rows, width):
+    """A matrix Tensor as it is; dense rows as the matrix Tensor they give."""
+    if isinstance(rows, Tensor):
+        return rows
+    return Tensor(field, (len(rows), width),
+                  {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c})
 
 
 def _structures(H, case):
@@ -125,8 +133,9 @@ def _outputs(H) -> dict:
     out["ah-double-coaction"] = ah_double_coaction(H).tensor
     CA = comodule_algebra_from_hopf(H)
     G = canonical_map(CA)
-    out["canonical-map"] = [G.can, G.bijective, G.b_basis, G.rel.relations,
-                            G.rel.projection, G.rel.section]
+    f, m, n = CA.field, CA.dim, H.dim
+    out["canonical-map"] = [_matrix(f, G.can, m * n), G.bijective, G.b_basis,
+                            _matrix(f, G.rel.relations, m * m), _matrix(f, G.rel.section, m * m)]
     out["translation-map"] = translation_map(G)
     for flipped in (False, True):
         action, carrier = mu_action(G, flipped)
