@@ -330,8 +330,9 @@ def check_pi_stability(
     if not r.passed:
         return r
 
-    if matrix_rank(pi) != m:
-        return Report.fail("pi-surjective", (matrix_rank(pi),), pi, None)
+    rank = matrix_rank(pi)
+    if rank != m:
+        return Report.fail("pi-surjective", (rank,), pi, None)
 
     # induced action through pi and multiplication in M
     act = pi.contract(M.mult, [(1, 0)])

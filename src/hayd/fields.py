@@ -91,9 +91,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.kind == RATIONALS else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.kind == RATIONALS else (a - b) % self.p
-
     def mul(self, a, b):
         return a * b if self.kind == RATIONALS else (a * b) % self.p
 
@@ -107,14 +104,8 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == self.one
 
 
 _RAT = Field(RATIONALS)

@@ -2,9 +2,10 @@
 
 The pipeline is: coinvariants -> relative tensor square -> canonical map ->
 translation table -> sandwich actions.  The relative tensor square is realized
-as an explicit quotient of P (x) P with a stored projection and section, so
-bijectivity of the canonical map is a rank statement and well-definedness of
-the sandwich actions is checked, on every relation, not assumed.
+as an explicit quotient of P (x) P by its RREF relation rows, with the
+non-pivot basis vectors as a section, so bijectivity of the canonical map is a
+rank statement and well-definedness of the sandwich actions is checked, on
+every relation, not assumed.  Every matrix here is a Tensor.
 """
 
 from __future__ import annotations
@@ -18,16 +19,7 @@ from .hopf import FinHopfAlgebra, antipode_inverse
 from .identity import Identity, check, evaluate
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
-from .tensor import (
-    SpanSolver,
-    Tensor,
-    from_rows,
-    invert_matrix,
-    kernel_rows,
-    matrix_rank,
-    rref,
-    to_rows,
-)
+from .tensor import Tensor, invert_matrix, kernel_rows, matrix_rank, rref, span_coordinates
 
 
 def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionStructure) -> Report:
@@ -93,35 +85,26 @@ def coinvariants(CA: ComoduleAlgebra):
     mat = (CA.coaction.tensor - p_one).reshape((m, m * n))
     basis = kernel_rows(mat)
     # closure under multiplication is forced by multiplicativity of the coaction
-    solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in basis])
-    for x in basis:
-        for y in basis:
-            prod = CA.P.mul_vec(x, y)
-            if solver.coords([prod.get((j,)) for j in range(m)]) is None:
-                raise CheckFailedError(
-                    Report.fail("coinvariants-closed", (0,), prod, None)
-                )
+    products = [CA.P.mul_vec(x, y) for x in basis for y in basis]
+    _, outside = span_coordinates(_stack(f, basis, m), _stack(f, products, m))
+    if outside is not None:
+        raise CheckFailedError(Report.fail("coinvariants-closed", (0,), products[outside], None))
     return basis
+
+
+def _commutators(CA: ComoduleAlgebra, b_basis) -> Tensor:
+    """The matrix (a, (z, c)) of b_z e_a - e_a b_z: zero exactly when the b_z
+    are central, and its left kernel is their centralizer."""
+    m, mult = CA.dim, CA.P.mult
+    coinv = _stack(CA.field, b_basis, m)
+    diff = (evaluate("azc", [(coinv, "zw"), (mult, "wac")])
+            - evaluate("azc", [(coinv, "zw"), (mult, "awc")]))
+    return diff.reshape((m, len(b_basis) * m))
 
 
 def centralizer(CA: ComoduleAlgebra, b_basis):
     """Basis of {p : bp = pb for all b in the given basis}; a subcomodule."""
-    f = CA.field
-    m = CA.dim
-    cols = []
-    mult = CA.P.mult
-    for vb in b_basis:
-        left = vb.contract(mult, [(0, 0)])    # (a, c): b . e_a
-        right = mult.contract(vb, [(1, 0)])   # (a, c): e_a . b
-        cols.append(left - right)
-    if not cols:
-        return [Tensor.basis(f, (m,), (a,)) for a in range(m)]
-    stacked_entries = {}
-    for t_idx, t in enumerate(cols):
-        for (a, c), v in t.entries.items():
-            stacked_entries[(a, t_idx * m + c)] = v
-    mat = Tensor(f, (m, len(cols) * m), stacked_entries, _normalized=True)
-    basis = kernel_rows(mat)
+    basis = kernel_rows(_commutators(CA, b_basis))
     restrict_coaction(CA, basis)  # raises unless the span is a subcomodule
     return basis
 
@@ -132,17 +115,14 @@ def restrict_coaction(CA: ComoduleAlgebra, carrier) -> Tensor:
     Raises CheckFailedError ('centralizer-subcomodule', witness (r, i)) when
     the Hopf slice i of the coaction of carrier vector r leaves the span.
     """
-    f = CA.field
     m, n, r = CA.dim, CA.H.dim, len(carrier)
-    solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in carrier])
-    slices = evaluate("rib", [(_stack(f, carrier, m), "ra"), (CA.coaction.tensor, "abi")])
-    coords = []
-    for t, vec in enumerate(to_rows(slices.reshape((r * n, m)))):
-        coords.append(solver.coords(vec))
-        if coords[-1] is None:
-            raise CheckFailedError(
-                Report.fail("centralizer-subcomodule", divmod(t, n), carrier[t // n], None))
-    return from_rows(f, coords).reshape((r, n, r)).transpose((0, 2, 1))
+    stacked = _stack(CA.field, carrier, m)
+    slices = evaluate("rib", [(stacked, "ra"), (CA.coaction.tensor, "abi")])
+    coords, outside = span_coordinates(stacked, slices.reshape((r * n, m)))
+    if outside is not None:
+        raise CheckFailedError(Report.fail(
+            "centralizer-subcomodule", divmod(outside, n), carrier[outside // n], None))
+    return coords.reshape((r, n, r)).transpose((0, 2, 1))
 
 
 def _stack(field, vectors, m) -> Tensor:
@@ -154,34 +134,18 @@ def _stack(field, vectors, m) -> Tensor:
 
 @dataclass
 class RelativeTensor:
-    """P (x) P modulo the middle-B relations, with projection and section."""
+    """P (x) P modulo the middle-B relations.
+
+    relations (r, full_dim) holds the RREF rows spanning the relations;
+    section (dim, full_dim) sends quotient basis vector s to the s-th
+    non-pivot basis vector of P (x) P.  Reducing e_t modulo the relation rows
+    leaves only non-pivot coordinates, which are its quotient coordinates.
+    """
 
     dim: int
     full_dim: int
-    projection: list      # dense rows: full coords -> quotient coords
-    section: list         # dense rows: quotient coords -> full coords
-    relations: list       # dense rows spanning the kernel of the projection
-
-    def project(self, field, dense_full):
-        out = [field.zero] * self.dim
-        for t, c in enumerate(dense_full):
-            if field.is_zero(c):
-                continue
-            row = self.projection[t]
-            for s in range(self.dim):
-                out[s] = field.add(out[s], field.mul(c, row[s]))
-        return out
-
-    def lift(self, field, dense_quot):
-        """A representative in P (x) P, through the section."""
-        out = [field.zero] * self.full_dim
-        for s, c in enumerate(dense_quot):
-            if field.is_zero(c):
-                continue
-            row = self.section[s]
-            for t in range(self.full_dim):
-                out[t] = field.add(out[t], field.mul(c, row[t]))
-        return out
+    relations: Tensor
+    section: Tensor
 
 
 def relative_tensor(CA: ComoduleAlgebra, b_basis) -> RelativeTensor:
@@ -193,32 +157,16 @@ def relative_tensor(CA: ComoduleAlgebra, b_basis) -> RelativeTensor:
     # relation (i, z, j) is e_i b_z (x) e_j - e_i (x) b_z e_j, a row over P (x) P
     rel = (evaluate("izjab", [(coinv, "zw"), (mult, "iwa"), (delta, "jb")])
            - evaluate("izjab", [(coinv, "zw"), (delta, "ia"), (mult, "wjb")]))
-    rel_rows = [row for row in to_rows(rel.reshape((m * len(b_basis) * m, full))) if any(row)]
-    reduced, pivots = rref(rel_rows, f) if rel_rows else ([], [])
-    nonpivot = [c for c in range(full) if c not in pivots]
-    dim = len(nonpivot)
-    pos = {c: s for s, c in enumerate(nonpivot)}
-
-    projection = []
-    for t in range(full):
-        if t in pos:
-            row = [f.zero] * dim
-            row[pos[t]] = f.one
-        else:
-            # reduce e_t modulo the relation row space
-            r = pivots.index(t)
-            row = [f.zero] * dim
-            for c in nonpivot:
-                val = reduced[r][c]
-                if not f.is_zero(val):
-                    row[pos[c]] = f.neg(val)
-        projection.append(row)
-    section = []
-    for c in nonpivot:
-        row = [f.zero] * full
-        row[c] = f.one
-        section.append(row)
-    return RelativeTensor(dim, full, projection, section, reduced)
+    reduced, pivots = rref(rel.reshape((m * len(b_basis) * m, full)))
+    relations = Tensor(f, (len(reduced), full), {
+        (r, c): v for r, row in enumerate(reduced) for c, v in row.items()
+    }, _normalized=True)
+    pivot_set = set(pivots)
+    nonpivot = [c for c in range(full) if c not in pivot_set]
+    section = Tensor(f, (len(nonpivot), full), {
+        (s, c): f.one for s, c in enumerate(nonpivot)
+    }, _normalized=True)
+    return RelativeTensor(len(nonpivot), full, relations, section)
 
 
 @dataclass
@@ -228,9 +176,9 @@ class GaloisData:
     ca: ComoduleAlgebra
     b_basis: list
     rel: RelativeTensor
-    can: list             # dense rows: quotient coords -> P (x) H coords
+    can: Tensor           # (rel.dim, dim P * dim H): quotient coords -> P (x) H coords
     bijective: bool
-    _can_inv: list = None
+    _can_inv: Tensor = None
     _translation: list = None
 
     @property
@@ -240,18 +188,17 @@ class GaloisData:
 
 def canonical_map(CA: ComoduleAlgebra) -> GaloisData:
     """p (x) p' -> p coaction(p'), as a matrix on P (x)_B P; the Galois test."""
-    f = CA.field
     m, n = CA.dim, CA.H.dim
     b_basis = coinvariants(CA)
     rel = relative_tensor(CA, b_basis)
     can = evaluate("ijbk", [(CA.coaction.tensor, "jck"), (CA.P.mult, "icb")])
     can = can.reshape((m * m, m * n))
     # the map must kill every relation (truth of B = coinvariants makes it so)
-    if rel.relations and evaluate("rk", [(from_rows(f, rel.relations), "rt"), (can, "tk")]).entries:
+    if evaluate("rk", [(rel.relations, "rt"), (can, "tk")]).entries:
         raise CheckFailedError(Report.fail("canonical-map-defined", (0,), None, None))
-    can_q = evaluate("sk", [(from_rows(f, rel.section), "st"), (can, "tk")])
+    can_q = evaluate("sk", [(rel.section, "st"), (can, "tk")])
     bijective = rel.dim == m * n and matrix_rank(can_q) == m * n
-    return GaloisData(CA, b_basis, rel, to_rows(can_q), bijective)
+    return GaloisData(CA, b_basis, rel, can_q, bijective)
 
 
 def translation_map(G: GaloisData):
@@ -263,9 +210,8 @@ def translation_map(G: GaloisData):
     f = G.field
     CA = G.ca
     m, n = CA.dim, CA.H.dim
-    can = from_rows(f, G.can)
     if G._can_inv is None:
-        G._can_inv = invert_matrix(can)
+        G._can_inv = invert_matrix(G.can)
     table = []
     for i in range(n):
         target = Tensor(f, (m * n,), {
@@ -273,7 +219,7 @@ def translation_map(G: GaloisData):
         }, _normalized=True)
         coords = evaluate("s", [(target, "t"), (G._can_inv, "ts")])
         # exactness: coords . can == 1 (x) h_i
-        if evaluate("k", [(coords, "s"), (can, "sk")]) != target:
+        if evaluate("k", [(coords, "s"), (G.can, "sk")]) != target:
             raise CheckFailedError(Report.fail("translation-exactness", (i,), None, None))
         table.append(coords)
     G._translation = table
@@ -290,7 +236,7 @@ def check_sandwich(CA: ComoduleAlgebra, rel: RelativeTensor, carrier, reverse=Fa
     """The sandwich is well defined on P (x)_B P: every relation row r sends
     every carrier vector z to zero (witness (r, z))."""
     f, m = CA.field, CA.dim
-    relations = from_rows(f, rel.relations).reshape((len(rel.relations), m, m))
+    relations = rel.relations.reshape((rel.relations.shape[0], m, m))
     return check("sandwich-well-defined", Identity(
         "sandwich-well-defined", "rz", "l",
         [(relations, "rab"), (_stack(f, carrier, m), "zw"), *_sandwich(CA.P.mult, reverse)], None,
@@ -312,12 +258,11 @@ def mu_action(G: GaloisData, flipped: bool = False):
     table = translation_map(G)
 
     if flipped:
-        if not _is_central(CA, G.b_basis):
+        if not _commutators(CA, G.b_basis).is_zero():
             raise InputError("flipped sandwich action needs central coinvariants")
         carrier = [Tensor.basis(f, (m,), (a,)) for a in range(m)]
     else:
         carrier = centralizer(CA, G.b_basis)
-    solver = SpanSolver(f, [[v.get((j,)) for j in range(m)] for v in carrier])
     report = check_sandwich(CA, G.rel, carrier, reverse=flipped)
     if not report.passed:
         raise CheckFailedError(report)
@@ -325,33 +270,21 @@ def mu_action(G: GaloisData, flipped: bool = False):
     # the table row of h (of S^-1(h) when flipped), lifted through the section
     table = _stack(f, table, G.rel.dim)
     lifts = [(antipode_inverse(CA.H), "ij"), (table, "js")] if flipped else [(table, "is")]
-    section = from_rows(f, G.rel.section).reshape((G.rel.dim, m, m))
+    section = G.rel.section.reshape((G.rel.dim, m, m))
+    dim, stacked = len(carrier), _stack(f, carrier, m)
     out = evaluate("irl", [
-        *lifts, (section, "sab"), (_stack(f, carrier, m), "rw"), *_sandwich(CA.P.mult, flipped),
-    ])
-    dim = len(carrier)
-    coords = []
-    for t, vec in enumerate(to_rows(out.reshape((n * dim, m)))):
-        coords.append(solver.coords(vec))
-        if coords[-1] is None:
-            raise CheckFailedError(Report.fail(
-                "sandwich-closed", divmod(t, dim), from_rows(f, [vec]).reshape((m,)), None,
-            ))
-    action = ActionStructure("right", dim, from_rows(f, coords).reshape((n, dim, dim)))
+        *lifts, (section, "sab"), (stacked, "rw"), *_sandwich(CA.P.mult, flipped),
+    ]).reshape((n * dim, m))
+    coords, outside = span_coordinates(stacked, out)
+    if outside is not None:
+        vec = {(w,): c for (t, w), c in out.entries.items() if t == outside}
+        raise CheckFailedError(Report.fail(
+            "sandwich-closed", divmod(outside, dim), Tensor(f, (m,), vec, _normalized=True), None))
+    action = ActionStructure("right", dim, coords.reshape((n, dim, dim)))
     report = verify_action(CA.H, action)
     if not report.passed:
         raise CheckFailedError(report)
     return action, carrier
-
-
-def _is_central(CA: ComoduleAlgebra, b_basis) -> bool:
-    mult = CA.P.mult
-    for vb in b_basis:
-        left = vb.contract(mult, [(0, 0)])
-        right = mult.contract(vb, [(1, 0)])
-        if left != right:
-            return False
-    return True
 
 
 def make_sayd_prop5(CA: ComoduleAlgebra) -> TwoSidedStructure:

@@ -1,4 +1,4 @@
-"""Sparse exact tensors and the dense linear algebra built on them.
+"""Sparse exact tensors and the exact linear algebra built on them.
 
 A Tensor stores only nonzero entries in a dict keyed by multi-index, so the
 very sparse structure constants of group and Taft algebras stay cheap.  Two
@@ -10,9 +10,11 @@ first in the output, then those of the right operand.  The empty pairing is
 the Kronecker (outer) product.  It names the axes with letters and hands them
 to ``hayd.identity.evaluate``, the package's one sparse contraction.
 ``reshape`` merges or splits axes in row-major order, which is how the
-flattened pair indices of product spaces are written.  Matrix utilities (inverse, rank, kernels,
-solving inside a span) work on dense scalar rows internally; dimensions here
-stay at desk scale, so dense elimination is fine.
+flattened pair indices of product spaces are written.
+
+Matrices are rank-2 Tensors.  ``rref`` is one sparse Gauss-Jordan elimination
+over rows {col: scalar}; rank, inverse, left kernel and coordinates inside a
+span all run on it.
 """
 
 from __future__ import annotations
@@ -232,65 +234,73 @@ def contract(t: Tensor, u: Tensor, pairs) -> Tensor:
     return t.contract(u, pairs)
 
 
-# -- dense elimination core ---------------------------------------------------
+# -- exact elimination --------------------------------------------------------
 #
-# Dense routines take lists of row lists.  Orientation note: hayd stores linear
-# maps as (input, output) tensors and applies them to row vectors, v -> v @ M.
+# Orientation note: hayd stores linear maps as (input, output) tensors and
+# applies them to row vectors, v -> v @ M.  Elimination works on sparse rows
+# {col: scalar}; over F_p every updated entry is reduced once with % p.
 
 
-def to_rows(m: Tensor):
+def _rows(m: Tensor):
+    """The rows of a matrix Tensor as sparse dicts {col: scalar}."""
     if m.rank != 2:
         raise ShapeError(f"expected a matrix, got rank {m.rank}")
-    rows = [[m.field.zero] * m.shape[1] for _ in range(m.shape[0])]
+    rows = [{} for _ in range(m.shape[0])]
     for (i, j), c in m.entries.items():
         rows[i][j] = c
     return rows
 
 
-def from_rows(field, rows) -> Tensor:
-    n = len(rows)
-    k = len(rows[0]) if rows else 0
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            if not field.is_zero(c):
-                entries[(i, j)] = c
-    return Tensor(field, (n, k), entries, _normalized=True)
+def _subtract(row, c, other, p):
+    """row -= c * other in place, dropping entries that become zero."""
+    for j, b in other.items():
+        v = row.get(j, 0) - c * b
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
 
 
-def rref(rows, field):
-    """Row-reduce in place on a copy; returns (reduced rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][col]):
-                pivot = i
-                break
-        if pivot is None:
+def rref(m: Tensor):
+    """Reduced row echelon form of a matrix by sparse Gauss-Jordan elimination.
+
+    Returns (rows, pivots): the nonzero reduced rows as dicts {col: scalar},
+    in order of their pivot columns, and those columns.  Each row of m is
+    reduced by the pivot rows found so far; a nonzero remainder is scaled to
+    lead with 1 and cleared from the earlier pivot rows.  The RREF of a row
+    space is unique, so the result does not depend on the order of the rows.
+    """
+    f = m.field
+    p = f.p
+    pivot_rows = {}
+    for row in _rows(m):
+        for col in [j for j in row if j in pivot_rows]:
+            _subtract(row, row[col], pivot_rows[col], p)
+        if not row:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, c) for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [
-                    field.sub(a, field.mul(factor, b)) for a, b in zip(rows[i], rows[r])
-                ]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        lead = min(row)
+        inv = f.inv(row[lead])
+        row = {j: (inv * c) % p if p else inv * c for j, c in row.items()}
+        for other in pivot_rows.values():
+            if lead in other:
+                _subtract(other, other[lead], row, p)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
+
+
+def _augment(m: Tensor) -> Tensor:
+    """[m | identity]: m with the identity matrix appended on the right."""
+    n, k = m.shape
+    entries = dict(m.entries)
+    entries.update({(i, k + i): m.field.one for i in range(n)})
+    return Tensor(m.field, (n, k + n), entries, _normalized=True)
 
 
 def matrix_rank(m: Tensor) -> int:
-    _, pivots = rref(to_rows(m), m.field)
-    return len(pivots)
+    return len(rref(m)[1])
 
 
 def invert_matrix(m: Tensor) -> Tensor:
@@ -298,69 +308,51 @@ def invert_matrix(m: Tensor) -> Tensor:
     if m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"cannot invert shape {m.shape}")
     n = m.shape[0]
-    f = m.field
-    aug = [row + [f.one if i == j else f.zero for j in range(n)] for i, row in enumerate(to_rows(m))]
-    reduced, pivots = rref(aug, f)
-    if pivots[:n] != list(range(n)) or len([p for p in pivots if p < n]) != n:
-        rank = len([p for p in pivots if p < n])
+    rows, pivots = rref(_augment(m))
+    rank = sum(1 for c in pivots if c < n)
+    if rank != n:
         raise SingularMatrixError("matrix is not invertible", rank=rank)
-    inv_rows = [row[n:] for row in reduced[:n]]
-    return from_rows(f, inv_rows)
-
-
-def nullspace(rows, field):
-    """Basis of {x : rows @ x = 0} (column vectors, returned as row lists)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced[r][fc])
-        basis.append(vec)
-    return basis
+    return Tensor(m.field, (n, n), {
+        (i, j - n): c for i, row in enumerate(rows) for j, c in row.items() if j >= n
+    }, _normalized=True)
 
 
 def kernel_rows(m: Tensor):
-    """Basis of the left kernel {v : v @ m = 0}, as rank-1 Tensors."""
+    """Basis of the left kernel {v : v @ m = 0}, as rank-1 Tensors: one vector
+    per free column of the RREF of m's transpose, in column order."""
     f = m.field
-    rows = to_rows(m)
-    nrows = len(rows)
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(m.shape[1])]
-    return [Tensor(f, (nrows,), {(i,): c for i, c in enumerate(v)}) for v in nullspace(cols, f)]
+    n = m.shape[0]
+    rows, pivots = rref(m.transpose((1, 0)))
+    pivot_set = set(pivots)
+    basis = {c: {(c,): f.one} for c in range(n) if c not in pivot_set}
+    for pc, row in zip(pivots, rows):
+        for j, c in row.items():
+            if j != pc:
+                basis[j][(pc,)] = f.neg(c)
+    return [Tensor(f, (n,), vec, _normalized=True) for vec in basis.values()]
 
 
-class SpanSolver:
-    """Coordinates of vectors inside the span of a fixed list of rows."""
+def span_coordinates(basis: Tensor, rows: Tensor):
+    """Coordinates of every row of ``rows`` in the span of the rows of ``basis``.
 
-    def __init__(self, field, rows):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.ncols = len(rows[0]) if rows else 0
-        aug = [list(r) + [field.one if i == j else field.zero for j in range(len(rows))]
-               for i, r in enumerate(rows)]
-        reduced, pivots = rref(aug, field) if rows else ([], [])
-        self.pivots = [p for p in pivots if p < self.ncols]
-        self.reduced = reduced
-
-    def coords(self, vec):
-        """Return x with x @ rows == vec, or None if vec is outside the span."""
-        f = self.field
-        v = list(vec)
-        coeff = [f.zero] * len(self.rows)
-        for r, pc in enumerate(self.pivots):
-            c = v[pc]
-            if f.is_zero(c):
-                continue
-            row = self.reduced[r]
-            for j in range(self.ncols):
-                v[j] = f.sub(v[j], f.mul(c, row[j]))
-            for j in range(len(self.rows)):
-                coeff[j] = f.add(coeff[j], f.mul(c, row[self.ncols + j]))
-        if any(not f.is_zero(c) for c in v):
-            return None
-        return coeff
+    Returns (coords, None), where coords[t, r] is the coefficient of basis
+    row r in row t, or (None, t) for the first row t outside the span.  The
+    coefficients come from the RREF of [basis | identity], so a dependent
+    basis gets one fixed choice of them.
+    """
+    r, k = basis.shape
+    if rows.rank != 2 or rows.shape[1] != k:
+        raise ShapeError(f"rows of shape {rows.shape} against a basis of shape {basis.shape}")
+    f = basis.field
+    reduced, pivots = rref(_augment(basis))
+    solve = [(pc, row) for pc, row in zip(pivots, reduced) if pc < k]
+    coords = {}
+    for t, vec in enumerate(_rows(rows)):
+        for pc, row in solve:
+            if pc in vec:
+                _subtract(vec, vec[pc], row, f.p)
+        if any(j < k for j in vec):
+            return None, t
+        # vec now holds minus the coordinates in its identity columns
+        coords.update({(t, j - k): f.neg(c) for j, c in vec.items()})
+    return Tensor(f, (rows.shape[0], r), coords, _normalized=True), None

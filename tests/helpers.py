@@ -496,3 +496,103 @@ def dense_zeros(field: Field, shape):
     if len(shape) == 1:
         return [field.zero] * shape[0]
     return [dense_zeros(field, shape[1:]) for _ in range(shape[0])]
+
+
+# -- dense linear algebra oracle -----------------------------------------------------
+#
+# Gauss-Jordan on dense row lists with plain loops: every entry of a row is
+# rewritten on every elimination step.  Matrices are read with ``dense``.
+
+
+def _sub(field, a, b):
+    return field.add(a, field.neg(b))
+
+
+def dense_rref(field, rows, ncols):
+    """(reduced nonzero rows, pivot columns) of dense rows of width ncols."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][col])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.mul(inv, c) for c in rows[r]]
+        for i in range(len(rows)):
+            factor = rows[i][col]
+            if i != r and not field.is_zero(factor):
+                rows[i] = [_sub(field, a, field.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def _dense_augment(t: Tensor):
+    """The dense rows of [t | identity]."""
+    f = t.field
+    n = t.shape[0]
+    return [row + [f.one if i == j else f.zero for j in range(n)] for i, row in enumerate(dense(t))]
+
+
+def dense_rank(t: Tensor) -> int:
+    return len(dense_rref(t.field, dense(t), t.shape[1])[1])
+
+
+def dense_inverse(t: Tensor):
+    """The inverse of a square matrix as dense rows, or its rank when singular."""
+    n = t.shape[0]
+    reduced, pivots = dense_rref(t.field, _dense_augment(t), 2 * n)
+    rank = len([p for p in pivots if p < n])
+    return [row[n:] for row in reduced] if rank == n else rank
+
+
+def dense_left_kernel(t: Tensor):
+    """Basis of {v : v @ t = 0} as dense vectors, one per free column of the
+    RREF of the transpose, in column order."""
+    f = t.field
+    n, k = t.shape
+    rows = dense(t)
+    reduced, pivots = dense_rref(f, [[rows[i][j] for i in range(n)] for j in range(k)], n)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        vec = [f.zero] * n
+        vec[free] = f.one
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = f.neg(row[free])
+        basis.append(vec)
+    return basis
+
+
+def dense_span_coordinates(basis: Tensor, rows: Tensor):
+    """For each row of ``rows``, its coordinates in the span of the rows of
+    ``basis`` (a dense list, from the RREF of [basis | identity]) or None."""
+    f = basis.field
+    k = basis.shape[1]
+    reduced, pivots = dense_rref(f, _dense_augment(basis), k + basis.shape[0])
+    out = []
+    for vec in dense(rows):
+        coeff = [f.zero] * basis.shape[0]
+        for row, pc in zip(reduced, pivots):
+            c = vec[pc] if pc < k else f.zero
+            if not f.is_zero(c):
+                vec = [_sub(f, a, f.mul(c, b)) for a, b in zip(vec, row[:k])]
+                coeff = [f.add(a, f.mul(c, b)) for a, b in zip(coeff, row[k:])]
+        out.append(None if any(not f.is_zero(x) for x in vec) else coeff)
+    return out
+
+
+def dense_project(rel, vec):
+    """Quotient coordinates of a dense vector over P (x) P: reduce it modulo
+    the RREF relation rows of ``rel``, then keep its non-pivot entries."""
+    f = rel.relations.field
+    pivots = []
+    for row in dense(rel.relations):
+        pc = next(t for t, c in enumerate(row) if not f.is_zero(c))
+        pivots.append(pc)
+        c = vec[pc]
+        if not f.is_zero(c):
+            vec = [_sub(f, a, f.mul(c, b)) for a, b in zip(vec, row)]
+    return [c for t, c in enumerate(vec) if t not in pivots]

@@ -77,14 +77,6 @@ def _canon(x):
     return repr(x)
 
 
-def _matrix(field, rows, width):
-    """A matrix Tensor as it is; dense rows as the matrix Tensor they give."""
-    if isinstance(rows, Tensor):
-        return rows
-    return Tensor(field, (len(rows), width),
-                  {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c})
-
-
 def _structures(H, case):
     """The trivial and one-dim structures the suite builds, plus for rr the
     two adjoint structures."""
@@ -133,9 +125,7 @@ def _outputs(H) -> dict:
     out["ah-double-coaction"] = ah_double_coaction(H).tensor
     CA = comodule_algebra_from_hopf(H)
     G = canonical_map(CA)
-    f, m, n = CA.field, CA.dim, H.dim
-    out["canonical-map"] = [_matrix(f, G.can, m * n), G.bijective, G.b_basis,
-                            _matrix(f, G.rel.relations, m * m), _matrix(f, G.rel.section, m * m)]
+    out["canonical-map"] = [G.can, G.bijective, G.b_basis, G.rel.relations, G.rel.section]
     out["translation-map"] = translation_map(G)
     for flipped in (False, True):
         action, carrier = mu_action(G, flipped)

@@ -23,7 +23,7 @@ from hayd.hopf import function_algebra, group_algebra, sweedler
 from hayd.reps import CoactionStructure
 from hayd.tensor import Tensor
 
-from helpers import dense, entry_rows
+from helpers import dense, dense_project, entry_rows
 
 Q = rationals()
 
@@ -100,7 +100,7 @@ def test_coinvariants_of_self_coaction_is_the_unit_line():
         for (i,), c in v.entries.items():
             u = unit.get((i,))
             assert not CA.field.is_zero(u)
-            s = CA.field.div(c, u)
+            s = c / u
             scale = s if scale is None else scale
             assert s == scale
 
@@ -134,7 +134,7 @@ def test_centralizer_of_commutative_algebra_is_everything():
 def test_relative_tensor_full_dimension_for_unit_line(CA4):
     rel = relative_tensor(CA4, coinvariants(CA4))
     assert rel.dim == 16
-    assert not rel.relations
+    assert rel.relations.shape == (0, 16)
 
 
 def test_relative_tensor_collapses_for_full_commutative_b():
@@ -147,9 +147,8 @@ def test_relative_tensor_collapses_for_full_commutative_b():
     assert rel.dim == P.dim
     # projection composed with section is the identity on the quotient
     f = Q
-    for s in range(rel.dim):
-        dense = rel.lift(f, [f.one if t == s else f.zero for t in range(rel.dim)])
-        back = rel.project(f, dense)
+    for s, lift in enumerate(dense(rel.section)):
+        back = dense_project(rel, lift)
         assert back == [f.one if t == s else f.zero for t in range(rel.dim)]
 
 
@@ -200,7 +199,7 @@ def test_translation_of_unit_is_projected_unit_square(CA4):
     f = Q
     unit_sq = [f.zero] * 16
     unit_sq[0] = f.one  # 1 (x) 1 in the flattened square basis
-    expected = G.rel.project(f, unit_sq)
+    expected = dense_project(G.rel, unit_sq)
     assert [T[0].get((s,)) for s in range(G.rel.dim)] == expected
 
 
@@ -216,7 +215,7 @@ def test_translation_matches_antipode_coproduct_formula(CA4, H4):
         for (j, k, c) in entry_rows(H4.comult).get(i, ()):
             for l, cs in entry_rows(H4.antipode).get(j, ()):
                 dense[l * m + k] = f.add(dense[l * m + k], f.mul(c, cs))
-        expected = G.rel.project(f, dense)
+        expected = dense_project(G.rel, dense)
         assert [T[i].get((s,)) for s in range(G.rel.dim)] == expected
 
 
@@ -300,7 +299,7 @@ def test_sandwich_is_well_defined_on_every_relation_over_the_centralizer():
     CA = _sign_graded_s3()
     data = canonical_map(CA)
     carrier = centralizer(CA, data.b_basis)
-    assert len(data.rel.relations) == 24 and len(carrier) == 4
+    assert data.rel.relations.shape[0] == 24 and len(carrier) == 4
     assert check_sandwich(CA, data.rel, carrier).passed
 
 
@@ -312,7 +311,7 @@ def test_reversed_sandwich_over_all_of_p_fails_at_the_first_relation_and_vector(
     # dense scan: relation row sum c u (x) v sends e_z to sum c v e_z u
     mult = dense(CA.P.mult)
     images = []
-    for ri, row in enumerate(data.rel.relations):
+    for ri, row in enumerate(dense(data.rel.relations)):
         for z in range(6):
             out = [Q.zero] * 6
             for t, c in enumerate(row):
@@ -361,7 +360,7 @@ def test_quotient_galois_extension_with_bigger_coinvariants():
     assert len(B) == 2
     rel = relative_tensor(CA, B)
     assert rel.dim == 8  # 4 . dim H
-    assert rel.relations
+    assert not rel.relations.is_zero()
     data = canonical_map(CA)
     assert data.bijective
     M = make_sayd_prop5(CA)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,24 +9,30 @@ from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic
 from hayd.hopf import group_algebra
 from hayd.tensor import (
-    SpanSolver,
     Tensor,
     contract,
     invert_matrix,
     kernel_rows,
     matrix_rank,
+    span_coordinates,
 )
 
-from helpers import dense, dense_contract
+from helpers import (
+    dense,
+    dense_contract,
+    dense_inverse,
+    dense_left_kernel,
+    dense_rank,
+    dense_span_coordinates,
+)
 
 F5 = prime_field(5)
+F7 = prime_field(7)
 Q = rationals()
 
 
 def random_tensor(rng, field, shape, density=0.5):
     entries = {}
-    from itertools import product
-
     for idx in product(*(range(d) for d in shape)):
         if rng.random() < density:
             entries[idx] = field.coerce(rng.randrange(field.p))
@@ -189,8 +197,117 @@ def test_kernel_rows():
 
 
 def test_span_solver_coordinates():
-    rows = [[Q.coerce(1), Q.coerce(0), Q.coerce(1)], [Q.coerce(0), Q.coerce(1), Q.coerce(1)]]
-    solver = SpanSolver(Q, rows)
-    coords = solver.coords([Q.coerce(2), Q.coerce(3), Q.coerce(5)])
-    assert coords == [Q.coerce(2), Q.coerce(3)]
-    assert solver.coords([Q.one, Q.zero, Q.zero]) is None
+    basis = Tensor.from_nested(Q, [[1, 0, 1], [0, 1, 1]])
+    coords, outside = span_coordinates(basis, Tensor.from_nested(Q, [[2, 3, 5]]))
+    assert outside is None
+    assert dense(coords) == [[Q.coerce(2), Q.coerce(3)]]
+    assert span_coordinates(basis, Tensor.from_nested(Q, [[1, 0, 0]])) == (None, 0)
+
+
+# -- the sparse elimination against the dense oracle of tests/helpers.py -------------
+
+
+def _typed(t):
+    """Entries with their scalar types, so that 1 and Fraction(1) differ."""
+    return {idx: (type(c), c) for idx, c in t.entries.items()}
+
+
+def _from_dense(field, rows, shape):
+    return Tensor(field, shape, {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row)})
+
+
+def _random_matrix(rng, field, shape, density):
+    values = range(field.p) if field.p else [Fraction(a, b) for a in range(-3, 4) for b in (1, 2)]
+    return Tensor(field, shape, {
+        idx: field.coerce(rng.choice(values))
+        for idx in product(*(range(d) for d in shape)) if rng.random() < density
+    })
+
+
+def _combination(rng, field, rows, count):
+    """count random linear combinations of the given dense rows."""
+    out = []
+    for _ in range(count):
+        vec = [field.zero] * len(rows[0])
+        for row in rows:
+            c = field.coerce(rng.randrange(-2, 3))
+            vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, row)]
+        out.append(vec)
+    return out
+
+
+def _matrices(field):
+    """Zero, empty, tall, wide, singular and full-rank matrices with zero rows."""
+    rng = random.Random(field.p or 0)
+    out = [Tensor.zeros(field, (3, 4)), Tensor.zeros(field, (0, 3)), Tensor.zeros(field, (3, 0)),
+           Tensor.zeros(field, (0, 0)), Tensor.identity(field, 4)]
+    for shape in [(6, 3), (3, 6), (4, 4), (5, 5), (1, 4), (4, 1)]:
+        for density in (0.2, 0.5, 0.9):
+            out.append(_random_matrix(rng, field, shape, density))
+    # a zero row, and a row that is a combination of two others
+    rows = dense(_random_matrix(rng, field, (5, 5), 0.8))
+    rows[1] = [field.zero] * 5
+    rows[3] = _combination(rng, field, rows[:3], 1)[0]
+    out.append(_from_dense(field, rows, (5, 5)))
+    return out
+
+
+FIELDS = [Q, F5, F7]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_rank_matches_the_dense_oracle(field):
+    for m in _matrices(field):
+        assert matrix_rank(m) == dense_rank(m), m
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_inverse_matches_the_dense_oracle(field):
+    square = [m for m in _matrices(field) if m.shape[0] == m.shape[1]]
+    outcomes = set()
+    for m in square:
+        want = dense_inverse(m)
+        if isinstance(want, int):
+            with pytest.raises(SingularMatrixError) as err:
+                invert_matrix(m)
+            assert err.value.rank == want, m
+            outcomes.add("singular")
+        else:
+            assert _typed(invert_matrix(m)) == _typed(_from_dense(field, want, m.shape)), m
+            outcomes.add("invertible")
+    assert outcomes == {"singular", "invertible"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_left_kernel_matches_the_dense_oracle(field):
+    for m in _matrices(field):
+        n = m.shape[0]
+        basis = kernel_rows(m)
+        want = [_from_dense(field, [v], (1, n)).reshape((n,)) for v in dense_left_kernel(m)]
+        assert [_typed(v) for v in basis] == [_typed(v) for v in want], m
+        assert len(basis) == n - dense_rank(m)
+        assert all(contract(v, m, [(0, 0)]).is_zero() for v in basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_span_coordinates_match_the_dense_oracle(field):
+    rng = random.Random(7)
+    outcomes = set()
+    for basis in _matrices(field):
+        r, k = basis.shape
+        rows = _combination(rng, field, dense(basis), 4) if r else []
+        for t in range(len(rows) + 1):
+            stray = dense(_random_matrix(rng, field, (1, k), 0.6))
+            for trial in (rows, rows[:t] + stray + rows[t:]):
+                given = _from_dense(field, trial, (len(trial), k))
+                want = dense_span_coordinates(basis, given)
+                got = span_coordinates(basis, given)
+                if None in want:
+                    assert got == (None, want.index(None)), basis
+                    outcomes.add("outside")
+                else:
+                    coords, outside = got
+                    assert outside is None
+                    assert _typed(coords) == _typed(_from_dense(field, want, (len(trial), r)))
+                    outcomes.add("inside")
+    assert outcomes == {"inside", "outside"}
