@@ -33,7 +33,8 @@ def unit_report(mult: Tensor, unit: Tensor, label="unit") -> Report:
 class FinAlgebra:
     """A finite-dimensional associative unital algebra by structure constants."""
 
-    def __init__(self, field, mult: Tensor, unit: Tensor, basis_names=None, name="", check=True):
+    def __init__(self, field, mult: Tensor, unit: Tensor, basis_names=None, name="algebra",
+                 check=True):
         n = unit.shape[0] if unit.rank == 1 else -1
         if mult.rank != 3 or mult.shape != (n, n, n):
             raise ShapeError(f"mult shape {mult.shape} does not match unit shape {unit.shape}")
@@ -43,7 +44,7 @@ class FinAlgebra:
         self.dim = n
         self.mult = mult
         self.unit = unit
-        self.name = name or "algebra"
+        self.name = name
         self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(n)]
         if len(self.basis_names) != n:
             raise ShapeError("basis_names length does not match dimension")
@@ -70,7 +71,7 @@ class FinAlgebra:
         return flip == self.mult
 
     def __repr__(self):
-        return f"FinAlgebra({self.name}, dim={self.dim}, field={self.field})"
+        return f"{type(self).__name__}({self.name}, dim={self.dim}, field={self.field})"
 
 
 class AlgebraModule:

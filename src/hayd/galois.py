@@ -73,8 +73,7 @@ class ComoduleAlgebra:
 def comodule_algebra_from_hopf(H: FinHopfAlgebra) -> ComoduleAlgebra:
     """The baseline example: H coacting on itself by its comultiplication."""
     H.require_verified()
-    P = FinAlgebra(H.field, H.mult, H.unit, basis_names=H.basis_names, name=H.name, check=False)
-    return ComoduleAlgebra(P, H, CoactionStructure("right", H.dim, H.comult))
+    return ComoduleAlgebra(H, H, CoactionStructure("right", H.dim, H.comult))
 
 
 def coinvariants(CA: ComoduleAlgebra):

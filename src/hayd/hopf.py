@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .algebra import associativity_report, unit_report
+from .algebra import FinAlgebra, associativity_report, unit_report
 from .errors import (
     GuardError,
     InputError,
@@ -36,7 +36,7 @@ from .tensor import Tensor, invert_matrix
 GROUP_LIKE_GUARD = 2**20
 
 
-class FinHopfAlgebra:
+class FinHopfAlgebra(FinAlgebra):
     """A Hopf algebra on a finite basis, trusted only after verify() passes."""
 
     def __init__(
@@ -50,43 +50,23 @@ class FinHopfAlgebra:
         basis_names=None,
         name="H",
     ):
-        n = unit.shape[0] if unit.rank == 1 else -1
-        expected = {
-            "mult": ((n, n, n), mult),
-            "comult": ((n, n, n), comult),
-            "counit": ((n,), counit),
-            "antipode": ((n, n), antipode),
-        }
-        for label, (shape, tensor) in expected.items():
+        super().__init__(field, mult, unit, basis_names, name, check=False)
+        n = self.dim
+        for label, shape, tensor in (
+            ("comult", (n, n, n), comult), ("counit", (n,), counit), ("antipode", (n, n), antipode)
+        ):
             if tensor.shape != shape:
                 raise ShapeError(f"{label} has shape {tensor.shape}, expected {shape}")
             if tensor.field != field:
                 raise ShapeError(f"{label} field mismatch")
-        self.field = field
-        self.dim = n
-        self.mult = mult
-        self.unit = unit
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
-        self.name = name
-        self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(n)]
-        if len(self.basis_names) != n:
-            raise ShapeError("basis_names length does not match dimension")
         self.verified = False
         self._antipode_inv = None
         self._cache: dict = {}
 
-    def __repr__(self):
-        return f"FinHopfAlgebra({self.name}, dim={self.dim}, field={self.field})"
-
     # -- element helpers -------------------------------------------------------
-
-    def product(self, x: Tensor, y: Tensor) -> Tensor:
-        return x.contract(self.mult, [(0, 0)]).contract(y, [(0, 0)])
-
-    def coproduct(self, x: Tensor) -> Tensor:
-        return x.contract(self.comult, [(0, 0)])
 
     def counit_of(self, x: Tensor):
         return x.contract(self.counit, [(0, 0)]).get(())
@@ -112,16 +92,22 @@ class FinHopfAlgebra:
 
 def verify_hopf_axioms(H: FinHopfAlgebra) -> Report:
     """Run every Hopf axiom exhaustively, in a fixed order; first failure wins."""
-    f = H.field
-    mult, unit, comult, counit, s = H.mult, H.unit, H.comult, H.counit, H.antipode
-    delta = Tensor.identity(f, H.dim)
+    r = associativity_report(H.mult)
+    if not r.passed:
+        return r
+    r = unit_report(H.mult, H.unit)
+    if not r.passed:
+        return r
+    return verify_hopf_given_algebra(H)
 
-    r = associativity_report(mult)
-    if not r.passed:
-        return r
-    r = unit_report(mult, unit)
-    if not r.passed:
-        return r
+
+def verify_hopf_given_algebra(H: FinHopfAlgebra) -> Report:
+    """The Hopf axioms after associativity and the unit, in verify_hopf_axioms'
+    order, for an H whose product is already proved associative and unital:
+    the coalgebra, bialgebra and antipode identities, then an invertible
+    antipode.  A pass marks H verified."""
+    mult, unit, comult, counit, s = H.mult, H.unit, H.comult, H.counit, H.antipode
+    delta = Tensor.identity(H.field, H.dim)
     r = check(
         "hopf",
         # (coproduct (x) id) coproduct == (id (x) coproduct) coproduct
@@ -153,6 +139,17 @@ def verify_hopf_axioms(H: FinHopfAlgebra) -> Report:
 
     H.verified = True
     return Report.ok("hopf")
+
+
+def by_construction(structure, report: Report):
+    """``structure``, whose ``report`` holds by construction from verified
+    input; a failure there is a transcription bug, not bad input."""
+    if not report.passed:
+        raise InternalConsistencyError(
+            f"{structure.name} fails '{report.axiom}' at {report.witness}, "
+            "though its construction from verified input guarantees it"
+        )
+    return structure
 
 
 def antipode_inverse(H: FinHopfAlgebra) -> Tensor:
@@ -208,12 +205,7 @@ def dual_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
         basis_names=[name + "*" for name in H.basis_names],
         name=H.name + "*",
     )
-    report = verify_hopf_axioms(dual)
-    if not report.passed:
-        raise InternalConsistencyError(
-            f"dual of verified '{H.name}' fails '{report.axiom}' at {report.witness}"
-        )
-    H._cache["dual"] = dual
+    H._cache["dual"] = by_construction(dual, verify_hopf_axioms(dual))
     return dual
 
 
@@ -237,12 +229,7 @@ def variant(H: FinHopfAlgebra, which: str) -> FinHopfAlgebra:
         f, mult, H.unit, comult, H.counit, antipode,
         basis_names=H.basis_names, name=f"{H.name}^{which}",
     )
-    report = verify_hopf_axioms(out)
-    if not report.passed:
-        raise InternalConsistencyError(
-            f"variant {which} of verified '{H.name}' fails '{report.axiom}'"
-        )
-    return out
+    return by_construction(out, verify_hopf_axioms(out))
 
 
 # -- builtin families ----------------------------------------------------------
@@ -265,10 +252,7 @@ def group_algebra(group: Group, field: Field | None = None) -> FinHopfAlgebra:
         field, mult, unit, comult, counit, antipode,
         basis_names=list(group.names), name=f"k{group.name}",
     )
-    report = verify_hopf_axioms(H)
-    if not report.passed:
-        raise InternalConsistencyError(f"group algebra fails '{report.axiom}'")
-    return H
+    return by_construction(H, verify_hopf_axioms(H))
 
 
 def function_algebra(group: Group, field: Field | None = None) -> FinHopfAlgebra:
@@ -381,12 +365,7 @@ def taft(n: int, field: Field, zeta) -> FinHopfAlgebra:
         field, mult, unit, comult, counit, antipode, basis_names=names,
         name=f"taft({n},{field})",
     )
-    report = verify_hopf_axioms(H)
-    if not report.passed:
-        raise InternalConsistencyError(
-            f"taft({n}) fails '{report.axiom}' at {report.witness}"
-        )
-    return H
+    return by_construction(H, verify_hopf_axioms(H))
 
 
 def sweedler(field: Field | None = None) -> FinHopfAlgebra:

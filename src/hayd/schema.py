@@ -294,7 +294,7 @@ def doc_to_algebra(doc, check=True) -> FinAlgebra:
         _require(doc, ("algebra", "comodule_algebra")),
         doc["mult"], doc["unit"],
         basis_names=doc.get("basis"),
-        name=doc.get("name", "algebra"),
+        name=doc.get("name") or "algebra",
         check=check,
     )
 

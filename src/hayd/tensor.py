@@ -47,6 +47,7 @@ class Tensor:
             for ax, i in enumerate(idx):
                 if type(i) is not int or not 0 <= i < self.shape[ax]:
                     raise ShapeError(f"index {idx} out of range for shape {self.shape}")
+            c = field.coerce(c)
             if not field.is_zero(c):
                 norm[idx] = c
         self.entries = norm

@@ -17,7 +17,7 @@ from hayd.errors import CheckFailedError
 from hayd.fields import prime_field, rationals
 from hayd.galois import check_comodule_algebra
 from hayd.groups import cyclic, symmetric
-from hayd.hopf import group_algebra, sweedler, taft
+from hayd.hopf import FinHopfAlgebra, group_algebra, sweedler, taft, verify_hopf_axioms
 from hayd.reps import verify_coaction
 from hayd.suite import one_dim_structure, trivial_structure
 from hayd.tensor import Tensor
@@ -223,6 +223,27 @@ def test_double_hopf_passes_axioms_on_all_builtins():
     for name, factory in BUILTINS.items():
         D = build_double_hopf(factory())
         assert D.verified, name
+        # the builder skips the algebra axioms; a from-scratch scan of the same
+        # five tensors must agree, so the split drops no axiom
+        fresh = FinHopfAlgebra(D.field, D.mult, D.unit, D.comult, D.counit, D.antipode)
+        assert verify_hopf_axioms(fresh).passed and fresh.verified, name
+
+
+def test_build_double_hopf_scans_the_double_product_once(monkeypatch):
+    from hayd import algebra, hopf
+
+    real = {fn: getattr(algebra, fn) for fn in ("associativity_report", "unit_report")}
+    scanned = []
+
+    def counting(fn):
+        return lambda mult, *a, **kw: scanned.append((fn, mult)) or real[fn](mult, *a, **kw)
+
+    for mod in (algebra, hopf):
+        for fn in real:
+            monkeypatch.setattr(mod, fn, counting(fn))
+    D = build_double_hopf(sweedler())
+    on_d = [fn for fn, mult in scanned if mult is D.mult]
+    assert on_d == ["associativity_report", "unit_report"]
 
 
 def test_double_coaction_is_comodule_algebra_on_all_builtins():

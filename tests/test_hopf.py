@@ -268,8 +268,8 @@ def test_antipode_is_antialgebra_map_on_all_builtins():
         for i in range(H.dim):
             for j in range(H.dim):
                 ei, ej = H.basis_vector(i), H.basis_vector(j)
-                lhs = H.apply_antipode(H.product(ei, ej))
-                rhs = H.product(H.apply_antipode(ej), H.apply_antipode(ei))
+                lhs = H.apply_antipode(H.mul_vec(ei, ej))
+                rhs = H.mul_vec(H.apply_antipode(ej), H.apply_antipode(ei))
                 assert lhs == rhs, (name, i, j)
 
 

@@ -495,6 +495,38 @@ def test_run_suite_accepts_name_lists():
     assert result.passed and len(result.items) == 1
 
 
+def test_run_suite_runs_each_named_check_once(capsys):
+    from hayd.suite import run_suite
+
+    result = run_suite(["group-c2", "group-c2"], checks=["hopf-axioms", "hopf-axioms"])
+    assert [(it.target, it.check) for it in result.items] == [("group-c2", "hopf-axioms")]
+    assert main(["suite", "--builtin", "group-c2", "--checks", "hopf-axioms,hopf-axioms"]) == 0
+    assert capsys.readouterr().out.endswith("1/1 checks passed\n")
+
+
+@pytest.mark.parametrize("check, module, patched", [
+    ("entwining-axioms", "ayd", "check_entwining"),
+    ("sayd-prop5", "galois", "check_ayd"),
+])
+def test_suite_item_carries_the_failure_its_builder_asserts(monkeypatch, check, module, patched):
+    import importlib
+
+    from hayd import suite
+    from hayd.errors import CheckFailedError
+    from hayd.report import Report
+
+    H = sweedler()
+    lhs, rhs = H.basis_vector(1), H.basis_vector(2)
+    bad = Report.fail("planted-axiom", (1, 2), lhs, rhs)
+    monkeypatch.setattr(importlib.import_module(f"hayd.{module}"), patched, lambda *a: bad)
+    with pytest.raises(CheckFailedError) as exc:
+        suite.SUITE_CHECKS[check](H)
+    assert exc.value.report is bad
+    (item,) = suite.run_suite({"H": H}, checks=[check]).items
+    assert not item.passed
+    assert (item.witness, item.lhs, item.rhs) == ((1, 2), lhs, rhs)
+
+
 def test_run_suite_verifies_only_unverified_targets(monkeypatch):
     from hayd import suite
 

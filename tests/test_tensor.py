@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from hayd.errors import ShapeError, SingularMatrixError
+from hayd.errors import FieldError, ShapeError, SingularMatrixError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic
 from hayd.hopf import group_algebra
@@ -44,6 +44,15 @@ def test_entries_normalized_and_equality():
     assert (0, 0) not in t.entries
     assert t == Tensor(Q, (2, 2), {(1, 1): Q.coerce(3)})
     assert t != Tensor(Q, (2, 2), {(1, 1): Q.coerce(2)})
+
+
+def test_constructor_coerces_every_entry():
+    t = Tensor(F7, (2,), {(0,): 8, (1,): 7})
+    assert t.entries == {(0,): 1}
+    assert t == Tensor(F7, (2,), {(0,): 1})
+    assert type(Tensor(Q, (1,), {(0,): 2}).get((0,))) is Fraction
+    with pytest.raises(FieldError):
+        Tensor(Q, (1,), {(0,): 0.5})
 
 
 def test_out_of_range_index_rejected():
