@@ -26,7 +26,14 @@ from .hopf import (
 )
 from .identity import Identity, check, evaluate
 from .report import Report
-from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
+from .reps import (
+    ActionStructure,
+    CoactionStructure,
+    coaction_letters,
+    coaction_shape,
+    verify_action,
+    verify_coaction,
+)
 from .tensor import Tensor, matrix_rank
 
 CASES = ("ll", "lr", "rl", "rr")
@@ -73,7 +80,7 @@ def _compatibility(M: TwoSidedStructure, anti: bool) -> Report:
     """
     H = M.hopf
     H.require_verified()
-    case = M.case
+    case, side = M.case, M.coaction.side
     mult, act, co = H.mult, M.action.tensor, M.coaction.tensor
     # which antipode power twists the outer coproduct leg, per case
     twist = antipode_inverse(H) if anti == (case in ("ll", "rr")) else H.antipode
@@ -83,13 +90,13 @@ def _compatibility(M: TwoSidedStructure, anti: bool) -> Report:
         "rl": [(twist, "rt"), (mult, "thw"), (mult, "wpj")],
         "rr": [(twist, "pt"), (mult, "thw"), (mult, "wrj")],
     }[case]
-    # the coaction legs (m_in, h, m_out) on the left, (m_in, m_out, h) on the right
-    legs, out = ("ahx", "jb") if case[1] == "l" else ("axh", "bj")
+    out = coaction_letters(side, "", "j", "b")
     label = f"{'anti-yetter-drinfeld' if anti else 'yetter-drinfeld'}-{case}"
     return check(label, Identity(
         label, "ia", out,
         [(act, "iax"), (co, "x" + out)],
-        [(iterated_coproduct(H, 3), "ipqr"), (co, legs), *twisted, (act, "qxb")],
+        [(iterated_coproduct(H, 3), "ipqr"), (co, coaction_letters(side, "a", "h", "x")),
+         *twisted, (act, "qxb")],
     ))
 
 
@@ -106,7 +113,7 @@ def check_yd(M: TwoSidedStructure) -> Report:
 def check_stability(M: TwoSidedStructure) -> Report:
     """The coaction leg acting back on the rest must reproduce each element."""
     M.hopf.require_verified()
-    legs = "ahx" if M.coaction.side == "left" else "axh"
+    legs = coaction_letters(M.coaction.side, "a", "h", "x")
     label = f"stability-{M.case}"
     return check(label, Identity(
         label, "a", "b", [(M.coaction.tensor, legs), (M.action.tensor, "hxb")],
@@ -155,20 +162,16 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
         (H.comult, "ijk"), (first.action.tensor, hf + "uU"), (second.action.tensor, hs + "vV"),
     ]).reshape((n, dim, dim))
 
-    # the coaction legs (m_in, h, m_out) on the left, (m_in, m_out, h) on the right;
-    # the first factor's leg multiplies on the left
-    def legs(m_in, m_out, h):
-        return m_in + h + m_out if case[1] == "l" else m_in + m_out + h
-
-    lam = evaluate(legs("uv", "UV", "t"), [
-        (first.coaction.tensor, legs("u", "U", "a")),
-        (second.coaction.tensor, legs("v", "V", "b")), (H.mult, "abt"),
+    # the first factor's coaction leg multiplies on the left
+    side = first.coaction.side
+    lam = evaluate(coaction_letters(side, "uv", "t", "UV"), [
+        (first.coaction.tensor, coaction_letters(side, "u", "a", "U")),
+        (second.coaction.tensor, coaction_letters(side, "v", "b", "V")), (H.mult, "abt"),
     ])
-    lshape = (dim, n, dim) if case[1] == "l" else (dim, dim, n)
     return TwoSidedStructure(
         H,
         ActionStructure(first.action.side, dim, act),
-        CoactionStructure(first.coaction.side, dim, lam.reshape(lshape)),
+        CoactionStructure(side, dim, lam.reshape(coaction_shape(side, dim, n))),
     )
 
 
@@ -244,41 +247,35 @@ def check_entwined_module(E: EntwiningData, M: TwoSidedStructure) -> Report:
 # -- one-dimensional structures and modular pairs ---------------------------------
 
 
-def one_dim_module(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor) -> TwoSidedStructure:
-    """The ground field as a right module via a character and a left comodule
-    via a group-like element (the rl convention)."""
+def _require_modular_candidates(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor):
+    """An InputError unless delta is a character and sigma a group-like of H."""
     H.require_verified()
     if not check_element(H, delta, "character"):
         raise InputError("delta is not a character")
     if not check_element(H, sigma, "group_like"):
         raise InputError("sigma is not group-like")
-    f = H.field
-    n = H.dim
-    act = Tensor(
-        f, (n, 1, 1), {(i, 0, 0): c for (i,), c in delta.entries.items()}, _normalized=True
-    )
-    coact = Tensor(
-        f, (1, n, 1), {(0, j, 0): c for (j,), c in sigma.entries.items()}, _normalized=True
-    )
-    M = TwoSidedStructure(
+
+
+def one_dim_module(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor, case="rl") -> TwoSidedStructure:
+    """The ground field acted on by a character delta and coacted on by a
+    group-like sigma, on the sides the case letters name; (counit, unit) is the
+    trivial structure.  In dimension one the module and comodule laws are the
+    character and group-like identities, so nothing more needs verifying."""
+    if case not in CASES:
+        raise InputError(f"unknown case {case!r}")
+    _require_modular_candidates(H, delta, sigma)
+    act_side, co_side = ("left" if c == "l" else "right" for c in case)
+    return TwoSidedStructure(
         H,
-        ActionStructure("right", 1, act),
-        CoactionStructure("left", 1, coact),
+        ActionStructure(act_side, 1, delta.reshape((H.dim, 1, 1))),
+        CoactionStructure(co_side, 1, sigma.reshape(coaction_shape(co_side, 1, H.dim))),
     )
-    report = M.verify()
-    if not report.passed:
-        raise CheckFailedError(report)
-    return M
 
 
 def check_modular_pair(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor) -> bool:
     """delta(sigma) = 1 and the delta-twisted antipode squares to conjugation
     by sigma."""
-    H.require_verified()
-    if not check_element(H, delta, "character"):
-        raise InputError("delta is not a character")
-    if not check_element(H, sigma, "group_like"):
-        raise InputError("sigma is not group-like")
+    _require_modular_candidates(H, delta, sigma)
     f = H.field
     if sigma.contract(delta, [(0, 0)]).get(()) != f.one:
         return False

@@ -167,9 +167,17 @@ def _write_doc(doc, out_path):
         sys.stdout.write(text)
 
 
+# the options each build target reads besides --hopf and --out
+_BUILD_OPTIONS = {"ah": (), "double": (), "sayd-prop5": ("module", "json"),
+                  "tensor": ("left", "right", "case", "json")}
+
+
 def cmd_build(args) -> int:
     from .double import build_ah, build_double
 
+    for option in ("module", "left", "right", "case", "json"):
+        if getattr(args, option) and option not in _BUILD_OPTIONS[args.what]:
+            raise InputError(f"build {args.what} does not take --{option}")
     H = _hopf_input(args.hopf)
     if args.what == "ah":
         _write_doc(schema.algebra_to_doc(build_ah(H)), args.out)
@@ -192,19 +200,17 @@ def cmd_build(args) -> int:
             return 1
         _write_doc(schema.two_sided_to_doc(M), args.out)
         return 0
-    if args.what == "tensor":
-        if not (args.left and args.right and args.case):
-            raise InputError("build tensor needs --left, --right and --case")
-        N = schema.doc_to_two_sided(schema.load_document(args.left), H)
-        M = schema.doc_to_two_sided(schema.load_document(args.right), H)
-        try:
-            T = tensor_product(N, M, args.case)
-        except CheckFailedError as exc:
-            _emit_report(exc.report, f"{args.left},{args.right}", 0, args.json)
-            return 1
-        _write_doc(schema.two_sided_to_doc(T), args.out)
-        return 0
-    raise InputError(f"unknown build target {args.what!r}")
+    if not (args.left and args.right and args.case):
+        raise InputError("build tensor needs --left, --right and --case")
+    N = schema.doc_to_two_sided(schema.load_document(args.left), H)
+    M = schema.doc_to_two_sided(schema.load_document(args.right), H)
+    try:
+        T = tensor_product(N, M, args.case)
+    except CheckFailedError as exc:
+        _emit_report(exc.report, f"{args.left},{args.right}", 0, args.json)
+        return 1
+    _write_doc(schema.two_sided_to_doc(T), args.out)
+    return 0
 
 
 def cmd_suite(args) -> int:

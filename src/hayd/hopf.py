@@ -153,12 +153,10 @@ def by_construction(structure, report: Report):
 
 
 def antipode_inverse(H: FinHopfAlgebra) -> Tensor:
-    """Matrix inverse of the antipode, cached on H after the first call."""
-    if H._antipode_inv is None:
-        try:
-            H._antipode_inv = invert_matrix(H.antipode)
-        except SingularMatrixError as exc:
-            raise InputError(f"antipode of '{H.name}' is not bijective") from exc
+    """Matrix inverse of the antipode, which verifying H computes and stores;
+    an H that fails verification, a singular antipode included, raises
+    InputError."""
+    H.require_verified()
     return H._antipode_inv
 
 
@@ -184,24 +182,13 @@ def dual_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
     H.require_verified()
     if "dual" in H._cache:
         return H._cache["dual"]
-    f = H.field
-    n = H.dim
-    mult = Tensor(
-        f, (n, n, n), {(j, k, i): c for (i, j, k), c in H.comult.entries.items()}, _normalized=True
-    )
-    comult = Tensor(
-        f, (n, n, n), {(k, i, j): c for (i, j, k), c in H.mult.entries.items()}, _normalized=True
-    )
-    antipode = Tensor(
-        f, (n, n), {(j, i): c for (i, j), c in H.antipode.entries.items()}, _normalized=True
-    )
     dual = FinHopfAlgebra(
-        f,
-        mult,
+        H.field,
+        H.comult.transpose((1, 2, 0)),
         H.counit,
-        comult,
+        H.mult.transpose((2, 0, 1)),
         H.unit,
-        antipode,
+        H.antipode.transpose((1, 0)),
         basis_names=[name + "*" for name in H.basis_names],
         name=H.name + "*",
     )

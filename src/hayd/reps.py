@@ -5,6 +5,8 @@ rho gives the operator of h acting from the left, a right action the operator
 acting from the right.  Coactions put the Hopf index where the side dictates:
 left  lam[m_in, h, m_out]   (m maps to h-leg (x) m-leg)
 right lam[m_in, m_out, h]   (m maps to m-leg (x) h-leg)
+``coaction_shape`` and ``coaction_letters`` write that layout once, for the
+code that serves either side.
 """
 
 from __future__ import annotations
@@ -13,9 +15,20 @@ from dataclasses import dataclass
 
 from .errors import InputError, ShapeError
 from .hopf import FinHopfAlgebra
-from .identity import Identity, check
+from .identity import Identity, check, evaluate
 from .report import Report
 from .tensor import Tensor
+
+
+def coaction_shape(side: str, dim: int, hopf_dim: int) -> tuple:
+    """The shape of a ``side`` coaction tensor on a ``dim``-dimensional space."""
+    return (dim, hopf_dim, dim) if side == "left" else (dim, dim, hopf_dim)
+
+
+def coaction_letters(side: str, m_in: str, h: str, m_out: str) -> str:
+    """Einsum letters of a ``side`` coaction tensor: the Hopf leg sits in the
+    middle on the left, last on the right."""
+    return m_in + h + m_out if side == "left" else m_in + m_out + h
 
 
 @dataclass
@@ -46,14 +59,13 @@ class CoactionStructure:
             raise InputError(f"coaction side must be left/right, got {self.side!r}")
         if self.tensor.rank != 3:
             raise ShapeError("coaction tensor must have rank 3")
-        n = self.hopf_dim
-        want = (self.dim, n, self.dim) if self.side == "left" else (self.dim, self.dim, n)
+        want = coaction_shape(self.side, self.dim, self.hopf_dim)
         if self.tensor.shape != want:
             raise ShapeError(f"coaction tensor shape {self.tensor.shape}, expected {want}")
 
     @property
     def hopf_dim(self) -> int:
-        return self.tensor.shape[1] if self.side == "left" else self.tensor.shape[2]
+        return self.tensor.shape[coaction_letters(self.side, "m", "h", "n").index("h")]
 
 
 def verify_action(H: FinHopfAlgebra, A: ActionStructure) -> Report:
@@ -85,10 +97,10 @@ def verify_coaction(H: FinHopfAlgebra, C: CoactionStructure) -> Report:
     # left: (comult (x) id).lam == (id (x) lam).lam, legs ordered (h, h, m);
     # right: (lam (x) id).lam == (id (x) comult).lam, legs ordered (m, h, h)
     first, second = (H.comult, co) if C.side == "left" else (co, H.comult)
-    legs = "aib" if C.side == "left" else "abi"
     return check(
         f"coaction-{C.side}",
-        Identity("coaction-counit", "a", "b", [(co, legs), (H.counit, "i")],
+        Identity("coaction-counit", "a", "b",
+                 [(co, coaction_letters(C.side, "a", "i", "b")), (H.counit, "i")],
                  [(Tensor.identity(H.field, C.dim), "ab")]),
         Identity("coaction-coassociativity", "a", "xyz",
                  [(co, "apz"), (first, "pxy")], [(co, "axp"), (second, "pyz")]),
@@ -106,24 +118,15 @@ def regular_action(H: FinHopfAlgebra, side="left") -> ActionStructure:
 
 def trivial_action(H: FinHopfAlgebra, dim: int, side="left") -> ActionStructure:
     """Everything acts through the counit."""
-    f = H.field
-    entries = {}
-    for (i,), c in H.counit.entries.items():
-        for a in range(dim):
-            entries[(i, a, a)] = c
-    return ActionStructure(side, dim, Tensor(f, (H.dim, dim, dim), entries, _normalized=True))
+    t = evaluate("iab", [(H.counit, "i"), (Tensor.identity(H.field, dim), "ab")])
+    return ActionStructure(side, dim, t)
 
 
 def trivial_coaction(H: FinHopfAlgebra, dim: int, side="left") -> CoactionStructure:
     """Every vector coacts by the unit of H."""
-    f = H.field
-    entries = {}
-    for (i,), c in H.unit.entries.items():
-        for a in range(dim):
-            key = (a, i, a) if side == "left" else (a, a, i)
-            entries[key] = c
-    shape = (dim, H.dim, dim) if side == "left" else (dim, dim, H.dim)
-    return CoactionStructure(side, dim, Tensor(f, shape, entries, _normalized=True))
+    legs = coaction_letters(side, "a", "i", "b")
+    t = evaluate(legs, [(H.unit, "i"), (Tensor.identity(H.field, dim), "ab")])
+    return CoactionStructure(side, dim, t)
 
 
 def comult_coaction(H: FinHopfAlgebra, side="right") -> CoactionStructure:
@@ -143,11 +146,9 @@ def comodule_to_dual_action(H: FinHopfAlgebra, C: CoactionStructure) -> ActionSt
     H.require_verified()
     if C.side != "right":
         raise InputError("comodule_to_dual_action expects a right coaction")
-    entries = {
-        (i, a, b): c for (a, b, i), c in C.tensor.entries.items()
-    }
-    t = Tensor(H.field, (H.dim, C.dim, C.dim), entries, _normalized=True)
-    return ActionStructure("left", C.dim, t)
+    if C.hopf_dim != H.dim:
+        raise ShapeError("coaction does not match the Hopf dimension")
+    return ActionStructure("left", C.dim, C.tensor.transpose((2, 0, 1)))
 
 
 def dual_action_to_comodule(H: FinHopfAlgebra, A: ActionStructure) -> CoactionStructure:
@@ -157,8 +158,4 @@ def dual_action_to_comodule(H: FinHopfAlgebra, A: ActionStructure) -> CoactionSt
         raise InputError("dual_action_to_comodule expects a left action")
     if A.hopf_dim != H.dim:
         raise ShapeError("action does not match the Hopf dimension")
-    entries = {
-        (a, b, i): c for (i, a, b), c in A.tensor.entries.items()
-    }
-    t = Tensor(H.field, (A.dim, A.dim, H.dim), entries, _normalized=True)
-    return CoactionStructure("right", A.dim, t)
+    return CoactionStructure("right", A.dim, A.tensor.transpose((1, 2, 0)))

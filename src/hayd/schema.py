@@ -7,7 +7,8 @@ prime-field scalars as plain integers in [0, p).  Validation reports every
 problem with a JSON-pointer location; dimensions are capped by HAYD_MAX_DIM
 (default 64) to keep exhaustive checks at desk scale.
 
-This module alone knows the tensor shapes of each document kind.
+This module alone knows the tensor shapes of each document kind; the axis
+layout of a coaction comes from ``hayd.reps``.
 ``parse_document`` walks every entry once and returns the document with its
 ``field`` and tensor entry lists replaced by the Field and Tensors it built;
 the ``doc_to_*`` constructors assemble domain objects from those parts after
@@ -25,7 +26,7 @@ from .errors import FieldError, InputError, SchemaError
 from .fields import Field, is_prime, prime_field, rationals
 from .galois import ComoduleAlgebra
 from .hopf import FinHopfAlgebra
-from .reps import ActionStructure, CoactionStructure
+from .reps import ActionStructure, CoactionStructure, coaction_shape
 from .tensor import Tensor
 
 DEFAULT_MAX_DIM = 64
@@ -191,6 +192,8 @@ def parse_document(text: str) -> dict:
     if field is None:
         chk.raise_if_failed()
     doc["field"] = field
+    if "name" in doc and not isinstance(doc["name"], str):
+        chk.fail("/name", f"expected a string, got {doc['name']!r}")
 
     if kind in ("hopf", "algebra"):
         n = _validate_dim(doc, "dim", chk)
@@ -236,9 +239,7 @@ def parse_document(text: str) -> dict:
 
 
 def _structure_shape(kind, side, n, m):
-    if kind == "action":
-        return (n, m, m)
-    return (m, n, m) if side == "left" else (m, m, n)
+    return (n, m, m) if kind == "action" else coaction_shape(side, m, n)
 
 
 def load_document(path) -> dict:

@@ -56,12 +56,7 @@ from .hopf import (
 )
 from .identity import Identity, check, evaluate
 from .report import Report
-from .reps import (
-    ActionStructure,
-    CoactionStructure,
-    trivial_action,
-    trivial_coaction,
-)
+from .reps import ActionStructure, CoactionStructure, trivial_action
 from .schema import load_hopf
 from .tensor import Tensor
 
@@ -107,30 +102,6 @@ def verified_input(H: FinHopfAlgebra, label: str) -> FinHopfAlgebra:
 # -- stock two-sided structures used by several checks ----------------------------
 
 
-def trivial_structure(H: FinHopfAlgebra, case: str) -> TwoSidedStructure:
-    act_side = "left" if case[0] == "l" else "right"
-    co_side = "left" if case[1] == "l" else "right"
-    return TwoSidedStructure(
-        H, trivial_action(H, 1, act_side), trivial_coaction(H, 1, co_side)
-    )
-
-
-def one_dim_structure(H, delta: Tensor, sigma: Tensor, case: str) -> TwoSidedStructure:
-    """The one-dimensional structure from a character and a group-like, any case."""
-    f = H.field
-    n = H.dim
-    act_side = "left" if case[0] == "l" else "right"
-    co_side = "left" if case[1] == "l" else "right"
-    act = Tensor(f, (n, 1, 1), {(i, 0, 0): c for (i,), c in delta.entries.items()})
-    if co_side == "left":
-        co = Tensor(f, (1, n, 1), {(0, j, 0): c for (j,), c in sigma.entries.items()})
-    else:
-        co = Tensor(f, (1, 1, n), {(0, 0, j): c for (j,), c in sigma.entries.items()})
-    return TwoSidedStructure(
-        H, ActionStructure(act_side, 1, act), CoactionStructure(co_side, 1, co)
-    )
-
-
 def adjoint_structure(H: FinHopfAlgebra, twisted: bool) -> TwoSidedStructure:
     """H on itself: p.h = T(h1) p h2 with T = S (plain) or S^-1 (twisted),
     with the comultiplication as right coaction (the rr convention)."""
@@ -163,15 +134,15 @@ def screened_characters(H: FinHopfAlgebra):
 
 def rr_test_modules(H: FinHopfAlgebra):
     """A small zoo of verified right-right structures over H."""
-    mods = [("trivial", trivial_structure(H, "rr"))]
+    mods = [("trivial", one_dim_module(H, H.counit, H.unit, "rr"))]
     for k, sigma in enumerate(screened_group_likes(H)):
-        mods.append((f"one-dim-{k}", one_dim_structure(H, H.counit, sigma, "rr")))
-    mods.append(("adjoint", adjoint_structure(H, twisted=False)))
-    mods.append(("adjoint-twisted", adjoint_structure(H, twisted=True)))
-    for name, M in mods:
+        mods.append((f"one-dim-{k}", one_dim_module(H, H.counit, sigma, "rr")))
+    for name, twisted in (("adjoint", False), ("adjoint-twisted", True)):
+        M = adjoint_structure(H, twisted)
         r = M.verify()
         if not r.passed:
             raise CheckFailedError(r)
+        mods.append((name, M))
     return mods
 
 
@@ -280,12 +251,7 @@ def _check_galois_baseline(H):
     if not r.passed:
         return r
     if CA.P.is_commutative():
-        f = H.field
-        expected = {}
-        for (i,), c in H.counit.entries.items():
-            for a in range(len(carrier)):
-                expected[(i, a, a)] = c
-        want = Tensor(f, (H.dim, len(carrier), len(carrier)), expected, _normalized=True)
+        want = trivial_action(H, len(carrier), "right").tensor
         if action.tensor != want:
             return Report.fail("galois-baseline", (1,), action.tensor, want)
     return Report.ok("galois-baseline")
@@ -333,7 +299,7 @@ def _check_ah_roundtrip(H):
     back = ayd_to_ah_module(H, M)
     if back.action != reg.action:
         return Report.fail("ah-roundtrip", (0,), back.action, reg.action)
-    triv = trivial_structure(H, "lr")
+    triv = one_dim_module(H, H.counit, H.unit, "lr")
     if check_yd(triv).passed:
         V = yd_to_double_module(H, triv)
         if V.dim != 1:

@@ -197,9 +197,9 @@ def graded_structure(H, group, grading, case, action_map=None):
 
 
 def one_dim(H, delta, sigma, case):
-    from hayd.suite import one_dim_structure
+    from hayd.ayd import one_dim_module
 
-    return one_dim_structure(H, delta, sigma, case)
+    return one_dim_module(H, delta, sigma, case)
 
 
 # -- first-violation oracles ---------------------------------------------------------

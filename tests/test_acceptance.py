@@ -50,12 +50,7 @@ from hayd.hopf import (
     sweedler,
     verify_hopf_axioms,
 )
-from hayd.suite import (
-    BUILTINS,
-    adjoint_structure,
-    one_dim_structure,
-    trivial_structure,
-)
+from hayd.suite import BUILTINS, adjoint_structure
 from hayd.reps import CoactionStructure
 from hayd.tensor import Tensor
 from hayd.algebra import AlgebraModule, FinAlgebra
@@ -219,7 +214,8 @@ def test_criterion_4_tensor_construction(builtins):
         for case in ("ll", "lr", "rl", "rr"):
             for name, (H, G) in hopfs.items():
                 n = len(G)
-                zoo = [trivial_structure(H, case), graded_structure(H, G, list(range(n)), case)]
+                zoo = [one_dim_module(H, H.counit, H.unit, case),
+                       graded_structure(H, G, list(range(n)), case)]
                 if n == 2:
                     def signed(g, a):
                         if g == 0:
@@ -245,8 +241,8 @@ def test_criterion_4_tensor_construction(builtins):
         T = tensor_product(sw_n, sw_m, "rr")
         assert check_ayd(T).passed
         pairs += 1
-        one_n = trivial_structure(H4, "rr")
-        one_m = one_dim_structure(H4, H4.counit, H4.basis_vector(2), "rr")
+        one_n = one_dim_module(H4, H4.counit, H4.unit, "rr")
+        one_m = one_dim_module(H4, H4.counit, H4.basis_vector(2), "rr")
         T = tensor_product(one_n, one_m, "rr")
         assert check_ayd(T).passed
         pairs += 1
@@ -262,18 +258,18 @@ def test_criterion_5_entwining_equivalence(builtins):
             assert check_entwining(psi_a).passed, name
             assert check_entwining(psi_y).passed, name
             mods = [
-                trivial_structure(H, "rr"),
+                one_dim_module(H, H.counit, H.unit, "rr"),
                 adjoint_structure(H, twisted=False),
                 adjoint_structure(H, twisted=True),
-                one_dim_structure(H, H.counit, H.unit, "rr"),
+                one_dim_module(H, H.counit, H.unit, "rr"),
             ]
             for M in mods:
                 assert check_ayd(M).passed == check_entwined_module(psi_a, M).passed, name
                 assert check_yd(M).passed == check_entwined_module(psi_y, M).passed, name
         H4 = builtins["sweedler-2"]
-        only_ayd = one_dim_structure(H4, H4.counit, H4.basis_vector(2), "rr")
+        only_ayd = one_dim_module(H4, H4.counit, H4.basis_vector(2), "rr")
         assert check_ayd(only_ayd).passed and not check_yd(only_ayd).passed
-        only_yd = one_dim_structure(H4, H4.counit, H4.unit, "rr")
+        only_yd = one_dim_module(H4, H4.counit, H4.unit, "rr")
         assert check_yd(only_yd).passed and not check_ayd(only_yd).passed
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from hayd.ayd import (
+    CASES,
     TwoSidedStructure,
     check_ayd,
     check_entwined_module,
@@ -27,11 +28,7 @@ from hayd.hopf import (
 )
 from hayd.algebra import FinAlgebra
 from hayd.reps import ActionStructure, CoactionStructure
-from hayd.suite import (
-    adjoint_structure,
-    one_dim_structure,
-    trivial_structure,
-)
+from hayd.suite import adjoint_structure
 from hayd.tensor import Tensor
 
 from helpers import (
@@ -60,7 +57,7 @@ def kS3():
 
 def test_trivial_one_dim_passes_every_case(kS3):
     for case in ("ll", "lr", "rl", "rr"):
-        M = trivial_structure(kS3, case)
+        M = one_dim_module(kS3, kS3.counit, kS3.unit, case)
         assert M.verify().passed
         assert check_ayd(M).passed, case
         assert check_yd(M).passed, case
@@ -94,14 +91,14 @@ def test_ayd_module_that_is_not_yd_exists_over_sweedler(H4):
 def test_ayd_equals_yd_whenever_antipode_is_involutive(kS3):
     G = symmetric(3)
     structures = [
-        trivial_structure(kS3, "ll"),
+        one_dim_module(kS3, kS3.counit, kS3.unit, "ll"),
         group_graded_module(G, list(range(6)), lambda g, a: (G.mul(G.mul(g, a), G.inverse(g)), 1)),
         adjoint_structure(kS3, twisted=False),
         adjoint_structure(kS3, twisted=True),
     ]
     F = function_algebra(symmetric(3))
     structures += [
-        trivial_structure(F, "rr"),
+        one_dim_module(F, F.counit, F.unit, "rr"),
         adjoint_structure(F, twisted=False),
         adjoint_structure(F, twisted=True),
     ]
@@ -198,7 +195,7 @@ def test_one_dim_stability_iff_delta_of_sigma_is_one(H4):
 
 def _zoo(H, group, case):
     """Small verified structures over a group algebra for one case."""
-    out = [trivial_structure(H, case)]
+    out = [one_dim_module(H, H.counit, H.unit, case)]
     n = len(group)
     out.append(graded_structure(H, group, list(range(n)), case))
     if n == 2:
@@ -214,7 +211,7 @@ def _zoo(H, group, case):
 def test_tensor_with_trivial_factor_reproduces_the_other(kS3):
     G = symmetric(3)
     for case in ("ll", "lr", "rl", "rr"):
-        N = trivial_structure(kS3, case)
+        N = one_dim_module(kS3, kS3.counit, kS3.unit, case)
         M = graded_structure(kS3, G, list(range(6)), case)
         assert check_yd(N).passed and check_ayd(M).passed
         T = tensor_product(N, M, case)
@@ -244,7 +241,7 @@ def test_tensor_of_crossed_and_adjoint_over_c2_is_4dim_ayd():
 
 def test_tensor_dimension_multiplies(kS3):
     G = symmetric(3)
-    N = trivial_structure(kS3, "rr")
+    N = one_dim_module(kS3, kS3.counit, kS3.unit, "rr")
     M = graded_structure(kS3, G, list(range(6)), "rr")
     assert tensor_product(N, M, "rr").dim == N.dim * M.dim
 
@@ -258,10 +255,10 @@ def test_tensor_rejects_factors_failing_their_checks(H4):
 
 def test_tensor_all_cases_over_sweedler(H4):
     for case in ("ll", "lr", "rl", "rr"):
-        N = trivial_structure(H4, case)
+        N = one_dim_module(H4, H4.counit, H4.unit, case)
         if not check_yd(N).passed:
             continue
-        M = one_dim_structure(H4, H4.counit, H4.basis_vector(2), case)
+        M = one_dim_module(H4, H4.counit, H4.basis_vector(2), case)
         if not check_ayd(M).passed:
             continue
         T = tensor_product(N, M, case)
@@ -332,8 +329,8 @@ def test_entwined_module_equivalence_on_sweedler(H4):
     psi_a = entwining_map(H4, "ayd")
     psi_y = entwining_map(H4, "yd")
     mods = [
-        trivial_structure(H4, "rr"),
-        one_dim_structure(H4, H4.counit, H4.basis_vector(2), "rr"),
+        one_dim_module(H4, H4.counit, H4.unit, "rr"),
+        one_dim_module(H4, H4.counit, H4.basis_vector(2), "rr"),
         adjoint_structure(H4, twisted=False),
         adjoint_structure(H4, twisted=True),
     ]
@@ -343,7 +340,7 @@ def test_entwined_module_equivalence_on_sweedler(H4):
 
 
 def test_rr_ayd_module_fails_against_yd_entwining(H4):
-    M = one_dim_structure(H4, H4.counit, H4.basis_vector(2), "rr")
+    M = one_dim_module(H4, H4.counit, H4.basis_vector(2), "rr")
     assert check_ayd(M).passed
     assert not check_entwined_module(entwining_map(H4, "yd"), M).passed
 
@@ -356,11 +353,57 @@ def test_one_dim_counit_unit_passes_on_group_algebras(kS3):
     assert check_ayd(M).passed and check_stability(M).passed
 
 
-def test_one_dim_rejects_non_character(H4):
+def test_one_dim_rejects_non_character(H4, kS3):
     with pytest.raises(InputError):
         one_dim_module(H4, H4.basis_vector(1), H4.unit)
     with pytest.raises(InputError):
         one_dim_module(H4, H4.counit, H4.basis_vector(1))
+    # in every case, and an unknown case
+    not_group_like = Tensor(Q, (6,), {(0,): 1, (1,): 1})
+    for case in CASES:
+        for H, not_character, not_gl in ((H4, H4.basis_vector(1), H4.basis_vector(1)),
+                                         (kS3, kS3.basis_vector(1), not_group_like)):
+            with pytest.raises(InputError, match="character"):
+                one_dim_module(H, not_character, H.unit, case)
+            with pytest.raises(InputError, match="group-like"):
+                one_dim_module(H, H.counit, not_gl, case)
+    for case in ("", "l", "lrr", "LR", "lx", "rl "):
+        with pytest.raises(InputError, match="unknown case"):
+            one_dim_module(H4, H4.counit, H4.unit, case)
+
+
+def _sign_character(kS3):
+    """The sign of each permutation of S_3, from its one-line basis name."""
+    def sign(word):
+        inversions = sum(a > b for i, a in enumerate(word) for b in word[i + 1:])
+        return -1 if inversions % 2 else 1
+
+    return Tensor(Q, (6,), {(i,): sign(w) for i, w in enumerate(kS3.basis_names)})
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_one_dim_module_takes_its_sides_from_the_case(case, H4, kS3):
+    sides = {"l": "left", "r": "right"}
+    pairs = [
+        (H4, H4.counit, H4.unit),
+        (H4, Tensor(Q, (4,), {(0,): 1, (2,): -1}), H4.basis_vector(2)),  # g -> -1, sigma = g
+        (kS3, kS3.counit, kS3.unit),
+        (kS3, _sign_character(kS3), kS3.basis_vector(3)),  # sign, sigma = (120)
+    ]
+    for H, delta, sigma in pairs:
+        n = H.dim
+        M = one_dim_module(H, delta, sigma, case)
+        assert (M.case, M.action.side, M.coaction.side) == (case, sides[case[0]], sides[case[1]])
+        assert M.dim == 1
+        assert M.action.tensor == Tensor(
+            Q, (n, 1, 1), {(i, 0, 0): c for (i,), c in delta.entries.items()})
+        if case[1] == "l":
+            want = Tensor(Q, (1, n, 1), {(0, j, 0): c for (j,), c in sigma.entries.items()})
+        else:
+            want = Tensor(Q, (1, 1, n), {(0, 0, j): c for (j,), c in sigma.entries.items()})
+        assert M.coaction.tensor == want
+        # the module and comodule laws hold without one_dim_module checking them
+        assert M.verify().passed
 
 
 def test_modular_pair_examples(H4, kS3):

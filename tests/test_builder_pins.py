@@ -13,7 +13,14 @@ import hashlib
 import pytest
 
 from hayd.algebra import AlgebraModule
-from hayd.ayd import CASES, check_ayd, check_yd, entwining_map, tensor_product
+from hayd.ayd import (
+    CASES,
+    check_ayd,
+    check_yd,
+    entwining_map,
+    one_dim_module,
+    tensor_product,
+)
 from hayd.double import (
     ah_double_coaction,
     ah_module_to_ayd,
@@ -35,10 +42,8 @@ from hayd.suite import (
     BUILTINS,
     adjoint_structure,
     builtin,
-    one_dim_structure,
     screened_characters,
     screened_group_likes,
-    trivial_structure,
 )
 from hayd.hopf import taft
 from hayd.tensor import Tensor
@@ -80,10 +85,10 @@ def _canon(x):
 def _structures(H, case):
     """The trivial and one-dim structures the suite builds, plus for rr the
     two adjoint structures."""
-    out = [("trivial", trivial_structure(H, case))]
+    out = [("trivial", one_dim_module(H, H.counit, H.unit, case))]
     for k, delta in enumerate(screened_characters(H)):
         for l, sigma in enumerate(screened_group_likes(H)):
-            out.append((f"one-dim-{k}-{l}", one_dim_structure(H, delta, sigma, case)))
+            out.append((f"one-dim-{k}-{l}", one_dim_module(H, delta, sigma, case)))
     if case == "rr":
         out += [("adjoint", adjoint_structure(H, twisted=False)),
                 ("adjoint-twisted", adjoint_structure(H, twisted=True))]
@@ -118,7 +123,7 @@ def _outputs(H) -> dict:
     M = ah_module_to_ayd(H, reg)
     out["ah-module-to-ayd"] = [M.action.tensor, M.coaction.tensor]
     back = [ayd_to_ah_module(H, M).action]
-    triv = trivial_structure(H, "lr")
+    triv = one_dim_module(H, H.counit, H.unit, "lr")
     if check_yd(triv).passed:
         back.append(yd_to_double_module(H, triv).action)
     out["ayd-to-ah-module"] = back

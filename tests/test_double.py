@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from hayd.algebra import AlgebraModule
-from hayd.ayd import check_ayd, check_yd
+from hayd.ayd import check_ayd, check_yd, one_dim_module
 from hayd.double import (
     ah_double_coaction,
     ah_module_to_ayd,
@@ -19,7 +19,6 @@ from hayd.galois import check_comodule_algebra
 from hayd.groups import cyclic, symmetric
 from hayd.hopf import FinHopfAlgebra, group_algebra, sweedler, taft, verify_hopf_axioms
 from hayd.reps import verify_coaction
-from hayd.suite import one_dim_structure, trivial_structure
 from hayd.tensor import Tensor
 
 from helpers import entry_rows, graded_structure
@@ -66,7 +65,7 @@ def test_ah_equals_double_exactly_when_antipode_squares_to_identity():
 
 def test_counit_tensor_acts_as_plain_action(H4):
     # (counit (x) h) m = h m on any lr structure
-    M = one_dim_structure(H4, H4.counit, H4.basis_vector(2), "lr")
+    M = one_dim_module(H4, H4.counit, H4.basis_vector(2), "lr")
     assert check_ayd(M).passed
     V = ayd_to_ah_module(H4, M)
     n = H4.dim
@@ -86,7 +85,7 @@ def test_counit_tensor_acts_as_plain_action(H4):
 
 def test_phi_tensor_one_acts_through_the_coaction(H4):
     # (phi (x) 1) m = phi(m-leg) m-rest
-    M = one_dim_structure(H4, H4.counit, H4.basis_vector(2), "lr")
+    M = one_dim_module(H4, H4.counit, H4.basis_vector(2), "lr")
     V = ayd_to_ah_module(H4, M)
     n = H4.dim
     f = H4.field
@@ -106,7 +105,7 @@ def test_phi_tensor_one_acts_through_the_coaction(H4):
 
 
 def test_trivial_lr_structure_converts_to_module_over_double(H4):
-    triv = trivial_structure(H4, "lr")
+    triv = one_dim_module(H4, H4.counit, H4.unit, "lr")
     assert check_yd(triv).passed
     V = yd_to_double_module(H4, triv)
     assert V.dim == 1
@@ -137,11 +136,11 @@ def test_round_trip_on_regular_module_of_product_space():
 
 
 def test_conversion_rejects_structures_failing_the_check(H4):
-    bad = trivial_structure(H4, "lr")  # plain-compatible but not twisted
+    bad = one_dim_module(H4, H4.counit, H4.unit, "lr")  # plain-compatible but not twisted
     assert not check_ayd(bad).passed
     with pytest.raises(CheckFailedError):
         ayd_to_ah_module(H4, bad)
-    good = one_dim_structure(H4, H4.counit, H4.basis_vector(2), "lr")
+    good = one_dim_module(H4, H4.counit, H4.basis_vector(2), "lr")
     with pytest.raises(CheckFailedError):
         yd_to_double_module(H4, good)
 
@@ -206,7 +205,7 @@ def test_conversion_separates_the_two_products_on_taft3():
     seen_ayd = seen_yd = 0
     for delta in chars:
         for a in range(3):
-            M = one_dim_structure(T, delta, T.basis_vector(a * 3), "lr")
+            M = one_dim_module(T, delta, T.basis_vector(a * 3), "lr")
             act = _conversion_action(T, M)
             over_a = AlgebraModule(A, act, check=False).verify().passed
             over_d = AlgebraModule(D, act, check=False).verify().passed

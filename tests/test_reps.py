@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from hayd.errors import ShapeError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic
 from hayd.hopf import (
@@ -9,6 +11,7 @@ from hayd.hopf import (
     dual_hopf,
     group_algebra,
     sweedler,
+    taft,
     variant,
     verify_hopf_axioms,
 )
@@ -27,6 +30,12 @@ from hayd.reps import (
 from hayd.tensor import Tensor, invert_matrix, matrix_rank
 
 Q = rationals()
+F7 = prime_field(7)
+
+
+def _typed(t):
+    """The entries of t with each scalar's type, so a pin tells 1 from Fraction(1)."""
+    return {idx: (type(c), c) for idx, c in t.entries.items()}
 
 
 def test_regular_action_passes():
@@ -60,6 +69,48 @@ def test_trivial_coaction_passes():
     H = sweedler()
     assert verify_coaction(H, trivial_coaction(H, 3, "left")).passed
     assert verify_coaction(H, trivial_coaction(H, 3, "right")).passed
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_trivial_structures_pin_entries_and_scalar_types(dim):
+    # sweedler-2 over Q has counit 1 on 1 and g (basis 0, 2); taft(3) over F_7
+    # has counit 1 on 1, g, g^2 (basis 0, 3, 6); both units are basis 0
+    one_q, one_7 = (Fraction, Fraction(1)), (int, 1)
+    for H, counit_support, one in ((sweedler(), (0, 2), one_q),
+                                   (taft(3, F7, 2), (0, 3, 6), one_7)):
+        n = H.dim
+        for side in ("left", "right"):
+            A = trivial_action(H, dim, side)
+            assert (A.side, A.dim, A.tensor.shape) == (side, dim, (n, dim, dim))
+            assert _typed(A.tensor) == {(i, a, a): one for i in counit_support
+                                        for a in range(dim)}
+        C = trivial_coaction(H, dim, "left")
+        assert (C.side, C.dim, C.tensor.shape) == ("left", dim, (dim, n, dim))
+        assert _typed(C.tensor) == {(a, 0, a): one for a in range(dim)}
+        C = trivial_coaction(H, dim, "right")
+        assert (C.side, C.dim, C.tensor.shape) == ("right", dim, (dim, dim, n))
+        assert _typed(C.tensor) == {(a, a, 0): one for a in range(dim)}
+
+
+def test_dual_basis_conversions_pin_entries_and_scalar_types():
+    H = sweedler()
+    lam = Tensor(Q, (2, 2, 4), {(0, 1, 2): 3, (1, 0, 3): "1/2"})
+    A = comodule_to_dual_action(H, CoactionStructure("right", 2, lam))
+    assert (A.side, A.dim, A.tensor.shape) == ("left", 2, (4, 2, 2))
+    assert _typed(A.tensor) == {(2, 0, 1): (Fraction, Fraction(3)),
+                                (3, 1, 0): (Fraction, Fraction(1, 2))}
+    C = dual_action_to_comodule(H, A)
+    assert (C.side, C.dim, C.tensor.shape) == ("right", 2, (2, 2, 4))
+    assert _typed(C.tensor) == {(0, 1, 2): (Fraction, Fraction(3)),
+                                (1, 0, 3): (Fraction, Fraction(1, 2))}
+    T = taft(3, F7, 2)
+    act = Tensor(F7, (9, 2, 2), {(4, 1, 0): 5, (8, 0, 0): 6})
+    C = dual_action_to_comodule(T, ActionStructure("left", 2, act))
+    assert (C.side, C.dim, C.tensor.shape) == ("right", 2, (2, 2, 9))
+    assert _typed(C.tensor) == {(1, 0, 4): (int, 5), (0, 0, 8): (int, 6)}
+    A = comodule_to_dual_action(T, C)
+    assert (A.side, A.dim, A.tensor.shape) == ("left", 2, (9, 2, 2))
+    assert _typed(A.tensor) == {(4, 1, 0): (int, 5), (8, 0, 0): (int, 6)}
 
 
 def test_coaction_violating_counit_law_fails():
@@ -159,6 +210,10 @@ def test_conversion_shape_guards():
     C = comult_coaction(H, "left")
     with pytest.raises(Exception):
         comodule_to_dual_action(H, C)  # left coaction not accepted
+    # a right coaction over another Hopf dimension is rejected, not relabelled
+    C = CoactionStructure("right", 1, Tensor(Q, (1, 1, 2), {(0, 0, 0): 1}))
+    with pytest.raises(ShapeError):
+        comodule_to_dual_action(sweedler(), C)
 
 
 def test_left_right_mirror_through_cop_variant():

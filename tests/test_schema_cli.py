@@ -27,10 +27,10 @@ def test_parse_serialize_round_trip_on_all_builtins():
 
 
 def test_two_sided_round_trip():
-    from hayd.suite import one_dim_structure
+    from hayd.ayd import one_dim_module
 
     H = sweedler()
-    M = one_dim_structure(H, H.counit, H.basis_vector(2), "rr")
+    M = one_dim_module(H, H.counit, H.basis_vector(2), "rr")
     doc = schema.two_sided_to_doc(M)
     M2 = schema.doc_to_two_sided(schema.parse_document(schema.dumps(doc)), H)
     assert M2.action.tensor == M.action.tensor
@@ -212,10 +212,10 @@ def test_cli_schema_error_exits_two(tmp_path, capsys):
 
 
 def test_cli_check_ayd_on_module_file(tmp_path, capsys):
-    from hayd.suite import one_dim_structure
+    from hayd.ayd import one_dim_module
 
     H = sweedler()
-    good = one_dim_structure(H, H.counit, H.basis_vector(2), "rr")
+    good = one_dim_module(H, H.counit, H.basis_vector(2), "rr")
     path = tmp_path / "m.json"
     path.write_text(schema.dumps(schema.two_sided_to_doc(good)))
     assert main(["check", "ayd", "--hopf", "sweedler-2", "--module", str(path)]) == 0
@@ -420,15 +420,17 @@ def test_cli_verifies_a_hopf_context_only_when_it_is_not_a_builtin(tmp_path, mon
 
 
 def test_cli_build_tensor(tmp_path, capsys):
-    from hayd.suite import one_dim_structure, trivial_structure
+    from hayd.ayd import one_dim_module
 
     H = sweedler()
     n_path = tmp_path / "n.json"
     m_path = tmp_path / "m.json"
-    n_path.write_text(schema.dumps(schema.two_sided_to_doc(trivial_structure(H, "rr"))))
+    n_path.write_text(
+        schema.dumps(schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr")))
+    )
     m_path.write_text(
         schema.dumps(
-            schema.two_sided_to_doc(one_dim_structure(H, H.counit, H.basis_vector(2), "rr"))
+            schema.two_sided_to_doc(one_dim_module(H, H.counit, H.basis_vector(2), "rr"))
         )
     )
     out = tmp_path / "t.json"
@@ -451,6 +453,39 @@ def test_cli_build_tensor(tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("name", [[1, 2], 5, None, {"n": "H"}])
+def test_non_string_document_name_is_a_schema_error(tmp_path, capsys, name):
+    path = _write_builtin(tmp_path, "sweedler-2")
+    doc = json.loads(path.read_text())
+    doc["name"] = name
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        schema.load_document(path)
+    assert [pointer for pointer, _ in exc.value.violations] == ["/name"]
+    capsys.readouterr()
+    assert main(["suite", "--targets", str(path)]) == 2
+    assert "schema error at /name: expected a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("what, given, option", [
+    ("ah", ["--module", "missing.json"], "--module"),
+    ("ah", ["--left", "missing.json"], "--left"),
+    ("ah", ["--case", "rr"], "--case"),
+    ("double", ["--right", "missing.json"], "--right"),
+    ("double", ["--json"], "--json"),
+    ("sayd-prop5", ["--left", "missing.json"], "--left"),
+    ("sayd-prop5", ["--case", "ll"], "--case"),
+    ("tensor", ["--module", "m.json", "--left", "l.json", "--right", "r.json", "--case", "rr"],
+     "--module"),
+])
+def test_cli_build_rejects_an_option_its_target_never_reads(tmp_path, capsys, what, given, option):
+    out = tmp_path / "out.json"
+    given = [str(tmp_path / a) if a.endswith(".json") else a for a in given]
+    assert main(["build", what, "--hopf", "sweedler-2", *given, "-o", str(out)]) == 2
+    assert f"input error: build {what} does not take {option}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_suite_json_is_byte_deterministic(capsys):
