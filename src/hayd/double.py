@@ -8,7 +8,11 @@ bookkeeping is a row-major ``Tensor.reshape``: the product space index is
 (i, j) -> i*n + j, where i runs over the dual basis and j over the original
 basis.  The two products are one spec that differs only in one evaluation
 slot (squared antipode vs Kronecker delta); both are verified associative and
-unital on construction, which pins the transcription.
+unital on construction, which pins the transcription.  Each also proves on
+construction that e_i* (x) 1 and counit (x) e_j generate it, and then
+scans associativity on those 2n generators only; the double's Hopf
+structure, the coaction on build_ah and the modules over both scan their
+multiplicative laws on them too (``identity.on_generators``).
 """
 
 from __future__ import annotations
@@ -49,8 +53,13 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
     names = [
         f"{H.basis_names[i]}*{H.basis_names[j]}" for i in range(n) for j in range(n)
     ]
+    # e_i* (x) 1 and counit (x) e_j, whose products e_i* (x) e_j are the basis
+    delta = Tensor.identity(f, n)
+    generators = (evaluate("iab", [(delta, "ia"), (H.unit, "b")]).reshape((n, n * n)),
+                  evaluate("jab", [(H.counit, "a"), (delta, "jb")]).reshape((n, n * n)))
     label = "ah" if squared_antipode else "double"
-    A = FinAlgebra(f, mult, unit, basis_names=names, name=f"{label}({H.name})", check=False)
+    A = FinAlgebra(f, mult, unit, basis_names=names, name=f"{label}({H.name})", check=False,
+                   generators=generators)
     return by_construction(A, A.verify())
 
 
@@ -94,8 +103,9 @@ def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
         f, alg.mult, alg.unit, comult, counit, antipode,
         basis_names=alg.basis_names, name=f"D({H.name})",
     )
-    # build_double has proved the product; the rest pins the coalgebra and
-    # antipode conventions against it
+    # build_double has proved the product and its generators; the rest pins
+    # the coalgebra and antipode conventions against it
+    D.generators = alg.generators
     H._cache["double_hopf"] = by_construction(D, verify_hopf_given_algebra(D))
     return D
 

@@ -16,7 +16,7 @@ from .algebra import FinAlgebra
 from .ayd import TwoSidedStructure, check_ayd, check_stability
 from .errors import CheckFailedError, InputError, NotGaloisError, ShapeError
 from .hopf import FinHopfAlgebra, antipode_inverse
-from .identity import Identity, check, evaluate
+from .identity import Identity, check, evaluate, on_generators
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
 from .tensor import Tensor, invert_matrix, kernel_rows, matrix_rank, rref, span_coordinates
@@ -26,7 +26,9 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
     """A right coaction that is also an algebra map, exhaustively.
 
     Checks, in order: the coaction axioms, multiplicativity on all basis
-    pairs, and that 1 coacts as 1 (x) 1.
+    pairs, and that 1 coacts as 1 (x) 1.  When A has proved generators,
+    multiplicativity is first scanned on them alone, after the unit law it
+    rests on (``identity.on_generators``); any failure reruns the full scan.
     """
     K.require_verified()
     if coaction.side != "right":
@@ -37,16 +39,18 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
     if not r.passed:
         return r
     co = coaction.tensor
-    return check(
-        "comodule-algebra",
-        # coaction(ab) == coaction(a) coaction(b); the factor order keeps the
-        # join narrow: a's legs, their products, then b's legs
-        Identity("coaction-multiplicative", "ab", "xk",
-                 [(A.mult, "abw"), (co, "wxk")],
-                 [(co, "api"), (A.mult, "pqx"), (co, "bqj"), (K.mult, "ijk")]),
-        Identity("coaction-unital", "", "xk",
-                 [(A.unit, "a"), (co, "axk")], [(A.unit, "x"), (K.unit, "k")]),
-    )
+    # coaction(ab) == coaction(a) coaction(b); the factor order keeps the
+    # join narrow: a's legs, their products, then b's legs
+    mult = Identity("coaction-multiplicative", "ab", "xk",
+                    [(A.mult, "abw"), (co, "wxk")],
+                    [(co, "api"), (A.mult, "pqx"), (co, "bqj"), (K.mult, "ijk")])
+    unital = Identity("coaction-unital", "", "xk",
+                      [(A.unit, "a"), (co, "axk")], [(A.unit, "x"), (K.unit, "k")])
+    if A.generators is not None:
+        r = check("comodule-algebra", unital, on_generators(mult, A.generators))
+        if r.passed:
+            return r
+    return check("comodule-algebra", mult, unital)
 
 
 class ComoduleAlgebra:
@@ -74,6 +78,13 @@ def comodule_algebra_from_hopf(H: FinHopfAlgebra) -> ComoduleAlgebra:
     """The baseline example: H coacting on itself by its comultiplication."""
     H.require_verified()
     return ComoduleAlgebra(H, H, CoactionStructure("right", H.dim, H.comult))
+
+
+def hopf_galois_data(H: FinHopfAlgebra) -> GaloisData:
+    """The canonical map of H coacting on itself, computed once per H."""
+    if "galois" not in H._cache:
+        H._cache["galois"] = canonical_map(comodule_algebra_from_hopf(H))
+    return H._cache["galois"]
 
 
 def coinvariants(CA: ComoduleAlgebra):
@@ -286,13 +297,14 @@ def mu_action(G: GaloisData, flipped: bool = False):
     return action, carrier
 
 
-def make_sayd_prop5(CA: ComoduleAlgebra) -> TwoSidedStructure:
+def make_sayd_prop5(CA: ComoduleAlgebra, galois: GaloisData | None = None) -> TwoSidedStructure:
     """Package the flipped sandwich action with the coaction of P itself.
 
     Requires the canonical map bijective and central coinvariants; asserts the
-    result passes both the rr compatibility and stability checks.
+    result passes both the rr compatibility and stability checks.  ``galois``
+    is ``canonical_map(CA)`` when the caller already has it.
     """
-    G = canonical_map(CA)
+    G = canonical_map(CA) if galois is None else galois
     if not G.bijective:
         raise NotGaloisError("the canonical map is not bijective")
     action, carrier = mu_action(G, flipped=True)

@@ -48,6 +48,7 @@ contraction loop.
 
 from __future__ import annotations
 
+import string
 from collections import defaultdict
 from fractions import Fraction
 
@@ -101,6 +102,59 @@ def check(ok_label: str, *groups) -> Report:
         if report is not None:
             return report
     return Report.ok(ok_label)
+
+
+def on_generators(ident: Identity, generators: Tensor) -> Identity:
+    """``ident`` with its first witness argument running over the rows of the
+    matrix ``generators`` (row g holds an element x_g in the basis that the
+    first witness letter indexes) instead of over the basis.
+
+    A new letter g is prepended to each side with the factor
+    ``(generators, "g" + first)`` and becomes the first witness letter; the
+    old first letter is summed.  The scan then has one slice per generator.
+
+    Lemma.  Let A be an algebra with unit 1 and G a set of its elements such
+    that every basis element is a product g h of two elements of G (for A_H
+    and the double, G = {e_i* (x) 1} u {counit (x) e_j}, and the spanning
+    identity e_i* (x) e_j = (e_i* (x) 1)(counit (x) e_j) is what
+    ``FinAlgebra.verify`` proves).  Let S be the set of x in A for which the
+    identity holds with x in the first slot and basis elements in the
+    others.  Each side is linear in x, so S is a subspace.  The reduced scan
+    proves G in S.  If 1 is in S and S is closed under left multiplication
+    by G, then h = h 1 and g h are in S for g, h in G, so S holds every basis
+    element and S = A: the reduced scan is an exhaustive proof.  The two
+    conditions, case by case, with g in G, x in S and the other arguments
+    arbitrary:
+
+    * associativity, (x y) z = x (y z), given the unit axioms: 1 is in S as
+      (1 y) z = y z = 1 (y z); and ((g x) y) z = (g (x y)) z = g ((x y) z)
+      = g (x (y z)) = (g x)(y z), using g in S three times and x in S once.
+    * module-associativity, (x y) m = x (y m), given associativity of A and
+      1 m = m: (1 y) m = y m = 1 (y m); and ((g x) y) m = (g (x y)) m
+      = g ((x y) m) = g (x (y m)) = (g x)(y m).
+    * bialgebra-mult, cop(x y) = cop(x) cop(y) for the coproduct cop (and
+      bialgebra-counit, the same for the counit), given associativity of A
+      and cop(1) = 1 (x) 1: 1 is in S by the unit axioms of A and A (x) A;
+      and cop((g x) y) = cop(g (x y)) = cop(g) cop(x) cop(y)
+      = cop(g x) cop(y), since A (x) A is associative.
+    * coaction-multiplicative, r(a b) = r(a) r(b) for the coaction
+      r: A -> A (x) K, given associativity of A and of K and r(1) = 1 (x) 1:
+      the same chain with A (x) K in place of A (x) A.
+
+    Callers scan the preconditions first and the reduced identity after
+    them, and on any failure run the full scan, so a report never depends
+    on the generators.
+    """
+    letters = set(ident.witness + ident.out)
+    for side in (ident.lhs, ident.rhs or ()):
+        for _, idx in side:
+            letters.update(idx)
+    g = next(x for x in string.ascii_letters if x not in letters)
+    factor = (generators, g + ident.witness[0])
+    return Identity(
+        ident.label, g + ident.witness[1:], ident.out,
+        [factor, *ident.lhs], None if ident.rhs is None else [factor, *ident.rhs],
+    )
 
 
 def evaluate(out: str, factors) -> Tensor:

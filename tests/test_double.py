@@ -242,7 +242,8 @@ def test_build_double_hopf_scans_the_double_product_once(monkeypatch):
             monkeypatch.setattr(mod, fn, counting(fn))
     D = build_double_hopf(sweedler())
     on_d = [fn for fn, mult in scanned if mult is D.mult]
-    assert on_d == ["associativity_report", "unit_report"]
+    # the unit is proved before the generator-reduced associativity scan
+    assert sorted(on_d) == ["associativity_report", "unit_report"]
 
 
 def test_double_coaction_is_comodule_algebra_on_all_builtins():

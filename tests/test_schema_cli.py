@@ -562,6 +562,35 @@ def test_suite_item_carries_the_failure_its_builder_asserts(monkeypatch, check, 
     assert (item.witness, item.lhs, item.rhs) == ((1, 2), lhs, rhs)
 
 
+def test_galois_checks_share_one_canonical_map_per_target(monkeypatch):
+    from hayd import galois, suite
+
+    calls = []
+    real = galois.canonical_map
+    for mod in (galois, suite):  # wherever the name is bound
+        if hasattr(mod, "canonical_map"):
+            monkeypatch.setattr(mod, "canonical_map", lambda CA: calls.append(CA.H) or real(CA))
+    H = sweedler()
+    result = suite.run_suite({"H": H}, checks=["galois-baseline", "sayd-prop5"])
+    assert result.passed and calls == [H]
+    assert "galois" not in H._cache  # it refers back to H; the run drops it
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_rr_test_modules_are_distinct_and_keep_their_names(name):
+    from hayd.suite import rr_test_modules, screened_group_likes
+
+    H = BUILTINS[name]()
+    mods = rr_test_modules(H)
+    # the one-dimensional modules differ (the two adjoints agree when S^2 = id)
+    tensors = [(M.action.tensor, M.coaction.tensor) for _, M in mods[:-2]]
+    assert all(tensors.index(t) == k for k, t in enumerate(tensors))
+    sigmas = screened_group_likes(H)
+    assert sigmas[0] == H.unit
+    assert [n for n, _ in mods] == ["trivial", *(f"one-dim-{k}" for k in range(1, len(sigmas))),
+                                     "adjoint", "adjoint-twisted"]
+
+
 def test_run_suite_verifies_only_unverified_targets(monkeypatch):
     from hayd import suite
 
