@@ -48,7 +48,6 @@ contraction loop.
 
 from __future__ import annotations
 
-import string
 from collections import defaultdict
 from fractions import Fraction
 
@@ -149,7 +148,7 @@ def on_generators(ident: Identity, generators: Tensor) -> Identity:
     for side in (ident.lhs, ident.rhs or ()):
         for _, idx in side:
             letters.update(idx)
-    g = next(x for x in string.ascii_letters if x not in letters)
+    g = next(x for x in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" if x not in letters)
     factor = (generators, g + ident.witness[0])
     return Identity(
         ident.label, g + ident.witness[1:], ident.out,
