@@ -61,11 +61,6 @@ class FinAlgebra:
         self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(n)]
         if len(self.basis_names) != n:
             raise ShapeError("basis_names length does not match dimension")
-        if generators is not None:
-            shapes = [g.shape for g in generators]
-            if (len(shapes) != 2 or any(len(s) != 2 or s[1] != n for s in shapes)
-                    or shapes[0][0] * shapes[1][0] != n or any(g.field != field for g in generators)):
-                raise ShapeError(f"generator shapes {shapes} do not multiply to dimension {n}")
         self._candidates = generators
         self.generators = None
         if check:

@@ -164,17 +164,15 @@ def test_every_reduced_scan_passes_alone(monkeypatch, name):
     # the fallback is silent: a spanning identity or precondition that never
     # held would only make every build slow, so check that none falls back
     H = BUILTINS[name]()
-    A = None
 
     def build():
-        nonlocal A
         A = build_ah(H)
         build_double_hopf(H)
         ah_double_coaction(H)
         AlgebraModule(A, A.mult)  # the regular module
         return A
 
-    _, log = _scanned(monkeypatch, build)
+    A, log = _scanned(monkeypatch, build)
     Dalg, D = build_double(H), build_double_hopf(H)
     assert A.generators is not None and Dalg.generators is not None
     assert D.generators is Dalg.generators
