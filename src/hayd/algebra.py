@@ -4,16 +4,18 @@ Multiplication is a rank-3 structure tensor: e_i e_j = sum_k mult[i,j,k] e_k.
 Each axiom is an identity between structure tensors, declared as a spec and
 scanned exhaustively by ``hayd.identity``, which reports the
 lexicographically first violating basis tuple.  An algebra that has proved
-generators scans associativity, and its modules their associativity, with
-the first argument on the generators alone (``identity.on_generators``).
+generators (rows whose left closure of the unit is the whole algebra, found
+by elimination in ``left_closure_rank``) scans associativity, and its
+modules their associativity, with the first argument on the generators
+alone (``identity.on_generators``).
 """
 
 from __future__ import annotations
 
 from .errors import CheckFailedError, ShapeError
-from .identity import Identity, check, on_generators
+from .identity import Identity, check, evaluate, on_generators
 from .report import Report
-from .tensor import Tensor
+from .tensor import Tensor, closure_rank
 
 
 def associativity_report(mult: Tensor, label="associativity", generators=None) -> Report:
@@ -35,15 +37,39 @@ def unit_report(mult: Tensor, unit: Tensor, label="unit") -> Report:
     ])
 
 
+def left_closure_rank(mult: Tensor, unit: Tensor, generators: Tensor) -> int:
+    """Rank of the smallest subspace that holds the unit and is closed under
+    left multiplication by the rows of ``generators``: the span of the words
+    g_1 (g_2 (... (g_k 1))).  It is the dimension exactly when the rows
+    generate the algebra (``identity.on_generators``)."""
+    return closure_rank(unit, evaluate("gbc", [(generators, "ga"), (mult, "abc")]))
+
+
+def greedy_generators(mult: Tensor, unit: Tensor) -> list:
+    """Basis indices taken in order, each one that enlarges the left closure
+    of the unit under those taken before it; of an associative unital
+    algebra they are generators."""
+    f, n = mult.field, mult.shape[0]
+    chosen, rank = [], 1 if unit.entries else 0  # the closure of the unit alone
+    for j in range(n):
+        if rank == n:
+            break
+        rows = Tensor(f, (len(chosen) + 1, n),
+                      {(r, i): f.one for r, i in enumerate(chosen + [j])}, _normalized=True)
+        grown = left_closure_rank(mult, unit, rows)
+        if grown > rank:
+            chosen, rank = chosen + [j], grown
+    return chosen
+
+
 class FinAlgebra:
     """A finite-dimensional associative unital algebra by structure constants.
 
-    ``generators``, if given, is a pair of matrices (left, right) of shapes
-    (p, dim) and (q, dim) with p q = dim whose rows should multiply to the
-    basis, left_i right_j = e_(i q + j).  ``verify`` proves that before it
-    relies on it; ``self.generators`` is then their rows stacked, which the
-    structures built on this algebra scan in place of its basis.  It is None
-    until ``verify`` passes that way.
+    ``generators``, if given, is a matrix of shape (k, dim) whose rows should
+    generate the algebra.  ``verify`` proves that before it relies on it
+    (``left_closure_rank``); ``self.generators`` is then that matrix, whose
+    rows the structures built on this algebra scan in place of its basis.
+    It is None until ``verify`` passes that way.
     """
 
     def __init__(self, field, mult: Tensor, unit: Tensor, basis_names=None, name="algebra",
@@ -70,23 +96,17 @@ class FinAlgebra:
 
     def verify(self) -> Report:
         """Associativity, then the unit.  With candidate generators, first
-        the spanning identity, the unit and associativity on the generators
-        alone; a failure there reruns the full scans, so the report never
-        depends on the candidates."""
+        the proof that they generate (their left closure of the unit has
+        rank ``dim``), the unit and associativity on the generators alone; a
+        failure there reruns the full scans, so the report never depends on
+        the candidates."""
         self.generators = None
-        if self._candidates is not None:
-            left, right = self._candidates
-            p = left.shape[0]
-            words = Tensor.identity(self.field, self.dim).reshape((p, right.shape[0], self.dim))
-            spans = Identity("generators-span", "ij", "z",
-                             [(left, "iu"), (right, "jv"), (self.mult, "uvz")], [(words, "ijz")])
-            stacked = Tensor(self.field, (p + right.shape[0], self.dim), {
-                **left.entries, **{(p + j, z): c for (j, z), c in right.entries.items()}
-            }, _normalized=True)
-            if (check("generators", spans).passed and unit_report(self.mult, self.unit).passed
-                    and associativity_report(self.mult, generators=stacked).passed):
-                self.generators = stacked
-                return Report.ok("algebra")
+        G = self._candidates
+        if (G is not None and left_closure_rank(self.mult, self.unit, G) == self.dim
+                and unit_report(self.mult, self.unit).passed
+                and associativity_report(self.mult, generators=G).passed):
+            self.generators = G
+            return Report.ok("algebra")
         r = associativity_report(self.mult)
         if not r.passed:
             return r

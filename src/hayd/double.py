@@ -8,16 +8,18 @@ bookkeeping is a row-major ``Tensor.reshape``: the product space index is
 (i, j) -> i*n + j, where i runs over the dual basis and j over the original
 basis.  The two products are one spec that differs only in one evaluation
 slot (squared antipode vs Kronecker delta); both are verified associative and
-unital on construction, which pins the transcription.  Each also proves on
-construction that e_i* (x) 1 and counit (x) e_j generate it, and then
-scans associativity on those 2n generators only; the double's Hopf
-structure, the coaction on build_ah and the modules over both scan their
-multiplicative laws on them too (``identity.on_generators``).
+unital on construction, which pins the transcription.  Generators e_i* of
+the dual and e_j of H are chosen greedily from the bases, once per H; each
+product proves on construction that the e_i* (x) 1 and counit (x) e_j
+generate it (``algebra.left_closure_rank``), and then scans associativity
+on those rows only.  The double's Hopf structure, the coaction on build_ah
+and the modules over both scan their multiplicative laws on them too
+(``identity.on_generators``).
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraModule, FinAlgebra
+from .algebra import AlgebraModule, FinAlgebra, greedy_generators
 from .ayd import TwoSidedStructure, check_ayd, check_yd
 from .errors import CheckFailedError, ShapeError
 from .galois import check_comodule_algebra
@@ -53,14 +55,27 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
     names = [
         f"{H.basis_names[i]}*{H.basis_names[j]}" for i in range(n) for j in range(n)
     ]
-    # e_i* (x) 1 and counit (x) e_j, whose products e_i* (x) e_j are the basis
-    delta = Tensor.identity(f, n)
-    generators = (evaluate("iab", [(delta, "ia"), (H.unit, "b")]).reshape((n, n * n)),
-                  evaluate("jab", [(H.counit, "a"), (delta, "jb")]).reshape((n, n * n)))
     label = "ah" if squared_antipode else "double"
     A = FinAlgebra(f, mult, unit, basis_names=names, name=f"{label}({H.name})", check=False,
-                   generators=generators)
+                   generators=_generators(H))
     return by_construction(A, A.verify())
+
+
+def _generators(H: FinHopfAlgebra) -> Tensor:
+    """The rows e_i* (x) 1 for greedy generators e_i* of the dual, then
+    counit (x) e_j for greedy generators e_j of H: candidate generators of
+    both products on dual (x) self, chosen once per H; each product proves
+    them for itself."""
+    if "generators" not in H._cache:
+        n = H.dim
+        dual = greedy_generators(H.comult.transpose((1, 2, 0)), H.counit)
+        own = greedy_generators(H.mult, H.unit)
+        rows = {(r, i * n + b): c for r, i in enumerate(dual) for (b,), c in H.unit.entries.items()}
+        rows.update({(len(dual) + r, a * n + j): c
+                     for r, j in enumerate(own) for (a,), c in H.counit.entries.items()})
+        H._cache["generators"] = Tensor(H.field, (len(dual) + len(own), n * n), rows,
+                                        _normalized=True)
+    return H._cache["generators"]
 
 
 def build_ah(H: FinHopfAlgebra) -> FinAlgebra:
@@ -165,6 +180,13 @@ def ah_module_to_ayd(H: FinHopfAlgebra, V: AlgebraModule) -> TwoSidedStructure:
     if not report.passed:
         raise CheckFailedError(report)
     return M
+
+
+def ah_module_roundtrip(H: FinHopfAlgebra, V: AlgebraModule) -> AlgebraModule:
+    """V through ah_module_to_ayd and back to a verified module over
+    build_ah(H); the structure in between is scanned by check_ayd once."""
+    M = ah_module_to_ayd(H, V)  # has asserted check_ayd(M)
+    return AlgebraModule(build_ah(H), _conversion_action(H, M))
 
 
 def ah_double_coaction(H: FinHopfAlgebra) -> CoactionStructure:

@@ -113,17 +113,17 @@ def on_generators(ident: Identity, generators: Tensor) -> Identity:
     old first letter is summed.  The scan then has one slice per generator.
 
     Lemma.  Let A be an algebra with unit 1 and G a set of its elements such
-    that every basis element is a product g h of two elements of G (for A_H
-    and the double, G = {e_i* (x) 1} u {counit (x) e_j}, and the spanning
-    identity e_i* (x) e_j = (e_i* (x) 1)(counit (x) e_j) is what
-    ``FinAlgebra.verify`` proves).  Let S be the set of x in A for which the
-    identity holds with x in the first slot and basis elements in the
-    others.  Each side is linear in x, so S is a subspace.  The reduced scan
-    proves G in S.  If 1 is in S and S is closed under left multiplication
-    by G, then h = h 1 and g h are in S for g, h in G, so S holds every basis
-    element and S = A: the reduced scan is an exhaustive proof.  The two
-    conditions, case by case, with g in G, x in S and the other arguments
-    arbitrary:
+    that the smallest subspace of A that holds 1 and is closed under left
+    multiplication by G is A itself.  ``FinAlgebra.verify`` proves that by
+    elimination (``algebra.left_closure_rank``); for A_H and the double, G
+    is the e_i* (x) 1 and counit (x) e_j for generators e_i* of the dual and
+    e_j of H.  Let S be the set of x in A for which the identity holds with
+    x in the first slot and basis elements in the others.  Each side is
+    linear in x, so S is a subspace.  The reduced scan proves G in S.  If 1
+    is in S and S is closed under left multiplication by G, then S contains
+    that smallest subspace, so S = A: the reduced scan is an exhaustive
+    proof.  The two conditions, case by case, with g in G, x in S and the
+    other arguments arbitrary:
 
     * associativity, (x y) z = x (y z), given the unit axioms: 1 is in S as
       (1 y) z = y z = 1 (y z); and ((g x) y) z = (g (x y)) z = g ((x y) z)

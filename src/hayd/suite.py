@@ -24,8 +24,7 @@ from .ayd import (
 )
 from .double import (
     ah_double_coaction,
-    ah_module_to_ayd,
-    ayd_to_ah_module,
+    ah_module_roundtrip,
     build_ah,
     build_double,
     build_double_hopf,
@@ -296,8 +295,7 @@ def _check_ah_comodule_algebra(H):
 def _check_ah_roundtrip(H):
     A = build_ah(H)
     reg = AlgebraModule(A, A.mult, check=False)  # A is verified, so this is a module
-    M = ah_module_to_ayd(H, reg)
-    back = ayd_to_ah_module(H, M)
+    back = ah_module_roundtrip(H, reg)
     if back.action != reg.action:
         return Report.fail("ah-roundtrip", (0,), back.action, reg.action)
     triv = one_dim_module(H, H.counit, H.unit, "lr")

@@ -14,7 +14,8 @@ flattened pair indices of product spaces are written.
 
 Matrices are rank-2 Tensors.  ``rref`` is one sparse Gauss-Jordan elimination
 over rows {col: scalar}; rank, inverse, left kernel and coordinates inside a
-span all run on it.
+span all run on it, and ``closure_rank`` (the span of a vector under a set
+of maps) runs on its elimination step.
 """
 
 from __future__ import annotations
@@ -273,23 +274,65 @@ def rref(m: Tensor):
     lead with 1 and cleared from the earlier pivot rows.  The RREF of a row
     space is unique, so the result does not depend on the order of the rows.
     """
-    f = m.field
-    p = f.p
     pivot_rows = {}
     for row in _rows(m):
-        for col in [j for j in row if j in pivot_rows]:
-            _subtract(row, row[col], pivot_rows[col], p)
-        if not row:
-            continue
-        lead = min(row)
-        inv = f.inv(row[lead])
-        row = {j: (inv * c) % p if p else inv * c for j, c in row.items()}
-        for other in pivot_rows.values():
-            if lead in other:
-                _subtract(other, other[lead], row, p)
-        pivot_rows[lead] = row
+        _insert(pivot_rows, row, m.field)
     pivots = sorted(pivot_rows)
     return [pivot_rows[c] for c in pivots], pivots
+
+
+def _insert(pivot_rows, row, f) -> bool:
+    """One Gauss-Jordan step: reduce ``row`` (consumed) by ``pivot_rows``
+    {pivot column: row}; a nonzero remainder is scaled to lead with 1,
+    cleared from the other pivot rows and stored.  Returns whether it was."""
+    p = f.p
+    for col in [j for j in row if j in pivot_rows]:
+        _subtract(row, row[col], pivot_rows[col], p)
+    if not row:
+        return False
+    lead = min(row)
+    inv = f.inv(row[lead])
+    row = {j: (inv * c) % p if p else inv * c for j, c in row.items()}
+    for other in pivot_rows.values():
+        if lead in other:
+            _subtract(other, other[lead], row, p)
+    pivot_rows[lead] = row
+    return True
+
+
+def closure_rank(start: Tensor, maps: Tensor) -> int:
+    """Rank of the smallest subspace that holds the vector ``start`` and is
+    closed under v -> v @ maps[g] for every g: the span of all the words
+    start @ maps[g_1] @ ... @ maps[g_k].
+
+    Each vector that enlarges the span found so far is kept unreduced (words
+    in sparse structure constants stay sparse) and later mapped by every
+    maps[g]; the span is closed once every kept vector has been mapped.
+    """
+    if start.rank != 1 or maps.rank != 3 or maps.shape[1:] != start.shape * 2:
+        raise ShapeError(f"maps of shape {maps.shape} on vectors of shape {start.shape}")
+    f = start.field
+    p = f.p
+    rows = [{} for _ in range(maps.shape[0])]
+    for (g, i, j), c in maps.entries.items():
+        rows[g].setdefault(i, {})[j] = c
+    pivot_rows = {}
+    vec = {i: c for (i,), c in start.entries.items()}
+    todo = [vec] if _insert(pivot_rows, dict(vec), f) else []
+    while todo:
+        vec = todo.pop()
+        for mapped in rows:
+            out = {}
+            for i, c in vec.items():
+                for j, d in mapped.get(i, {}).items():
+                    out[j] = out.get(j, 0) + c * d
+            if p:
+                out = {j: r for j, c in out.items() if (r := c % p)}
+            else:
+                out = {j: c for j, c in out.items() if c}
+            if _insert(pivot_rows, dict(out), f):
+                todo.append(out)
+    return len(pivot_rows)
 
 
 def _augment(m: Tensor) -> Tensor:

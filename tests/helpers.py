@@ -596,3 +596,49 @@ def dense_project(rel, vec):
         if not f.is_zero(c):
             vec = [_sub(f, a, f.mul(c, b)) for a, b in zip(vec, row)]
     return [c for t, c in enumerate(vec) if t not in pivots]
+
+
+def dense_closure_rank(mult: Tensor, unit: Tensor, generators: Tensor) -> int:
+    """Rank of the span of the left-nested words g_1 (g_2 (... (g_k 1))),
+    k <= dim, over the rows g of ``generators``, on dense lists.
+
+    Level k holds the words of length k that enlarged the span of the
+    shorter ones.  Those of length k + 1 are g w for w at level k: g times a
+    word that did not enlarge the span is a combination of shorter words
+    times g, which is spanned by level k already.
+    """
+    f = mult.field
+    n = mult.shape[0]
+    mu = dense(mult)
+    left = []  # left[g][b][c]: the coefficient of e_c in g e_b
+    for g in dense(generators):
+        rows = [[f.zero] * n for _ in range(n)]
+        for a in range(n):
+            if not f.is_zero(g[a]):
+                for b in range(n):
+                    rows[b] = [f.add(x, f.mul(g[a], y)) for x, y in zip(rows[b], mu[a][b])]
+        left.append(rows)
+    echelon = []  # (pivot column, row with 1 there), in the order found
+
+    def enlarges(vec):
+        for pc, row in echelon:
+            if not f.is_zero(vec[pc]):
+                vec = [_sub(f, x, f.mul(vec[pc], y)) for x, y in zip(vec, row)]
+        pc = next((c for c in range(n) if not f.is_zero(vec[c])), None)
+        if pc is None:
+            return False
+        inv = f.inv(vec[pc])
+        echelon.append((pc, [f.mul(inv, x) for x in vec]))
+        return True
+
+    def times(rows, vec):
+        out = [f.zero] * n
+        for b in range(n):
+            if not f.is_zero(vec[b]):
+                out = [f.add(x, f.mul(vec[b], y)) for x, y in zip(out, rows[b])]
+        return out
+
+    level = [w for w in [dense(unit)] if enlarges(w)]
+    for _ in range(n):
+        level = [w for v in level for rows in left if enlarges(w := times(rows, v))]
+    return len(echelon)

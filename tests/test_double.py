@@ -4,8 +4,10 @@ import pytest
 
 from hayd.algebra import AlgebraModule
 from hayd.ayd import check_ayd, check_yd, one_dim_module
+from hayd import double
 from hayd.double import (
     ah_double_coaction,
+    ah_module_roundtrip,
     ah_module_to_ayd,
     ayd_to_ah_module,
     build_ah,
@@ -19,6 +21,7 @@ from hayd.galois import check_comodule_algebra
 from hayd.groups import cyclic, symmetric
 from hayd.hopf import FinHopfAlgebra, group_algebra, sweedler, taft, verify_hopf_axioms
 from hayd.reps import verify_coaction
+from hayd.suite import BUILTINS
 from hayd.tensor import Tensor
 
 from helpers import entry_rows, graded_structure
@@ -133,6 +136,36 @@ def test_round_trip_on_regular_module_of_product_space():
     assert check_ayd(M).passed
     back = ayd_to_ah_module(H, M)
     assert back.action == reg.action
+
+
+@pytest.mark.parametrize("name", ["group-s3", "fun-s3", "sweedler-2", "taft-3-f7"])
+def test_round_trip_scans_the_structure_once(monkeypatch, name):
+    H = BUILTINS[name]()
+    A = build_ah(H)
+    reg = AlgebraModule(A, A.mult)
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return check_ayd(M)
+
+    monkeypatch.setattr(double, "check_ayd", counted)
+    back = ah_module_roundtrip(H, reg)
+    assert len(calls) == 1 and back.algebra is A and back.action == reg.action
+    assert ayd_to_ah_module(H, calls[0]).action == back.action
+    assert len(calls) == 2  # every other caller keeps the check
+
+
+def test_round_trip_verifies_the_converted_action(monkeypatch, H4):
+    # a module whose structure passes but whose conversion breaks the module
+    # laws is refused, not returned
+    A = build_ah(H4)
+    reg = AlgebraModule(A, A.mult)
+    zero = Tensor.zeros(A.field, reg.action.shape)
+    monkeypatch.setattr(double, "_conversion_action", lambda H, M: zero)
+    with pytest.raises(CheckFailedError) as err:
+        ah_module_roundtrip(H4, reg)
+    assert err.value.report.axiom == "module-unit"
 
 
 def test_conversion_rejects_structures_failing_the_check(H4):

@@ -2,11 +2,12 @@
 
 A_H, the double, D, the A_H comodule algebra and the modules over A_H and
 the double scan their multiplicative identities with the first argument on
-the 2n generators e_i* (x) 1 and counit (x) e_j only (identity.on_generators),
-after the spanning identity and the unit laws, and rerun the full scan on
-any failure.  Each corrupted structure below is checked twice: with the
-proved generators, and as a plain structure with none, which runs the full
-scans.  The two reports must be equal.  The group that decided the full
+the rows e_i* (x) 1 and counit (x) e_j for greedy generators e_i* of the dual
+and e_j of H only (identity.on_generators), after the proof that those rows
+generate (their left closure of the unit has full rank) and the unit laws,
+and rerun the full scan on any failure.  Each corrupted structure below is
+checked twice: with the proved generators, and as a plain structure with
+none, which runs the full scans.  The two reports must be equal.  The group that decided the full
 scan is also compared with ``helpers.dense_first_failure`` where the dense
 oracle's loop over all letter values stays small, which takes in every
 identity at dimension 4; the full scan itself is pinned to that oracle in
@@ -21,7 +22,7 @@ from math import prod
 import pytest
 
 from hayd import identity
-from hayd.algebra import AlgebraModule, FinAlgebra
+from hayd.algebra import AlgebraModule, FinAlgebra, left_closure_rank
 from hayd.double import ah_double_coaction, build_ah, build_double, build_double_hopf
 from hayd.galois import check_comodule_algebra
 from hayd.hopf import FinHopfAlgebra, verify_hopf_given_algebra
@@ -30,7 +31,7 @@ from hayd.reps import CoactionStructure
 from hayd.suite import BUILTINS
 from hayd.tensor import Tensor
 
-from helpers import dense, dense_first_failure
+from helpers import dense, dense_closure_rank, dense_first_failure
 
 DENSE_LIMIT = 70_000  # letter assignments the dense oracle may loop over
 MULTIPLICATIVE = {"associativity", "module-associativity", "bialgebra-mult",
@@ -47,11 +48,22 @@ def _built(name):
     return _BUILT[name]
 
 
+def _dual_rows(H):
+    """The n rows e_i* (x) 1; they generate dual (x) 1 only."""
+    n = H.dim
+    return evaluate("rab", [(Tensor.identity(H.field, n), "ra"), (H.unit, "b")]
+                    ).reshape((n, n * n))
+
+
 def _candidates(H):
-    """The rows e_i* (x) 1 and counit (x) e_j, as the product spaces pass them."""
-    n, delta = H.dim, Tensor.identity(H.field, H.dim)
-    return (evaluate("iab", [(delta, "ia"), (H.unit, "b")]).reshape((n, n * n)),
-            evaluate("jab", [(H.counit, "a"), (delta, "jb")]).reshape((n, n * n)))
+    """All 2n rows e_i* (x) 1, then counit (x) e_j: generators of both
+    products on dual (x) H, since their products are the basis."""
+    n = H.dim
+    own = evaluate("rab", [(H.counit, "a"), (Tensor.identity(H.field, n), "rb")])
+    return Tensor(H.field, (2 * n, n * n), {
+        **_dual_rows(H).entries,
+        **{(n + r, z): c for (r, z), c in own.reshape((n, n * n)).entries.items()},
+    }, _normalized=True)
 
 
 def _plain(A):
@@ -152,6 +164,11 @@ def _agrees(monkeypatch, with_generators, full):
     return next((group[0] for group, result in fast_log if result is not None), None)
 
 
+def _labels(log):
+    """The scanned groups by label, and whether each passed."""
+    return [([ident.label for ident in group], result is None) for group, result in log]
+
+
 def _reduced(ident):
     # on_generators puts the generator rows first on each side, a rank-2
     # factor whose first letter is the first witness letter
@@ -161,7 +178,7 @@ def _reduced(ident):
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_every_reduced_scan_passes_alone(monkeypatch, name):
-    # the fallback is silent: a spanning identity or precondition that never
+    # the fallback is silent: a closure proof or precondition that never
     # held would only make every build slow, so check that none falls back
     H = BUILTINS[name]()
 
@@ -175,7 +192,7 @@ def test_every_reduced_scan_passes_alone(monkeypatch, name):
     A, log = _scanned(monkeypatch, build)
     Dalg, D = build_double(H), build_double_hopf(H)
     assert A.generators is not None and Dalg.generators is not None
-    assert D.generators is Dalg.generators
+    assert A.generators is Dalg.generators is D.generators  # chosen once per H
     assert all(result is None for _, result in log)
     seen = []
     for group, _ in log:
@@ -187,22 +204,47 @@ def test_every_reduced_scan_passes_alone(monkeypatch, name):
         "associativity", "associativity", "bialgebra-mult", "bialgebra-counit",
         "coaction-multiplicative", "module-associativity",
     ])
-    assert A.generators.shape == (2 * H.dim, H.dim**2)
+    # fewer rows, carrying fewer basis terms, than the 2n that generate
+    # because their products are the basis
+    rows = _candidates(H)
+    assert A.generators.shape[1] == rows.shape[1]
+    assert A.generators.shape[0] < rows.shape[0]
+    assert len(A.generators.entries) < len(rows.entries)
+    assert A.generators.shape[0] == ROWS[name]
+
+
+# rows of the chosen generators; taft-3-f7 takes x and g of H and seven dual
+# basis covectors, group-s3 and fun-s3 the two generators of kS_3 and five of
+# the six idempotents of k^S_3
+ROWS = {"group-c2": 2, "group-c3": 3, "group-s3": 7, "fun-c2": 2, "fun-s3": 7,
+        "sweedler-2": 5, "taft-3-f7": 9}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_closure_rank_against_dense_words(name):
+    # the engine's left closure against the span of the nested words, for
+    # the chosen generators (rank dim) and the dual rows alone (rank n)
+    H, A, Dalg, _, _ = _built(name)
+    for alg in (A, Dalg):
+        for rows, want in ((alg.generators, alg.dim), (_dual_rows(H), H.dim)):
+            rank = left_closure_rank(alg.mult, alg.unit, rows)
+            assert rank == dense_closure_rank(alg.mult, alg.unit, rows) == want
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_corrupted_products_and_modules(monkeypatch, name):
     H, A, Dalg, _, _ = _built(name)
-    f, gens = H.field, _candidates(H)
+    f = H.field
     first = []
-    for k, alg in enumerate((A, Dalg)):
-        for idx in _positions(alg.mult, k, 4):
-            mult = _bumped(alg.mult, idx)
-            first.append(_agrees(
-                monkeypatch,
-                lambda: FinAlgebra(f, mult, alg.unit, check=False, generators=gens).verify(),
-                lambda: FinAlgebra(f, mult, alg.unit, check=False).verify(),
-            ))
+    for gens in (A.generators, _candidates(H)):
+        for k, alg in enumerate((A, Dalg)):
+            for idx in _positions(alg.mult, k, 4):
+                mult = _bumped(alg.mult, idx)
+                first.append(_agrees(
+                    monkeypatch,
+                    lambda: FinAlgebra(f, mult, alg.unit, check=False, generators=gens).verify(),
+                    lambda: FinAlgebra(f, mult, alg.unit, check=False).verify(),
+                ))
     for idx in _positions(A.mult, 7, 4):  # the regular module of A_H
         action = _bumped(A.mult, idx)
         first.append(_agrees(
@@ -249,7 +291,7 @@ def test_failing_preconditions_fall_back(monkeypatch, name):
     # the unit, 1 m = m, coproduct(1) or coaction(1) broken: the fast path
     # stops at that precondition, and the full scan gives the verdict
     H, A, _, D, coaction = _built(name)
-    f, gens = H.field, _candidates(H)
+    f, gens = H.field, A.generators
     for idx in _positions(A.unit, 3, 2):
         unit = _bumped(A.unit, idx)
         first = _agrees(monkeypatch,
@@ -275,11 +317,16 @@ def test_failing_preconditions_fall_back(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["group-c2", "sweedler-2", "taft-3-f7"])
 def test_non_spanning_generators_take_the_full_scan(monkeypatch, name):
+    # the dual rows alone generate dual (x) 1 only: the closure proof fails,
+    # and verify runs exactly the full scans
     H, A, _, _, _ = _built(name)
-    left, _ = _candidates(H)
+    rows = _dual_rows(H)
     for mult in (A.mult, _bumped(A.mult, _positions(A.mult, 5, 1)[0])):
-        B = FinAlgebra(H.field, mult, A.unit, check=False, generators=(left, left))
+        assert left_closure_rank(mult, A.unit, rows) < A.dim
+        B = FinAlgebra(H.field, mult, A.unit, check=False, generators=rows)
         got, log = _scanned(monkeypatch, B.verify)
-        assert log[0][0][0].label == "generators-span" and log[0][1] is not None
         assert B.generators is None
-        _same(got, FinAlgebra(H.field, mult, A.unit, check=False).verify())
+        want, full = _scanned(monkeypatch, FinAlgebra(H.field, mult, A.unit, check=False).verify)
+        _same(got, want)
+        assert _labels(log) == _labels(full)
+        assert not any(_reduced(ident) for group, _ in log for ident in group)
