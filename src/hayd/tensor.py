@@ -292,6 +292,8 @@ def _insert(pivot_rows, row, f) -> bool:
         return False
     lead = min(row)
     inv = f.inv(row[lead])
+    if inv.denominator == 1:  # rows of ints stay ints over Q
+        inv = inv.numerator
     row = {j: (inv * c) % p if p else inv * c for j, c in row.items()}
     for other in pivot_rows.values():
         if lead in other:
@@ -313,11 +315,12 @@ def closure_rank(start: Tensor, maps: Tensor) -> int:
         raise ShapeError(f"maps of shape {maps.shape} on vectors of shape {start.shape}")
     f = start.field
     p = f.p
+    # integral Fractions as ints, so that the words multiply as ints
     rows = [{} for _ in range(maps.shape[0])]
     for (g, i, j), c in maps.entries.items():
-        rows[g].setdefault(i, {})[j] = c
+        rows[g].setdefault(i, {})[j] = c.numerator if c.denominator == 1 else c
     pivot_rows = {}
-    vec = {i: c for (i,), c in start.entries.items()}
+    vec = {i: c.numerator if c.denominator == 1 else c for (i,), c in start.entries.items()}
     todo = [vec] if _insert(pivot_rows, dict(vec), f) else []
     while todo:
         vec = todo.pop()
