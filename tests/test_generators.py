@@ -7,11 +7,11 @@ and e_j of H only (identity.on_generators), after the proof that those rows
 generate (their left closure of the unit has full rank) and the unit laws,
 and rerun the full scan on any failure.  Each corrupted structure below is
 checked twice: with the proved generators, and as a plain structure with
-none, which runs the full scans.  The two reports must be equal.  The group that decided the full
-scan is also compared with ``helpers.dense_first_failure`` where the dense
-oracle's loop over all letter values stays small, which takes in every
-identity at dimension 4; the full scan itself is pinned to that oracle in
-test_identity.py.
+none, which runs the full scans.  The two reports must be equal.  The group
+that decided the full scan is also compared with
+``helpers.dense_first_failure`` where the dense oracle's loop over all letter
+values stays small, which takes in every identity at dimension 4; the full
+scan itself is pinned to that oracle in test_identity.py.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ from helpers import dense, dense_closure_rank, dense_first_failure
 DENSE_LIMIT = 70_000  # letter assignments the dense oracle may loop over
 MULTIPLICATIVE = {"associativity", "module-associativity", "bialgebra-mult",
                   "bialgebra-counit", "coaction-multiplicative"}
+# rows of the chosen generators; taft-3-f7 takes x and g of H and seven dual
+# basis covectors, group-s3 and fun-s3 the two generators of kS_3 and five of
+# the six idempotents of k^S_3
+ROWS = {"group-c2": 2, "group-c3": 3, "group-s3": 7, "fun-c2": 2, "fun-s3": 7,
+        "sweedler-2": 5, "taft-3-f7": 9}
 _BUILT: dict = {}
 
 
@@ -211,13 +216,6 @@ def test_every_reduced_scan_passes_alone(monkeypatch, name):
     assert A.generators.shape[0] < rows.shape[0]
     assert len(A.generators.entries) < len(rows.entries)
     assert A.generators.shape[0] == ROWS[name]
-
-
-# rows of the chosen generators; taft-3-f7 takes x and g of H and seven dual
-# basis covectors, group-s3 and fun-s3 the two generators of kS_3 and five of
-# the six idempotents of k^S_3
-ROWS = {"group-c2": 2, "group-c3": 3, "group-s3": 7, "fun-c2": 2, "fun-s3": 7,
-        "sweedler-2": 5, "taft-3-f7": 9}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
