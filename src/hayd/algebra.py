@@ -18,22 +18,21 @@ from .report import Report
 from .tensor import Tensor, closure_rank
 
 
-def associativity_report(mult: Tensor, label="associativity", generators=None) -> Report:
+def associativity_report(mult: Tensor, generators=None) -> Report:
     """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple (i, j, k); with
     ``generators``, proved generators of an algebra with a proved unit, only
     for e_i running over them (``identity.on_generators``)."""
-    ident = Identity(
-        label, "ijk", "l", [(mult, "ijm"), (mult, "mkl")], [(mult, "iml"), (mult, "jkm")]
-    )
-    return check(label, ident if generators is None else on_generators(ident, generators))
+    ident = Identity("associativity", "ijk", "l",
+                     [(mult, "ijm"), (mult, "mkl")], [(mult, "iml"), (mult, "jkm")])
+    return check("associativity", ident if generators is None else on_generators(ident, generators))
 
 
-def unit_report(mult: Tensor, unit: Tensor, label="unit") -> Report:
+def unit_report(mult: Tensor, unit: Tensor) -> Report:
     """1 e_i == e_i == e_i 1 for every i; the left side is reported first."""
     delta = Tensor.identity(mult.field, mult.shape[0])
-    return check(label, [
-        Identity(label, "i", "k", [(unit, "j"), (mult, "jik")], [(delta, "ik")]),
-        Identity(label, "i", "k", [(unit, "j"), (mult, "ijk")], [(delta, "ik")]),
+    return check("unit", [
+        Identity("unit", "i", "k", [(unit, "j"), (mult, "jik")], [(delta, "ik")]),
+        Identity("unit", "i", "k", [(unit, "j"), (mult, "ijk")], [(delta, "ik")]),
     ])
 
 

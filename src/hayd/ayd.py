@@ -273,20 +273,15 @@ def one_dim_module(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor, case="rl") -
 
 
 def check_modular_pair(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor) -> bool:
-    """delta(sigma) = 1 and the delta-twisted antipode squares to conjugation
-    by sigma."""
+    """delta(sigma) = 1, and the delta-twisted antipode S_d(h) = delta(h1) S(h2)
+    squares to conjugation by sigma: S_d(S_d(h)) = sigma h S(sigma)."""
     _require_modular_candidates(H, delta, sigma)
-    f = H.field
-    if sigma.contract(delta, [(0, 0)]).get(()) != f.one:
-        return False
-    # twisted antipode S_d(h) = delta(h1) S(h2)
-    s_d = H.comult.contract(delta, [(1, 0)]).contract(H.antipode, [(1, 0)])
-    s_d2 = s_d.contract(s_d, [(1, 0)])
-    sigma_inv = sigma.contract(H.antipode, [(0, 0)])
-    left_mul = sigma.contract(H.mult, [(0, 0)])          # (i, w): sigma . e_i
-    right_mul = H.mult.contract(sigma_inv, [(1, 0)])     # (w, j): . sigma^-1
-    ad_sigma = left_mul.contract(right_mul, [(1, 0)])
-    return s_d2 == ad_sigma
+    label, cop, s, mult = "modular-pair", H.comult, H.antipode, H.mult
+    return check(label, Identity(label, "", "", [(sigma, "i"), (delta, "i")], []), Identity(
+        label, "i", "m",
+        [(cop, "ijl"), (delta, "j"), (s, "lk"), (cop, "kpq"), (delta, "p"), (s, "qm")],
+        [(sigma, "a"), (mult, "aiw"), (sigma, "c"), (s, "cb"), (mult, "wbm")],
+    )).passed
 
 
 # -- quotient-induced stability ----------------------------------------------------

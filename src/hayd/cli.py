@@ -118,7 +118,8 @@ def cmd_verify(args) -> int:
     elif kind == "algebra":
         report = schema.doc_to_algebra(doc, check=False).verify()
     elif not args.hopf:
-        raise InputError(f"verifying a {kind} document needs --hopf")
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise InputError(f"verifying {article} {kind} document needs --hopf")
     else:
         report = _structure_report(doc, _hopf_input(args.hopf))
     millis = int((time.monotonic() - start) * 1000)

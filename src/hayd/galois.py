@@ -98,7 +98,8 @@ def coinvariants(CA: ComoduleAlgebra):
     products = [CA.P.mul_vec(x, y) for x in basis for y in basis]
     _, outside = span_coordinates(_stack(f, basis, m), _stack(f, products, m))
     if outside is not None:
-        raise CheckFailedError(Report.fail("coinvariants-closed", (0,), products[outside], None))
+        raise CheckFailedError(Report.fail(
+            "coinvariants-closed", divmod(outside, len(basis)), products[outside], None))
     return basis
 
 
@@ -188,7 +189,6 @@ class GaloisData:
     rel: RelativeTensor
     can: Tensor           # (rel.dim, dim P * dim H): quotient coords -> P (x) H coords
     bijective: bool
-    _can_inv: Tensor = None
     _translation: list = None
 
     @property
@@ -203,9 +203,11 @@ def canonical_map(CA: ComoduleAlgebra) -> GaloisData:
     rel = relative_tensor(CA, b_basis)
     can = evaluate("ijbk", [(CA.coaction.tensor, "jck"), (CA.P.mult, "icb")])
     can = can.reshape((m * m, m * n))
-    # the map must kill every relation (truth of B = coinvariants makes it so)
-    if evaluate("rk", [(rel.relations, "rt"), (can, "tk")]).entries:
-        raise CheckFailedError(Report.fail("canonical-map-defined", (0,), None, None))
+    # the map must kill every relation row (truth of B = coinvariants makes it so)
+    report = check("canonical-map-defined", Identity(
+        "canonical-map-defined", "r", "k", [(rel.relations, "rt"), (can, "tk")], None))
+    if not report.passed:
+        raise CheckFailedError(report)
     can_q = evaluate("sk", [(rel.section, "st"), (can, "tk")])
     bijective = rel.dim == m * n and matrix_rank(can_q) == m * n
     return GaloisData(CA, b_basis, rel, can_q, bijective)
@@ -215,25 +217,21 @@ def translation_map(G: GaloisData):
     """Preimages of 1 (x) h_i under the canonical map, in quotient coordinates."""
     if not G.bijective:
         raise NotGaloisError("the canonical map is not bijective")
-    if G._translation is not None:
-        return G._translation
-    f = G.field
-    CA = G.ca
-    m, n = CA.dim, CA.H.dim
-    if G._can_inv is None:
-        G._can_inv = invert_matrix(G.can)
-    table = []
-    for i in range(n):
-        target = Tensor(f, (m * n,), {
-            (b * n + i,): c for (b,), c in CA.P.unit.entries.items()
+    if G._translation is None:
+        CA, f, n = G.ca, G.field, G.ca.H.dim
+        targets = Tensor(f, (n, CA.dim * n), {  # row i is 1 (x) h_i
+            (i, b * n + i): c for i in range(n) for (b,), c in CA.P.unit.entries.items()
         }, _normalized=True)
-        coords = evaluate("s", [(target, "t"), (G._can_inv, "ts")])
+        coords = evaluate("is", [(targets, "it"), (invert_matrix(G.can), "ts")])
         # exactness: coords . can == 1 (x) h_i
-        if evaluate("k", [(coords, "s"), (G.can, "sk")]) != target:
-            raise CheckFailedError(Report.fail("translation-exactness", (i,), None, None))
-        table.append(coords)
-    G._translation = table
-    return table
+        report = check("translation-exactness", Identity(
+            "translation-exactness", "i", "k", [(coords, "is"), (G.can, "sk")], [(targets, "ik")]))
+        if not report.passed:
+            raise CheckFailedError(report)
+        G._translation = [Tensor(f, (G.rel.dim,), {
+            (s,): c for (r, s), c in coords.entries.items() if r == i
+        }, _normalized=True) for i in range(n)]
+    return G._translation
 
 
 def _sandwich(mult: Tensor, reverse: bool):

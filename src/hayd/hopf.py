@@ -68,9 +68,6 @@ class FinHopfAlgebra(FinAlgebra):
 
     # -- element helpers -------------------------------------------------------
 
-    def counit_of(self, x: Tensor):
-        return x.contract(self.counit, [(0, 0)]).get(())
-
     def apply_antipode(self, x: Tensor) -> Tensor:
         return x.contract(self.antipode, [(0, 0)])
 
@@ -383,20 +380,20 @@ def sweedler(field: Field | None = None) -> FinHopfAlgebra:
 
 
 def check_element(H: FinHopfAlgebra, v: Tensor, kind: str) -> bool:
-    """Test a vector for group-likeness, or a covector for being a character."""
+    """Test a vector for group-likeness (eps(v) = 1, cop(v) = v (x) v), or a
+    covector for being a character (v(1) = 1, v(xy) = v(x) v(y)); the scalar
+    law is scanned first."""
     H.require_verified()
     if v.shape != (H.dim,):
         raise ShapeError(f"element shape {v.shape} does not match dim {H.dim}")
-    f = H.field
     if kind == "group_like":
-        cop = v.contract(H.comult, [(0, 0)])
-        return cop == v.contract(v, []) and H.counit_of(v) == f.one
-    if kind == "character":
-        pairing = v.contract(v, [])  # delta(e_i) delta(e_j) as a matrix
-        on_products = H.mult.contract(v, [(2, 0)])
-        unit_value = H.unit.contract(v, [(0, 0)]).get(())
-        return on_products == pairing and unit_value == f.one
-    raise InputError(f"unknown element kind {kind!r}")
+        scalar, law = [(v, "i"), (H.counit, "i")], [(v, "i"), (H.comult, "iab")]
+    elif kind == "character":
+        scalar, law = [(H.unit, "i"), (v, "i")], [(H.mult, "abi"), (v, "i")]
+    else:
+        raise InputError(f"unknown element kind {kind!r}")
+    return check(kind, Identity(kind, "", "", scalar, []),
+                 Identity(kind, "a", "b", law, [(v, "a"), (v, "b")])).passed
 
 
 def find_group_likes(H: FinHopfAlgebra):
@@ -415,12 +412,7 @@ def find_group_likes(H: FinHopfAlgebra):
         )
     found = []
     for coords in iter_product(range(f.p), repeat=H.dim):
-        entries = {(i,): c for i, c in enumerate(coords) if c}
-        if not entries:
-            continue
-        v = Tensor(f, (H.dim,), entries, _normalized=True)
-        if H.counit_of(v) != f.one:
-            continue
+        v = Tensor(f, (H.dim,), {(i,): c for i, c in enumerate(coords) if c}, _normalized=True)
         if check_element(H, v, "group_like"):
             found.append(v)
     return found

@@ -11,9 +11,15 @@ from .tensor import Tensor
 class Report:
     """Outcome of one exhaustive check.
 
-    ``witness`` is the lexicographically first violating basis multi-index, and
-    ``lhs``/``rhs`` hold both sides of the identity evaluated there.  For the
-    antipode-invertibility check the witness carries the rank found instead.
+    ``witness`` is, as a rule, the lexicographically first violating basis
+    multi-index, and ``lhs``/``rhs`` hold both sides of the identity there.
+    A few failures are not identities and report what they measured instead:
+    a rank (``antipode-invertible``, and ``galois-baseline`` on a canonical
+    map that is not bijective), the positions of the (delta, sigma)
+    candidates (``modular-pair-equivalence``), or a module dimension
+    (``ah-roundtrip``).  An identity without witness letters, such as
+    ``bialgebra-unit``, fails at the placeholder ``identity._report`` gives
+    it, the one-entry tuple holding 0.
     """
 
     passed: bool

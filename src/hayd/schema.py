@@ -66,8 +66,13 @@ def _validate_field(doc, chk: _Check) -> Field | None:
     if not isinstance(spec, dict):
         chk.fail("/field", "missing or not an object")
         return None
+    for key in sorted(set(spec) - {"kind", "characteristic"}):
+        chk.fail("/field/" + key.replace("~", "~0").replace("/", "~1"), "unknown key")
     kind = spec.get("kind")
     if kind == "rationals":
+        if "characteristic" in spec:
+            chk.fail("/field/characteristic", "rationals take no characteristic")
+            return None
         return rationals()
     if kind == "prime-field":
         p = spec.get("characteristic")

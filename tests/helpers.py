@@ -202,6 +202,72 @@ def one_dim(H, delta, sigma, case):
     return one_dim_module(H, delta, sigma, case)
 
 
+# -- group-likes and characters -------------------------------------------------------
+
+
+def _sign(field: Field, n: int) -> Tensor:
+    """The sign of each element of C_2 (n = 2) or of S_3 (n = 6, permutations
+    in lexicographic order) as a vector."""
+    odd = [0, 1] if n == 2 else [0, 1, 1, 0, 0, 1]
+    return Tensor(field, (n,), {(i,): field.coerce(-1 if o else 1) for i, o in enumerate(odd)})
+
+
+def screening_misses(name, H):
+    """(characters, group-likes) of the builtin ``name`` that are neither the
+    counit or unit nor a (dual) basis vector: the sign characters of kC_2 and
+    kS_3, Sweedler's g -> -1, taft-3-f7's g -> 2 and g -> 4, and the sign
+    group-likes of k^C_2 and k^S_3."""
+    f = H.field
+    if name in ("group-c2", "group-s3"):
+        return [_sign(f, H.dim)], []
+    if name in ("fun-c2", "fun-s3"):
+        return [], [_sign(f, H.dim)]
+    if name == "sweedler-2":  # basis 1, x, g, gx
+        return [Tensor(f, (4,), {(0,): 1, (2,): -1})], []
+    if name == "taft-3-f7":  # g^a x^b at index 3a + b
+        return [Tensor(f, (9,), {(3 * a,): lam**a for a in range(3)}) for lam in (2, 4)], []
+    return [], []
+
+
+def dense_is_element(H, v: Tensor, kind: str) -> bool:
+    """eps(v) = 1 and cop(v) = v (x) v (kind 'group_like'), or v(1) = 1 and
+    v(e_a e_b) = v(e_a) v(e_b) (kind 'character'), by dense loops."""
+    f, r = H.field, range(H.dim)
+    d, x = hopf_dense(H), dense(v)
+    if kind == "group_like":
+        scalar = sum_(f, (f.mul(x[i], d["counit"][i]) for i in r))
+
+        def law(a, b):
+            return sum_(f, (f.mul(x[i], d["comult"][i][a][b]) for i in r))
+    else:
+        scalar = sum_(f, (f.mul(d["unit"][i], x[i]) for i in r))
+
+        def law(a, b):
+            return sum_(f, (f.mul(d["mult"][a][b][k], x[k]) for k in r))
+    return scalar == f.one and all(law(a, b) == f.mul(x[a], x[b]) for a in r for b in r)
+
+
+def dense_is_modular_pair(H, delta: Tensor, sigma: Tensor) -> bool:
+    """delta(sigma) = 1 and S_d o S_d = Ad_sigma, with S_d(h) = delta(h1) S(h2)
+    and Ad_sigma(h) = sigma h S(sigma), as dense matrix products."""
+    f, r = H.field, range(H.dim)
+    d = hopf_dense(H)
+    mu, cm, s = d["mult"], d["comult"], d["antipode"]
+    dl, sg = dense(delta), dense(sigma)
+    if sum_(f, (f.mul(sg[i], dl[i]) for i in r)) != f.one:
+        return False
+
+    def matmul(x, y):
+        return [[sum_(f, (f.mul(x[i][k], y[k][m]) for k in r)) for m in r] for i in r]
+
+    s_d = [[sum_(f, (f.mul(f.mul(cm[i][j][l], dl[j]), s[l][k]) for j in r for l in r))
+            for k in r] for i in r]
+    inv = [sum_(f, (f.mul(sg[c], s[c][b]) for c in r)) for b in r]
+    left = [[sum_(f, (f.mul(sg[a], mu[a][i][w]) for a in r)) for w in r] for i in r]
+    right = [[sum_(f, (f.mul(mu[w][b][m], inv[b]) for b in r)) for m in r] for w in r]
+    return matmul(s_d, s_d) == matmul(left, right)
+
+
 # -- first-violation oracles ---------------------------------------------------------
 #
 # These return what an exhaustive check must report: the axiom, the

@@ -95,6 +95,35 @@ def test_schema_rejects_non_prime_characteristic():
     _expect_violation(doc, "/field/characteristic")
 
 
+@pytest.mark.parametrize("field, pointer", [
+    ({"kind": "rationals", "characteristic": 5}, "/field/characteristic"),
+    ({"kind": "rationals", "characteristic": None}, "/field/characteristic"),
+    ({"kind": "rationals", "degree": 1}, "/field/degree"),
+    ({"kind": "prime-field", "characteristic": 3, "modulus": 3}, "/field/modulus"),
+    ({"kind": "rationals", "a/b~c": 1}, "/field/a~1b~0c"),
+])
+def test_schema_rejects_contradictory_and_unknown_field_keys(tmp_path, capsys, field, pointer):
+    doc = schema.hopf_to_doc(group_algebra(cyclic(2), prime_field(3)))
+    doc["field"] = field
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert [ptr for ptr, _ in err.value.violations] == [pointer]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json"]) == 2
+    assert f"schema error at {pointer}" in capsys.readouterr().err
+
+
+def test_cli_verify_names_the_document_kind_that_needs_a_hopf(tmp_path, capsys):
+    from hayd.reps import regular_action
+
+    H = sweedler()
+    path = tmp_path / "act.json"
+    path.write_text(schema.dumps(schema.action_to_doc(regular_action(H, "left"), H.dim)))
+    assert main(["verify", str(path)]) == 2
+    assert "verifying an action document needs --hopf" in capsys.readouterr().err
+
+
 def test_schema_rejects_zero_entries_and_duplicates():
     doc = _valid_hopf_doc()
     doc["mult"][0]["c"] = "0"
