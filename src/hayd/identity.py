@@ -37,6 +37,21 @@ identity's two sides evaluated apart on that slice, for the lhs and rhs
 slices the report shows.  No whole side is ever built, and the scan stops at
 the first failing slice.
 
+Inside a ``ledger()`` scope each identity is proved at most once.  Its key is
+the identity as a value: the number of witness letters, then each side's
+factors in written order, each the tensor itself (Tensors hash by value) with
+its letter pattern, the result letters numbered by their place in
+``witness + out`` and the summed letters by first appearance on their side;
+``None`` stands for the zero side and the label plays no part.  ``check``
+drops the identities of a group whose keys the scope holds, scans the rest,
+and records every key of a group that passes.  A hit is a set lookup, which
+confirms equal hashes with ``==`` on the keys and so on every tensor: it
+means exactly the same statement was proved.  Failures are never recorded,
+so every failure is scanned and reported as without a ledger; a group with
+some identities proved reports the same least witness, since those never
+fail.  A scope is opened per target by ``suite.run_suite`` and closed on
+exit, exceptions included; outside one, ``check`` builds no key.
+
 ``evaluate(out, factors)`` runs the same join on one factor list with no
 witness slice, decodes the keys to tuples once at the end, and returns the
 whole result as a Tensor with axes in the order of ``out``.  Every builder is
@@ -49,6 +64,8 @@ contraction loop.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import ShapeError
@@ -94,13 +111,49 @@ def check(ok_label: str, *groups) -> Report:
     A group is one Identity or a sequence of identities sharing the range of
     their first witness letter.  The identities of a group are scanned slice
     by slice together, so the least failing witness across the group is
-    reported, and at equal witnesses the identity listed first.
+    reported, and at equal witnesses the identity listed first.  Inside a
+    ``ledger()`` scope, identities already proved there are not scanned
+    again, and each group that passes is recorded.
     """
+    proved = _LEDGER.get()
     for group in groups:
-        report = _first_failure((group,) if isinstance(group, Identity) else tuple(group))
+        group = (group,) if isinstance(group, Identity) else tuple(group)
+        if proved is None:
+            report = _first_failure(group)
+        else:
+            todo = [(key, ident) for ident in group if (key := _key(ident)) not in proved]
+            report = _first_failure(tuple(ident for _, ident in todo)) if todo else None
+            if report is None:
+                proved.update(key for key, _ in todo)
         if report is not None:
             return report
     return Report.ok(ok_label)
+
+
+_LEDGER: ContextVar[set | None] = ContextVar("ledger", default=None)
+
+
+@contextmanager
+def ledger():
+    """A scope in which ``check`` proves each identity once: a fresh set of
+    proved keys, replaced by the enclosing scope's (or none) on exit."""
+    token = _LEDGER.set(set())
+    try:
+        yield
+    finally:
+        _LEDGER.reset(token)
+
+
+def _key(ident: Identity) -> tuple:
+    """The identity as a value, the ledger's key (see the module docstring)."""
+    result = {x: n for n, x in enumerate(ident.witness + ident.out)}
+
+    def side(factors):
+        names = dict(result)
+        return tuple((t, tuple([names.setdefault(x, len(names)) for x in letters]))
+                     for t, letters in factors)
+
+    return (len(ident.witness), side(ident.lhs), None if ident.rhs is None else side(ident.rhs))
 
 
 def on_generators(ident: Identity, generators: Tensor) -> Identity:

@@ -4,8 +4,9 @@ One JSON object per document.  Tensors are sparse entry lists such as
 {"i": 0, "j": 1, "k": 2, "c": "1/2"}; index keys i, j, k, l follow the tensor
 rank in axis order.  Rational scalars travel as strings ("3/2", "-1"),
 prime-field scalars as plain integers in [0, p).  Validation reports every
-problem with a JSON-pointer location; dimensions are capped by HAYD_MAX_DIM
-(default 64) to keep exhaustive checks at desk scale.
+problem, a key the kind does not use included, with a JSON-pointer location;
+dimensions are capped by HAYD_MAX_DIM (default 64) to keep exhaustive checks
+at desk scale.
 
 This module alone knows the tensor shapes of each document kind; the axis
 layout of a coaction comes from ``hayd.reps``.
@@ -31,7 +32,16 @@ from .tensor import Tensor
 
 DEFAULT_MAX_DIM = 64
 
-KINDS = ("hopf", "two_sided", "comodule_algebra", "action", "coaction", "algebra")
+# each kind with the top-level keys it may hold besides kind, field and name
+_KEYS = {
+    "hopf": {"dim", "basis", "mult", "unit", "comult", "counit", "antipode"},
+    "two_sided": {"hopf_dim", "dim", "action", "coaction"},
+    "comodule_algebra": {"hopf_dim", "dim", "basis", "mult", "unit", "coaction"},
+    "action": {"side", "hopf_dim", "dim", "tensor"},
+    "coaction": {"side", "hopf_dim", "dim", "tensor"},
+    "algebra": {"dim", "basis", "mult", "unit"},
+}
+KINDS = tuple(_KEYS)
 
 _INDEX_KEYS = ("i", "j", "k", "l")
 
@@ -61,13 +71,19 @@ class _Check:
             raise SchemaError(self.violations)
 
 
+def _reject_unknown(node, allowed, pointer, chk: _Check):
+    """Each key of ``node`` outside ``allowed`` is a violation at its RFC 6901
+    pointer."""
+    for key in sorted(set(node) - allowed):
+        chk.fail(f"{pointer}/" + key.replace("~", "~0").replace("/", "~1"), "unknown key")
+
+
 def _validate_field(doc, chk: _Check) -> Field | None:
     spec = doc.get("field")
     if not isinstance(spec, dict):
         chk.fail("/field", "missing or not an object")
         return None
-    for key in sorted(set(spec) - {"kind", "characteristic"}):
-        chk.fail("/field/" + key.replace("~", "~0").replace("/", "~1"), "unknown key")
+    _reject_unknown(spec, {"kind", "characteristic"}, "/field", chk)
     kind = spec.get("kind")
     if kind == "rationals":
         if "characteristic" in spec:
@@ -193,6 +209,7 @@ def parse_document(text: str) -> dict:
     if kind not in KINDS:
         chk.fail("/kind", f"expected one of {list(KINDS)}, got {kind!r}")
         chk.raise_if_failed()
+    _reject_unknown(doc, {"kind", "field", "name", *_KEYS[kind]}, "", chk)
     field = _validate_field(doc, chk)
     if field is None:
         chk.raise_if_failed()
@@ -226,6 +243,7 @@ def parse_document(text: str) -> dict:
             if not isinstance(node, dict):
                 chk.fail(f"/{part}", "missing or not an object")
                 continue
+            _reject_unknown(node, {"side", "tensor"}, f"/{part}", chk)
             side = _validate_side(node, f"/{part}", chk)
             if None in (n, m, side):
                 continue

@@ -52,7 +52,7 @@ from .hopf import (
     variant,
     verify_hopf_axioms,
 )
-from .identity import Identity, check, evaluate
+from .identity import Identity, check, evaluate, ledger
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, trivial_action
 from .schema import load_hopf
@@ -349,6 +349,8 @@ class SuiteResult:
 
 def run_suite(targets, checks=None) -> SuiteResult:
     """Run the named checks on each target; targets parse and verify up front.
+    The checks of one target share an ``identity.ledger()`` scope, so an
+    identity several of them state is scanned once.
 
     ``targets`` is either a list of builtin names / hopf-document paths or a
     mapping from display names to FinHopfAlgebra instances.  Any InputError
@@ -365,20 +367,21 @@ def run_suite(targets, checks=None) -> SuiteResult:
     result = SuiteResult()
     for label in sorted(targets):
         H = targets[label]
-        for name in chosen:
-            start = time.monotonic()
-            try:
-                report = SUITE_CHECKS[name](H)
-            except CheckFailedError as exc:
-                report = exc.report
-            millis = int((time.monotonic() - start) * 1000)
-            result.items.append(
-                SuiteItem(
-                    label, name, report.passed, report.witness, millis,
-                    None if report.passed else report.lhs,
-                    None if report.passed else report.rhs,
+        with ledger():
+            for name in chosen:
+                start = time.monotonic()
+                try:
+                    report = SUITE_CHECKS[name](H)
+                except CheckFailedError as exc:
+                    report = exc.report
+                millis = int((time.monotonic() - start) * 1000)
+                result.items.append(
+                    SuiteItem(
+                        label, name, report.passed, report.witness, millis,
+                        None if report.passed else report.lhs,
+                        None if report.passed else report.rhs,
+                    )
                 )
-            )
         # the Galois data refers back to H: dropping it breaks that cycle, so
         # H and its cached builds are freed as soon as the caller lets go
         H._cache.pop("galois", None)

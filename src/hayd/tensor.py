@@ -3,7 +3,9 @@
 A Tensor stores only nonzero entries in a dict keyed by multi-index, so the
 very sparse structure constants of group and Taft algebras stay cheap.  Two
 tensors are equal exactly when their entry maps are equal; every operation
-returns normalized entries (no stored zeros, residues reduced).
+returns normalized entries (no stored zeros, residues reduced).  A Tensor is
+never written after construction, so it hashes by value, consistently with
+``==``; ``hayd.identity``'s ledger keys proved identities by their tensors.
 
 ``contract`` sums over paired axes; the unpaired axes of the left operand come
 first in the output, then those of the right operand.  The empty pairing is
@@ -29,7 +31,7 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class Tensor:
-    __slots__ = ("field", "shape", "entries")
+    __slots__ = ("field", "shape", "entries", "_hash")
 
     def __init__(self, field: Field, shape, entries=None, *, _normalized=False):
         self.field = field
@@ -134,7 +136,12 @@ class Tensor:
             and self.entries == other.entries
         )
 
-    __hash__ = None
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field.p, self.shape, frozenset(self.entries.items())))
+            return self._hash
 
     def __repr__(self):
         items = sorted(self.entries.items())

@@ -106,14 +106,12 @@ def test_ayd_equals_yd_whenever_antipode_is_involutive(kS3):
         assert check_ayd(M).passed == check_yd(M).passed
 
 
-def test_compatibility_witness_matches_dense_oracle_on_corrupted_gradings(kS3):
-    # single-entry corruptions of the action and the coaction of the
-    # conjugation-graded kS3 module, in every case, for both families: each
-    # nonzero constant is copied one step along the last axis (doubling one
-    # would scale both sides alike)
+def _corrupted_gradings(kS3):
+    """Single-entry corruptions of the action and the coaction of the
+    conjugation-graded kS3 module, in every case, with the module they
+    corrupt: each nonzero constant is copied one step along the last axis
+    (doubling one would scale both sides alike)."""
     G = symmetric(3)
-    sinv = dense(antipode_inverse(kS3))
-    witnesses = set()
     for case in ("ll", "lr", "rl", "rr"):
         M = graded_structure(kS3, G, list(range(6)), case)
         for part in ("action", "coaction"):
@@ -127,15 +125,23 @@ def test_compatibility_witness_matches_dense_oracle_on_corrupted_gradings(kS3):
                 )
                 parts = {"action": M.action, "coaction": M.coaction, part: bad}
                 C = TwoSidedStructure(kS3, parts["action"], parts["coaction"])
-                for check, anti in ((check_ayd, True), (check_yd, False)):
-                    r = check(C)
-                    want = first_compat_violation(C, anti, sinv)
-                    if want is None:
-                        assert r.passed, (case, part, idx)
-                        continue
-                    witnesses.add(r.witness)
-                    got = (r.axiom, r.witness, dense(r.lhs), dense(r.rhs))
-                    assert got == want, (case, part, idx)
+                yield (case, part, idx), M, C
+
+
+def test_compatibility_witness_matches_dense_oracle_on_corrupted_gradings(kS3):
+    # both families on every corruption
+    sinv = dense(antipode_inverse(kS3))
+    witnesses = set()
+    for key, _, C in _corrupted_gradings(kS3):
+        for check, anti in ((check_ayd, True), (check_yd, False)):
+            r = check(C)
+            want = first_compat_violation(C, anti, sinv)
+            if want is None:
+                assert r.passed, key
+                continue
+            witnesses.add(r.witness)
+            got = (r.axiom, r.witness, dense(r.lhs), dense(r.rhs))
+            assert got == want, key
     assert len(witnesses) > 10
 
 
@@ -305,15 +311,19 @@ def test_entwining_variants_differ_on_sweedler(H4):
     assert entwining_map(H4, "ayd").psi != entwining_map(H4, "yd").psi
 
 
-def test_corrupted_entwining_map_fails_axioms_with_witness(H4):
+def _corrupted_entwining(H):
+    """The AYD entwining map of H with its first constant set to 5."""
     from hayd.ayd import EntwiningData
 
-    psi = entwining_map(H4, "ayd").psi
+    psi = entwining_map(H, "ayd").psi
     first = sorted(psi.entries)[0]
     broken = dict(psi.entries)
-    broken[first] = H4.field.coerce(5)
-    E = EntwiningData(H4, type(psi)(H4.field, psi.shape, broken))
-    r = check_entwining(E)
+    broken[first] = H.field.coerce(5)
+    return EntwiningData(H, type(psi)(H.field, psi.shape, broken))
+
+
+def test_corrupted_entwining_map_fails_axioms_with_witness(H4):
+    r = check_entwining(_corrupted_entwining(H4))
     assert not r.passed
     assert r.axiom.startswith("entwining-")
     assert r.witness is not None

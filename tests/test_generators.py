@@ -229,102 +229,119 @@ def test_closure_rank_against_dense_words(name):
             assert rank == dense_closure_rank(alg.mult, alg.unit, rows) == want
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_corrupted_products_and_modules(monkeypatch, name):
+def _algebra(mult, unit, generators=None):
+    return lambda: FinAlgebra(mult.field, mult, unit, check=False, generators=generators).verify()
+
+
+def _module(alg, action):
+    return lambda: AlgebraModule(alg, action, check=False).verify()
+
+
+def _comodule(alg, D, co):
+    return lambda: check_comodule_algebra(alg, D, CoactionStructure("right", alg.dim, co))
+
+
+def _with_comult(D, comult, generators):
+    return lambda: _hopf(D, comult, generators)
+
+
+def _product_corruptions(name):
+    """(generator-aware run, full run) for bumped products of A_H and the
+    double and bumped regular actions of A_H."""
     H, A, Dalg, _, _ = _built(name)
-    f = H.field
-    first = []
     for gens in (A.generators, _candidates(H)):
         for k, alg in enumerate((A, Dalg)):
             for idx in _positions(alg.mult, k, 4):
                 mult = _bumped(alg.mult, idx)
-                first.append(_agrees(
-                    monkeypatch,
-                    lambda: FinAlgebra(f, mult, alg.unit, check=False, generators=gens).verify(),
-                    lambda: FinAlgebra(f, mult, alg.unit, check=False).verify(),
-                ))
+                yield _algebra(mult, alg.unit, gens), _algebra(mult, alg.unit)
     for idx in _positions(A.mult, 7, 4):  # the regular module of A_H
         action = _bumped(A.mult, idx)
-        first.append(_agrees(
-            monkeypatch,
-            lambda: AlgebraModule(A, action, check=False).verify(),
-            lambda: AlgebraModule(_plain(A), action, check=False).verify(),
-        ))
+        yield _module(A, action), _module(_plain(A), action)
+
+
+def _coproduct_corruptions(name):
+    """(generator-aware run, full run, the label the first run must fail
+    on, or None) for bumped and transported coproducts of D and coactions
+    of D on A_H.  A transported coalgebra or coaction keeps every law but
+    multiplicativity, so the reduced scan is what fails."""
+    H, A, _, D, coaction = _built(name)
+    for idx in _positions(D.comult, 1, 2):
+        comult = _bumped(D.comult, idx)
+        yield _with_comult(D, comult, D.generators), _with_comult(D, comult, None), None
+    for idx in _positions(coaction.tensor, 2, 2):
+        co = _bumped(coaction.tensor, idx)
+        yield _comodule(A, D, co), _comodule(_plain(A), D, co), None
+    for s, u in _swaps(D.unit, D.counit, H.dim, moves_unit=False):
+        comult = _relabelled(D.comult, s, u, (0, 1, 2))
+        yield (_with_comult(D, comult, D.generators), _with_comult(D, comult, None),
+               "bialgebra-mult")
+    for s, u in _swaps(A.unit, None, H.dim, moves_unit=False):
+        co = _relabelled(coaction.tensor, s, u, (0, 1))
+        yield _comodule(A, D, co), _comodule(_plain(A), D, co), "coaction-multiplicative"
+
+
+def _precondition_corruptions(name):
+    """(generator-aware run, full run, the precondition the first run fails
+    on): the unit, 1 m = m, coproduct(1) or coaction(1) broken."""
+    H, A, _, D, coaction = _built(name)
+    for idx in _positions(A.unit, 3, 2):
+        unit = _bumped(A.unit, idx)
+        yield _algebra(A.mult, unit, A.generators), _algebra(A.mult, unit), "unit"
+    # the zero action is associative, but 1 does not act as the identity
+    zero = Tensor.zeros(H.field, A.mult.shape)
+    yield _module(A, zero), _module(_plain(A), zero), "module-unit"
+    for s, u in _swaps(D.unit, D.counit, H.dim, moves_unit=True):
+        comult = _relabelled(D.comult, s, u, (0, 1, 2))
+        yield (_with_comult(D, comult, D.generators), _with_comult(D, comult, None),
+               "bialgebra-unit")
+    for s, u in _swaps(A.unit, None, H.dim, moves_unit=True):
+        co = _relabelled(coaction.tensor, s, u, (0, 1))
+        yield _comodule(A, D, co), _comodule(_plain(A), D, co), "coaction-unital"
+
+
+def _non_spanning_corruptions(name):
+    """(A_H's product, clean or with one entry bumped, and the dual rows
+    alone, which generate dual (x) 1 only)."""
+    H, A, _, _, _ = _built(name)
+    rows = _dual_rows(H)
+    for mult in (A.mult, _bumped(A.mult, _positions(A.mult, 5, 1)[0])):
+        yield mult, rows
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_corrupted_products_and_modules(monkeypatch, name):
+    first = [_agrees(monkeypatch, fast, full) for fast, full in _product_corruptions(name)]
     # some corruption got past the preconditions to a reduced scan
     assert any(ident is not None and _reduced(ident) for ident in first)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_corrupted_coproducts_and_coactions(monkeypatch, name):
-    H, A, _, D, coaction = _built(name)
-
-    def comodule(co, alg):
-        return check_comodule_algebra(alg, D, CoactionStructure("right", A.dim, co))
-
-    first = []
-    for idx in _positions(D.comult, 1, 2):
-        comult = _bumped(D.comult, idx)
-        first.append(_agrees(monkeypatch, lambda: _hopf(D, comult, D.generators),
-                             lambda: _hopf(D, comult, None)))
-    for idx in _positions(coaction.tensor, 2, 2):
-        co = _bumped(coaction.tensor, idx)
-        first.append(_agrees(monkeypatch, lambda: comodule(co, A),
-                             lambda: comodule(co, _plain(A))))
-    # a transported coalgebra or coaction keeps every law but
-    # multiplicativity, so the reduced scan is what fails
-    for s, u in _swaps(D.unit, D.counit, H.dim, moves_unit=False):
-        comult = _relabelled(D.comult, s, u, (0, 1, 2))
-        first.append(_agrees(monkeypatch, lambda: _hopf(D, comult, D.generators),
-                             lambda: _hopf(D, comult, None)))
-        assert first[-1].label == "bialgebra-mult" and _reduced(first[-1])
-    for s, u in _swaps(A.unit, None, H.dim, moves_unit=False):
-        co = _relabelled(coaction.tensor, s, u, (0, 1))
-        first.append(_agrees(monkeypatch, lambda: comodule(co, A),
-                             lambda: comodule(co, _plain(A))))
-        assert first[-1].label == "coaction-multiplicative" and _reduced(first[-1])
+    for fast, full, label in _coproduct_corruptions(name):
+        first = _agrees(monkeypatch, fast, full)
+        if label is not None:
+            assert first.label == label and _reduced(first)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_failing_preconditions_fall_back(monkeypatch, name):
-    # the unit, 1 m = m, coproduct(1) or coaction(1) broken: the fast path
-    # stops at that precondition, and the full scan gives the verdict
-    H, A, _, D, coaction = _built(name)
-    f, gens = H.field, A.generators
-    for idx in _positions(A.unit, 3, 2):
-        unit = _bumped(A.unit, idx)
-        first = _agrees(monkeypatch,
-                        lambda: FinAlgebra(f, A.mult, unit, check=False, generators=gens).verify(),
-                        lambda: FinAlgebra(f, A.mult, unit, check=False).verify())
-        assert first.label == "unit"
-    # the zero action is associative, but 1 does not act as the identity
-    zero = Tensor.zeros(f, A.mult.shape)
-    first = _agrees(monkeypatch, lambda: AlgebraModule(A, zero, check=False).verify(),
-                    lambda: AlgebraModule(_plain(A), zero, check=False).verify())
-    assert first.label == "module-unit"
-    for s, u in _swaps(D.unit, D.counit, H.dim, moves_unit=True):
-        comult = _relabelled(D.comult, s, u, (0, 1, 2))
-        first = _agrees(monkeypatch, lambda: _hopf(D, comult, D.generators),
-                        lambda: _hopf(D, comult, None))
-        assert first.label == "bialgebra-unit"
-    for s, u in _swaps(A.unit, None, H.dim, moves_unit=True):
-        co = CoactionStructure("right", A.dim, _relabelled(coaction.tensor, s, u, (0, 1)))
-        first = _agrees(monkeypatch, lambda: check_comodule_algebra(A, D, co),
-                        lambda: check_comodule_algebra(_plain(A), D, co))
-        assert first.label == "coaction-unital"
+    # the fast path stops at the precondition, and the full scan gives the
+    # verdict
+    for fast, full, label in _precondition_corruptions(name):
+        assert _agrees(monkeypatch, fast, full).label == label
 
 
 @pytest.mark.parametrize("name", ["group-c2", "sweedler-2", "taft-3-f7"])
 def test_non_spanning_generators_take_the_full_scan(monkeypatch, name):
     # the dual rows alone generate dual (x) 1 only: the closure proof fails,
     # and verify runs exactly the full scans
-    H, A, _, _, _ = _built(name)
-    rows = _dual_rows(H)
-    for mult in (A.mult, _bumped(A.mult, _positions(A.mult, 5, 1)[0])):
+    A = _built(name)[1]
+    for mult, rows in _non_spanning_corruptions(name):
         assert left_closure_rank(mult, A.unit, rows) < A.dim
-        B = FinAlgebra(H.field, mult, A.unit, check=False, generators=rows)
+        B = FinAlgebra(mult.field, mult, A.unit, check=False, generators=rows)
         got, log = _scanned(monkeypatch, B.verify)
         assert B.generators is None
-        want, full = _scanned(monkeypatch, FinAlgebra(H.field, mult, A.unit, check=False).verify)
+        want, full = _scanned(monkeypatch, FinAlgebra(mult.field, mult, A.unit, check=False).verify)
         _same(got, want)
         assert _labels(log) == _labels(full)
         assert not any(_reduced(ident) for group, _ in log for ident in group)

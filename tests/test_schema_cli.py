@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hayd import schema
+from hayd.ayd import one_dim_module
 from hayd.cli import main
 from hayd.errors import InputError, SchemaError
 from hayd.fields import prime_field, rationals
@@ -27,8 +28,6 @@ def test_parse_serialize_round_trip_on_all_builtins():
 
 
 def test_two_sided_round_trip():
-    from hayd.ayd import one_dim_module
-
     H = sweedler()
     M = one_dim_module(H, H.counit, H.basis_vector(2), "rr")
     doc = schema.two_sided_to_doc(M)
@@ -112,6 +111,69 @@ def test_schema_rejects_contradictory_and_unknown_field_keys(tmp_path, capsys, f
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path), "--json"]) == 2
     assert f"schema error at {pointer}" in capsys.readouterr().err
+
+
+def test_schema_rejects_unknown_top_level_keys(tmp_path, capsys):
+    # a misspelled key is an error, not a key quietly dropped
+    doc = schema.hopf_to_doc(sweedler())
+    doc["antipod"] = []
+    doc["extra"] = 1
+    doc["a/b~c"] = 0
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert [ptr for ptr, _ in err.value.violations] == ["/a~1b~0c", "/antipod", "/extra"]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json"]) == 2
+    assert "schema error at /a~1b~0c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("algebra", "comult"),
+    ("action", "coaction"),
+    ("coaction", "basis"),
+    ("comodule_algebra", "antipode"),
+    ("two_sided", "tensor"),
+])
+def test_schema_rejects_keys_of_another_kind(kind, key):
+    from hayd.galois import comodule_algebra_from_hopf
+    from hayd.reps import comult_coaction, regular_action
+
+    H = sweedler()
+    docs = {
+        "algebra": schema.algebra_to_doc(H),
+        "action": schema.action_to_doc(regular_action(H, "left"), H.dim),
+        "coaction": schema.coaction_to_doc(comult_coaction(H, "right"), H.dim),
+        "comodule_algebra": schema.comodule_algebra_to_doc(comodule_algebra_from_hopf(H)),
+        "two_sided": schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr")),
+    }
+    doc = docs[kind]
+    schema.parse_document(json.dumps(doc))
+    doc[key] = []
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert [ptr for ptr, _ in err.value.violations] == [f"/{key}"]
+
+
+def test_schema_rejects_unknown_keys_inside_a_two_sided_part():
+    H = sweedler()
+    doc = schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr"))
+    doc["coaction"]["sid"] = "left"
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert [ptr for ptr, _ in err.value.violations] == ["/coaction/sid"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["export-builtin", name] for name in sorted(BUILTINS)),
+    *(["build", what, "--hopf", name]
+      for what in ("ah", "double", "sayd-prop5") for name in sorted(BUILTINS)),
+])
+def test_every_document_the_cli_writes_parses(tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("HAYD_MAX_DIM", "81")  # A_H and the double of taft-3-f7
+    path = tmp_path / "out.json"
+    assert main([*argv, "-o", str(path)]) == 0
+    schema.parse_document(path.read_text())
 
 
 def test_cli_verify_names_the_document_kind_that_needs_a_hopf(tmp_path, capsys):
@@ -241,8 +303,6 @@ def test_cli_schema_error_exits_two(tmp_path, capsys):
 
 
 def test_cli_check_ayd_on_module_file(tmp_path, capsys):
-    from hayd.ayd import one_dim_module
-
     H = sweedler()
     good = one_dim_module(H, H.counit, H.basis_vector(2), "rr")
     path = tmp_path / "m.json"
@@ -449,8 +509,6 @@ def test_cli_verifies_a_hopf_context_only_when_it_is_not_a_builtin(tmp_path, mon
 
 
 def test_cli_build_tensor(tmp_path, capsys):
-    from hayd.ayd import one_dim_module
-
     H = sweedler()
     n_path = tmp_path / "n.json"
     m_path = tmp_path / "m.json"

@@ -8,6 +8,7 @@ from hayd.errors import FieldError, ShapeError, SingularMatrixError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic
 from hayd.hopf import group_algebra
+from hayd.identity import evaluate
 from hayd.tensor import (
     Tensor,
     contract,
@@ -44,6 +45,45 @@ def test_entries_normalized_and_equality():
     assert (0, 0) not in t.entries
     assert t == Tensor(Q, (2, 2), {(1, 1): Q.coerce(3)})
     assert t != Tensor(Q, (2, 2), {(1, 1): Q.coerce(2)})
+
+
+def test_equal_tensors_hash_equal_whatever_route_built_them():
+    # the identity ledger finds a proof by hash, then confirms it by ==
+    rng = random.Random(5)
+    t = random_tensor(rng, F5, (2, 3, 2))
+    routes = [
+        Tensor.from_nested(F5, t.to_nested()),
+        t.transpose((1, 2, 0)).transpose((2, 0, 1)),
+        evaluate("ijk", [(t, "ijm"), (Tensor.identity(F5, 2), "mk")]),
+        Tensor(F5, t.shape, {idx: c + 5 for idx, c in t.entries.items()}),
+    ]
+    for u in routes:
+        assert u is not t and u == t and hash(u) == hash(t)
+    q = Tensor(Q, (2, 2), {(0, 1): Fraction(3), (1, 0): Fraction(-1, 2)})
+    for u in (
+        Tensor(Q, (2, 2), {(0, 1): 3, (1, 0): "-1/2"}),
+        Tensor(Q, (2, 2), {(0, 1): 3, (1, 0): Fraction(-1, 2)}, _normalized=True),  # an int entry
+        Tensor.from_nested(Q, [[0, 3], ["-1/2", 0]]),
+        evaluate("ij", [(q, "ji")]).transpose((1, 0)),
+    ):
+        assert u == q and hash(u) == hash(q)
+
+
+def test_one_entry_the_field_or_the_shape_makes_tensors_unequal():
+    t = Tensor(F7, (2, 2), {(0, 1): 3, (1, 1): 1})
+    others = [
+        Tensor(F7, (2, 2), {(0, 1): 4, (1, 1): 1}),
+        Tensor(F7, (2, 2), {(0, 1): 3}),
+        Tensor(F7, (2, 2), {(0, 1): 3, (1, 1): 1, (0, 0): 1}),
+        Tensor(F7, (2, 2), {(1, 0): 3, (1, 1): 1}),
+        Tensor(F5, (2, 2), {(0, 1): 3, (1, 1): 1}),
+        Tensor(Q, (2, 2), {(0, 1): 3, (1, 1): 1}),
+        Tensor(F7, (2, 3), {(0, 1): 3, (1, 1): 1}),
+        Tensor(F7, (2, 2, 1), {(0, 1, 0): 3, (1, 1, 0): 1}),
+    ]
+    for u in others:
+        assert u != t
+    assert len({t, *others}) == 1 + len(others)
 
 
 def test_constructor_coerces_every_entry():
