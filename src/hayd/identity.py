@@ -37,20 +37,15 @@ identity's two sides evaluated apart on that slice, for the lhs and rhs
 slices the report shows.  No whole side is ever built, and the scan stops at
 the first failing slice.
 
-Inside a ``ledger()`` scope each identity is proved at most once.  Its key is
-the identity as a value: the number of witness letters, then each side's
-factors in written order, each the tensor itself (Tensors hash by value) with
-its letter pattern, the result letters numbered by their place in
-``witness + out`` and the summed letters by first appearance on their side;
-``None`` stands for the zero side and the label plays no part.  ``check``
-drops the identities of a group whose keys the scope holds, scans the rest,
-and records every key of a group that passes.  A hit is a set lookup, which
-confirms equal hashes with ``==`` on the keys and so on every tensor: it
-means exactly the same statement was proved.  Failures are never recorded,
-so every failure is scanned and reported as without a ledger; a group with
-some identities proved reports the same least witness, since those never
-fail.  A scope is opened per target by ``suite.run_suite`` and closed on
-exit, exceptions included; outside one, ``check`` builds no key.
+Inside a ``ledger()`` scope, which ``suite.run_suite`` opens per target,
+each identity is proved once.  Its key is the identity as a value, label
+aside: the numbers of witness and output letters, then each side's factors
+in order as (tensor, letter pattern), result letters numbered by their place
+in ``witness + out`` and summed ones by first appearance on their side.  A
+hit is a set lookup, so equal hashes are confirmed by ``==`` on every tensor:
+exactly this statement was proved.  Only passing groups are recorded, so a
+failure is always scanned; proved identities never fail, so a partly proved
+group reports the least witness of the whole group.
 
 ``evaluate(out, factors)`` runs the same join on one factor list with no
 witness slice, decodes the keys to tuples once at the end, and returns the
@@ -135,8 +130,7 @@ _LEDGER: ContextVar[set | None] = ContextVar("ledger", default=None)
 
 @contextmanager
 def ledger():
-    """A scope in which ``check`` proves each identity once: a fresh set of
-    proved keys, replaced by the enclosing scope's (or none) on exit."""
+    """A fresh set of proved keys for ``check``; the outer one returns on exit."""
     token = _LEDGER.set(set())
     try:
         yield
@@ -153,7 +147,8 @@ def _key(ident: Identity) -> tuple:
         return tuple((t, tuple([names.setdefault(x, len(names)) for x in letters]))
                      for t, letters in factors)
 
-    return (len(ident.witness), side(ident.lhs), None if ident.rhs is None else side(ident.rhs))
+    return (len(ident.witness), len(ident.out), side(ident.lhs),
+            None if ident.rhs is None else side(ident.rhs))
 
 
 def on_generators(ident: Identity, generators: Tensor) -> Identity:

@@ -169,6 +169,22 @@ def test_a_hit_needs_equal_tensors_and_ignores_labels(monkeypatch):
         assert len(scans) == 2
 
 
+def test_a_summed_letter_is_not_a_result_letter(monkeypatch):
+    # "each row of M sums like a row of I" and "M = I" write the same
+    # factors; only the number of result letters tells them apart
+    P = Tensor(sweedler().field, (2, 2), {(0, 1): 1, (1, 0): 1})
+    delta = Tensor.identity(P.field, 2)
+    row_sums = Identity("row sums", "i", "", [(P, "ik")], [(delta, "ik")])
+    equal = Identity("equal", "i", "k", [(P, "ik")], [(delta, "ik")])
+    want = check("equal", equal)
+    assert not want.passed and want.witness == (0,)
+    scans = _scans(monkeypatch)
+    with ledger():
+        assert check("row sums", row_sums).passed
+        _same(check("equal", equal), want)
+    assert len(scans) == 2
+
+
 def test_a_partly_proved_group_reports_the_least_witness_of_the_whole_group(monkeypatch):
     # the right unit law holds and the left one fails on the broken product:
     # with the right law proved first, the group scans the left law alone
