@@ -12,28 +12,31 @@ alone (``identity.on_generators``).
 
 from __future__ import annotations
 
-from .errors import CheckFailedError, ShapeError
+from .errors import ShapeError
 from .identity import Identity, check, evaluate, on_generators
 from .report import Report
 from .tensor import Tensor, closure_rank
 
 
-def associativity_report(mult: Tensor, generators=None) -> Report:
-    """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple (i, j, k); with
-    ``generators``, proved generators of an algebra with a proved unit, only
-    for e_i running over them (``identity.on_generators``)."""
-    ident = Identity("associativity", "ijk", "l",
-                     [(mult, "ijm"), (mult, "mkl")], [(mult, "iml"), (mult, "jkm")])
-    return check("associativity", ident if generators is None else on_generators(ident, generators))
+def _associativity(mult: Tensor) -> Identity:
+    return Identity("associativity", "ijk", "l",
+                    [(mult, "ijm"), (mult, "mkl")], [(mult, "iml"), (mult, "jkm")])
+
+
+def _unit(mult: Tensor, unit: Tensor) -> list:
+    delta = Tensor.identity(mult.field, mult.shape[0])
+    return [Identity("unit", "i", "k", [(unit, "j"), (mult, product)], [(delta, "ik")])
+            for product in ("jik", "ijk")]  # 1 e_i, then e_i 1
+
+
+def associativity_report(mult: Tensor) -> Report:
+    """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple (i, j, k)."""
+    return check("associativity", _associativity(mult))
 
 
 def unit_report(mult: Tensor, unit: Tensor) -> Report:
     """1 e_i == e_i == e_i 1 for every i; the left side is reported first."""
-    delta = Tensor.identity(mult.field, mult.shape[0])
-    return check("unit", [
-        Identity("unit", "i", "k", [(unit, "j"), (mult, "jik")], [(delta, "ik")]),
-        Identity("unit", "i", "k", [(unit, "j"), (mult, "ijk")], [(delta, "ik")]),
-    ])
+    return check("unit", _unit(mult, unit))
 
 
 def left_closure_rank(mult: Tensor, unit: Tensor, generators: Tensor) -> int:
@@ -89,30 +92,19 @@ class FinAlgebra:
         self._candidates = generators
         self.generators = None
         if check:
-            report = self.verify()
-            if not report.passed:
-                raise CheckFailedError(report)
+            self.verify().require()
 
     def verify(self) -> Report:
-        """Associativity, then the unit.  With candidate generators, first
+        """Associativity, then the unit; with candidate generators that pass
         the proof that they generate (their left closure of the unit has
-        rank ``dim``), the unit and associativity on the generators alone; a
-        failure there reruns the full scans, so the report never depends on
-        the candidates."""
-        self.generators = None
+        rank ``dim``), associativity on the generators alone."""
         G = self._candidates
-        if (G is not None and left_closure_rank(self.mult, self.unit, G) == self.dim
-                and unit_report(self.mult, self.unit).passed
-                and associativity_report(self.mult, generators=G).passed):
-            self.generators = G
-            return Report.ok("algebra")
-        r = associativity_report(self.mult)
-        if not r.passed:
-            return r
-        r = unit_report(self.mult, self.unit)
-        if not r.passed:
-            return r
-        return Report.ok("algebra")
+        if G is not None and left_closure_rank(self.mult, self.unit, G) != self.dim:
+            G = None
+        report = check("algebra", on_generators(_associativity(self.mult), G),
+                       _unit(self.mult, self.unit))
+        self.generators = G if report.passed else None
+        return report
 
     def mul_vec(self, x: Tensor, y: Tensor) -> Tensor:
         """Product of two elements given by coefficient vectors."""
@@ -140,21 +132,14 @@ class AlgebraModule:
         self.dim = action.shape[1]
         self.action = action
         if check:
-            report = self.verify()
-            if not report.passed:
-                raise CheckFailedError(report)
+            self.verify().require()
 
     def verify(self) -> Report:
-        """The unit acts as the identity, and (e_i e_j) m == e_i (e_j m);
-        over an algebra with proved generators the second is scanned first
-        for e_i on the generators alone, and in full only if that fails."""
+        """The unit acts as the identity, and (e_i e_j) m == e_i (e_j m),
+        over an algebra with proved generators for e_i on them alone."""
         alg, act = self.algebra, self.action
         delta = Tensor.identity(alg.field, self.dim)
         unit = Identity("module-unit", "a", "b", [(alg.unit, "j"), (act, "jab")], [(delta, "ab")])
         assoc = Identity("module-associativity", "ija", "b",
                          [(alg.mult, "ijk"), (act, "kab")], [(act, "icb"), (act, "jac")])
-        if alg.generators is not None:
-            r = check("module", unit, on_generators(assoc, alg.generators))
-            if r.passed:
-                return r
-        return check("module", unit, assoc)
+        return check("module", unit, on_generators(assoc, alg.generators))

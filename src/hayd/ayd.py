@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import FinAlgebra
 from .errors import CheckFailedError, InputError, ShapeError
 from .fields import Field
-from .groups import Group
+from .groups import Group, index_in
 from .hopf import (
     FinHopfAlgebra,
     antipode_inverse,
@@ -200,9 +200,7 @@ def entwining_map(H: FinHopfAlgebra, variant: str) -> EntwiningData:
         (iterated_coproduct(H, 3), "jpqr"), (twist, "px"), (H.mult, "xiw"), (H.mult, "wrl"),
     ])
     data = EntwiningData(H, psi, label=variant)
-    report = check_entwining(data)
-    if not report.passed:
-        raise CheckFailedError(report)
+    check_entwining(data).require()
     return data
 
 
@@ -371,9 +369,7 @@ def group_graded_module(
     H = hopf if hopf is not None else group_algebra(group, field)
     f = H.field
     m = len(grading)
-    grading = [int(g) for g in grading]
-    if any(not 0 <= g < len(group) for g in grading):
-        raise InputError("grading mentions an element outside the group")
+    grading = [index_in(g, len(group), f"grading[{a}]") for a, g in enumerate(grading)]
     entries: dict[tuple, object] = {}
     for g in range(len(group)):
         for a in range(m):
@@ -381,6 +377,7 @@ def group_graded_module(
                 b, c = action[(g, a)] if not callable(action) else action(g, a)
             except KeyError as exc:
                 raise InputError(f"action is missing the pair (g={g}, m={a})") from exc
+            index_in(b, m, f"the image of (g={g}, m={a})")
             c = f.coerce(c)
             if not f.is_zero(c):
                 entries[(g, a, b)] = c
@@ -391,9 +388,7 @@ def group_graded_module(
         ):
             raise InputError("action is not unital: the identity must fix every vector")
     act = ActionStructure("left", m, Tensor(f, (H.dim, m, m), entries, _normalized=True))
-    r = verify_action(H, act)
-    if not r.passed:
-        raise CheckFailedError(r)
+    verify_action(H, act).require()
     co = Tensor(
         f, (m, H.dim, m), {(a, grading[a], a): f.one for a in range(m)}, _normalized=True
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraModule, FinAlgebra, greedy_generators
 from .ayd import TwoSidedStructure, check_ayd, check_yd
-from .errors import CheckFailedError, ShapeError
+from .errors import ShapeError
 from .galois import check_comodule_algebra
 from .hopf import (
     FinHopfAlgebra,
@@ -141,9 +141,7 @@ def ayd_to_ah_module(H: FinHopfAlgebra, M: TwoSidedStructure) -> AlgebraModule:
     verified left module over build_ah(H)."""
     if M.case != "lr":
         raise ShapeError(f"conversion expects the lr case, got {M.case}")
-    r = check_ayd(M)
-    if not r.passed:
-        raise CheckFailedError(r)
+    check_ayd(M).require()
     A = build_ah(H)
     action = _conversion_action(H, M)
     return AlgebraModule(A, action)
@@ -153,9 +151,7 @@ def yd_to_double_module(H: FinHopfAlgebra, M: TwoSidedStructure) -> AlgebraModul
     """The same conversion lands in the double when the plain check passes."""
     if M.case != "lr":
         raise ShapeError(f"conversion expects the lr case, got {M.case}")
-    r = check_yd(M)
-    if not r.passed:
-        raise CheckFailedError(r)
+    check_yd(M).require()
     D = build_double(H)
     action = _conversion_action(H, M)
     return AlgebraModule(D, action)
@@ -173,12 +169,8 @@ def ah_module_to_ayd(H: FinHopfAlgebra, V: AlgebraModule) -> TwoSidedStructure:
     action = ActionStructure("left", m, evaluate("jrs", [(H.counit, "i"), (v, "ijrs")]))
     coaction = CoactionStructure("right", m, evaluate("rsi", [(H.unit, "j"), (v, "ijrs")]))
     M = TwoSidedStructure(H, action, coaction)
-    report = M.verify()
-    if not report.passed:
-        raise CheckFailedError(report)
-    report = check_ayd(M)
-    if not report.passed:
-        raise CheckFailedError(report)
+    M.verify().require()
+    check_ayd(M).require()
     return M
 
 
@@ -198,7 +190,5 @@ def ah_double_coaction(H: FinHopfAlgebra) -> CoactionStructure:
     # e_i* (x) e_j goes to the dual coproduct legs of e_i* interleaved with the
     # coproduct legs of e_j, which is the double's own coproduct
     coaction = CoactionStructure("right", A.dim, D.comult)
-    report = check_comodule_algebra(A, D, coaction)
-    if not report.passed:
-        raise CheckFailedError(report)
+    check_comodule_algebra(A, D, coaction).require()
     return coaction

@@ -7,19 +7,30 @@ from itertools import permutations
 from .errors import InputError
 
 
+def index_in(value, size: int, where: str) -> int:
+    """``value``, an int (not a bool) in 0..size-1; an InputError naming
+    ``where`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{where} is {value!r}, not an int")
+    if not 0 <= value < size:
+        raise InputError(f"{where} is {value}, outside 0..{size - 1}")
+    return value
+
+
 class Group:
     """A finite group given by a Cayley table of element indices."""
 
     def __init__(self, table, identity=None, names=None, name="group"):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(row) for row in table)
         self.size = len(self.table)
         self.name = name
         self.names = list(names) if names else [f"g{i}" for i in range(self.size)]
         if len(self.names) != self.size:
             raise InputError("names length does not match group size")
         self._validate()
-        self.identity = self._find_identity() if identity is None else int(identity)
-        if self.identity != self._find_identity():
+        found = self._find_identity()
+        self.identity = found if identity is None else index_in(identity, self.size, "identity")
+        if self.identity != found:
             raise InputError(f"index {identity} is not the identity of the table")
         self._inverse = [self._find_inverse(i) for i in range(self.size)]
 
@@ -29,8 +40,7 @@ class Group:
             if len(row) != n:
                 raise InputError("Cayley table is not square")
             for j, v in enumerate(row):
-                if not 0 <= v < n:
-                    raise InputError(f"Cayley entry ({i},{j}) out of range")
+                index_in(v, n, f"Cayley entry ({i},{j})")
         for i in range(n):
             for j in range(n):
                 for k in range(n):

@@ -102,12 +102,9 @@ def verify_hopf_given_algebra(H: FinHopfAlgebra) -> Report:
     """The Hopf axioms after associativity and the unit, in verify_hopf_axioms'
     order, for an H whose product is already proved associative and unital:
     the coalgebra, bialgebra and antipode identities, then an invertible
-    antipode.  A pass marks H verified.
-
-    When ``H.generators`` holds proved generators of that product, the
-    bialgebra identities are first scanned on them alone, after the
-    bialgebra-unit laws they rest on (``identity.on_generators``); any
-    failure reruns the full scan in the order above."""
+    antipode.  A pass marks H verified.  When ``H.generators`` holds proved
+    generators of that product, the multiplicative bialgebra identities are
+    scanned on them alone (``identity.on_generators``)."""
     mult, unit, comult, counit, s = H.mult, H.unit, H.comult, H.counit, H.antipode
     delta = Tensor.identity(H.field, H.dim)
     coalgebra = (
@@ -118,12 +115,12 @@ def verify_hopf_given_algebra(H: FinHopfAlgebra) -> Report:
          Identity("counit", "i", "k", [(comult, "ikj"), (counit, "j")], [(delta, "ik")])],
     )
     # coproduct and counit are algebra maps, and respect the unit
-    multiplicative = [
+    multiplicative = [on_generators(ident, H.generators) for ident in (
         Identity("bialgebra-mult", "ij", "ab", [(mult, "ijk"), (comult, "kab")],
                  [(comult, "ipq"), (mult, "pra"), (comult, "jrs"), (mult, "qsb")]),
         Identity("bialgebra-counit", "ij", "", [(mult, "ijk"), (counit, "k")],
                  [(counit, "i"), (counit, "j")]),
-    ]
+    )]
     unital = (
         Identity("bialgebra-unit", "", "ab", [(unit, "i"), (comult, "iab")],
                  [(unit, "a"), (unit, "b")]),
@@ -136,12 +133,7 @@ def verify_hopf_given_algebra(H: FinHopfAlgebra) -> Report:
         Identity("antipode", "i", "l", [(comult, "ijk"), (s, "km"), (mult, "jml")],
                  [(counit, "i"), (unit, "l")]),
     ]
-    r = None
-    if H.generators is not None:
-        reduced = [on_generators(ident, H.generators) for ident in multiplicative]
-        r = check("hopf", *coalgebra, *unital, reduced, antipode)
-    if r is None or not r.passed:
-        r = check("hopf", *coalgebra, multiplicative, *unital, antipode)
+    r = check("hopf", *coalgebra, multiplicative, *unital, antipode)
     if not r.passed:
         return r
 

@@ -47,6 +47,11 @@ exactly this statement was proved.  Only passing groups are recorded, so a
 failure is always scanned; proved identities never fail, so a partly proved
 group reports the least witness of the whole group.
 
+An identity reduced to generator rows (``on_generators``) shares a ``check``
+call with the preconditions that make its scan a proof.  When any group of
+that call fails, ``check`` rescans the same groups with each reduced identity
+replaced by its full one and returns that report, the full scan's.
+
 ``evaluate(out, factors)`` runs the same join on one factor list with no
 witness slice, decodes the keys to tuples once at the end, and returns the
 whole result as a Tensor with axes in the order of ``out``.  Every builder is
@@ -72,11 +77,13 @@ class Identity:
     """``lhs == rhs`` for every value of the witness letters.
 
     ``witness`` and ``out`` are strings of letters; every one of them must
-    occur on each side that is not ``None``.
+    occur on each side that is not ``None``.  ``full`` is None, or for an
+    identity reduced by ``on_generators`` the identity it stands for.
     """
 
-    def __init__(self, label: str, witness: str, out: str, lhs, rhs):
+    def __init__(self, label: str, witness: str, out: str, lhs, rhs, full=None):
         self.label = label
+        self.full = full  # not self: a cycle would outlive reference counting
         self.witness = witness
         self.out = out
         self.lhs = tuple(lhs)
@@ -104,15 +111,25 @@ def check(ok_label: str, *groups) -> Report:
     """Scan each group of identities in turn; the first failure wins.
 
     A group is one Identity or a sequence of identities sharing the range of
-    their first witness letter.  The identities of a group are scanned slice
-    by slice together, so the least failing witness across the group is
-    reported, and at equal witnesses the identity listed first.  Inside a
-    ``ledger()`` scope, identities already proved there are not scanned
-    again, and each group that passes is recorded.
+    their first witness letter (a ShapeError otherwise).  The identities of a
+    group are scanned slice by slice together, so the least failing witness
+    across the group is reported, and at equal witnesses the identity listed
+    first.  Inside a ``ledger()`` scope, identities already proved there are
+    not scanned again, and each group that passes is recorded.  A failure in
+    a call that holds a reduced identity is rescanned in full (see the
+    module docstring).
     """
+    groups = [(group,) if isinstance(group, Identity) else tuple(group) for group in groups]
+    report = _scan(groups)
+    if report is not None and any(ident.full is not None for group in groups for ident in group):
+        report = _scan([tuple(ident.full or ident for ident in group) for group in groups])
+    return Report.ok(ok_label) if report is None else report
+
+
+def _scan(groups) -> Report | None:
+    """The first failure of the groups, in order, or None."""
     proved = _LEDGER.get()
     for group in groups:
-        group = (group,) if isinstance(group, Identity) else tuple(group)
         if proved is None:
             report = _first_failure(group)
         else:
@@ -122,7 +139,7 @@ def check(ok_label: str, *groups) -> Report:
                 proved.update(key for key, _ in todo)
         if report is not None:
             return report
-    return Report.ok(ok_label)
+    return None
 
 
 _LEDGER: ContextVar[set | None] = ContextVar("ledger", default=None)
@@ -151,10 +168,11 @@ def _key(ident: Identity) -> tuple:
             None if ident.rhs is None else side(ident.rhs))
 
 
-def on_generators(ident: Identity, generators: Tensor) -> Identity:
+def on_generators(ident: Identity, generators: Tensor | None) -> Identity:
     """``ident`` with its first witness argument running over the rows of the
     matrix ``generators`` (row g holds an element x_g in the basis that the
-    first witness letter indexes) instead of over the basis.
+    first witness letter indexes) instead of over the basis; ``ident``
+    itself when ``generators`` is None.
 
     A new letter g is prepended to each side with the factor
     ``(generators, "g" + first)`` and becomes the first witness letter; the
@@ -188,10 +206,12 @@ def on_generators(ident: Identity, generators: Tensor) -> Identity:
       r: A -> A (x) K, given associativity of A and of K and r(1) = 1 (x) 1:
       the same chain with A (x) K in place of A (x) A.
 
-    Callers scan the preconditions first and the reduced identity after
-    them, and on any failure run the full scan, so a report never depends
-    on the generators.
+    A caller states the reduced identity in one ``check`` call with the
+    preconditions it rests on; ``check`` rescans any failure of that call
+    with the full identity, so a report never depends on the generators.
     """
+    if generators is None:
+        return ident
     letters = set(ident.witness + ident.out)
     for side in (ident.lhs, ident.rhs or ()):
         for _, idx in side:
@@ -200,7 +220,7 @@ def on_generators(ident: Identity, generators: Tensor) -> Identity:
     factor = (generators, g + ident.witness[0])
     return Identity(
         ident.label, g + ident.witness[1:], ident.out,
-        [factor, *ident.lhs], None if ident.rhs is None else [factor, *ident.rhs],
+        [factor, *ident.lhs], None if ident.rhs is None else [factor, *ident.rhs], full=ident,
     )
 
 
@@ -236,6 +256,9 @@ def _first_failure(identities) -> Report | None:
         shift = fields[ident.witness[0]][0] if ident.witness else 0
         scans.append((ident, fields, shift, _plan(ident, ident.lhs, fields, cache),
                       _plan(ident, ident.rhs, fields, cache)))
+    if len({ident.dims[ident.witness[0]] if ident.witness else None for ident in identities}) > 1:
+        raise ShapeError(f"{', '.join(ident.label for ident in identities)}: "
+                         "the first witness letters have different ranges")
     lead = identities[0]
     p = lead.field.p
     for v in range(lead.dims[lead.witness[0]] if lead.witness else 1):

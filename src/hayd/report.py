@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CheckFailedError
 from .tensor import Tensor
 
 
@@ -35,6 +36,12 @@ class Report:
     @staticmethod
     def fail(axiom: str, witness, lhs=None, rhs=None) -> "Report":
         return Report(False, axiom, tuple(witness), lhs, rhs)
+
+    def require(self) -> "Report":
+        """This report if it passed; otherwise raise CheckFailedError with it."""
+        if not self.passed:
+            raise CheckFailedError(self)
+        return self
 
     def __bool__(self) -> bool:
         return self.passed

@@ -138,9 +138,7 @@ def rr_test_modules(H: FinHopfAlgebra):
             mods.append((f"one-dim-{k}", one_dim_module(H, H.counit, sigma, "rr")))
     for name, twisted in (("adjoint", False), ("adjoint-twisted", True)):
         M = adjoint_structure(H, twisted)
-        r = M.verify()
-        if not r.passed:
-            raise CheckFailedError(r)
+        M.verify().require()
         mods.append((name, M))
     return mods
 

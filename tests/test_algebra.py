@@ -88,3 +88,16 @@ def test_group_rejects_bad_tables():
     with pytest.raises(InputError):
         # associativity failure: a "subtraction table" mod 3
         Group([[(i - j) % 3 for j in range(3)] for i in range(3)])
+
+
+@pytest.mark.parametrize("table, identity, where", [
+    ([[0, 1], [1.0, 0.0]], None, r"Cayley entry \(1,0\) is 1.0"),
+    ([[0, True], [1, 0]], None, r"Cayley entry \(0,1\) is True"),
+    ([[0, 1], [1, -1]], None, r"Cayley entry \(1,1\) is -1"),
+    ([[0, 1], [1, 0]], 0.5, "identity is 0.5"),
+    ([[0, 1], [1, 0]], False, "identity is False"),
+    ([[0, 1], [1, 0]], 2, "identity is 2"),
+])
+def test_group_rejects_entries_and_identities_that_are_not_indices(table, identity, where):
+    with pytest.raises(InputError, match=where):
+        Group(table, identity=identity)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hayd.ayd import (
@@ -512,6 +514,21 @@ def test_group_graded_requires_unital_action():
     G = cyclic(2)
     with pytest.raises(InputError):
         group_graded_module(G, [0, 0], lambda g, a: (a, 2 if g == 0 else 1))
+
+
+@pytest.mark.parametrize("grading, action, where", [
+    ([0.9, True], lambda g, a: (a, 1), "grading[0] is 0.9"),
+    ([0, True], lambda g, a: (a, 1), "grading[1] is True"),
+    ([0, 2], lambda g, a: (a, 1), "grading[1] is 2"),
+    ([0, 1], lambda g, a: (5 if g else a, 1), "the image of (g=1, m=0) is 5"),
+    ([0, 1], lambda g, a: (-1 if g else a, 1), "the image of (g=1, m=0) is -1"),
+    ([0, 1], lambda g, a: (1.0 * a, 1), "the image of (g=0, m=0) is 0.0"),
+])
+def test_group_graded_rejects_malformed_gradings_and_images(grading, action, where):
+    # each is an input error naming its position, never coerced and never
+    # left for the action check to report at some witness
+    with pytest.raises(InputError, match=re.escape(where)):
+        group_graded_module(cyclic(2), grading, action)
 
 
 def test_identity_graded_module_is_always_ayd_and_stable():

@@ -262,21 +262,19 @@ def test_double_hopf_passes_axioms_on_all_builtins():
 
 
 def test_build_double_hopf_scans_the_double_product_once(monkeypatch):
-    from hayd import algebra, hopf
+    from hayd import identity
 
-    real = {fn: getattr(algebra, fn) for fn in ("associativity_report", "unit_report")}
     scanned = []
-
-    def counting(fn):
-        return lambda mult, *a, **kw: scanned.append((fn, mult)) or real[fn](mult, *a, **kw)
-
-    for mod in (algebra, hopf):
-        for fn in real:
-            monkeypatch.setattr(mod, fn, counting(fn))
+    real = identity._first_failure
+    monkeypatch.setattr(identity, "_first_failure",
+                        lambda group: scanned.append(group) or real(group))
     D = build_double_hopf(sweedler())
-    on_d = [fn for fn, mult in scanned if mult is D.mult]
-    # the unit is proved before the generator-reduced associativity scan
-    assert sorted(on_d) == ["associativity_report", "unit_report"]
+    on_d = [[ident.label for ident in group] for group in scanned
+            if any(t is D.mult for ident in group for t, _ in ident.lhs)]
+    # associativity (on the generators) and the two unit laws, once each;
+    # the Hopf identities that also read the product come after them
+    assert on_d[:2] == [["associativity"], ["unit", "unit"]]
+    assert not {"associativity", "unit"} & {label for group in on_d[2:] for label in group}
 
 
 def test_double_coaction_is_comodule_algebra_on_all_builtins():

@@ -1,14 +1,20 @@
+import contextlib
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from hayd.errors import ShapeError
+from hayd import identity
+from hayd.double import build_ah
+from hayd.errors import CheckFailedError, ShapeError
 from hayd.fields import prime_field, rationals
 from hayd.groups import cyclic, symmetric
 from hayd.hopf import group_algebra, sweedler
-from hayd.identity import Identity, check, evaluate
+from hayd.identity import Identity, check, evaluate, ledger, on_generators
+from hayd.report import Report
 from hayd.tensor import Tensor
 
 from helpers import dense, dense_einsum, dense_first_failure
@@ -273,3 +279,87 @@ def test_non_integral_rationals_cancel_exactly():
     for _ in range(3):
         _agrees_with_oracle(
             Identity("av", "i", "", [(a, "ij"), (v, "j")], [(_changed(rng, w), "i")]))
+
+
+def test_a_group_must_share_the_range_of_its_first_witness_letter():
+    # scanned over the first identity's range, bad would pass unseen
+    I2, I4 = Tensor.identity(Q, 2), Tensor.identity(Q, 4)
+    ok = Identity("ok", "i", "k", [(I2, "ik")], [(I2, "ik")])
+    bad = Identity("bad", "i", "k", [(_with(I4, (3, 3), Q.zero), "ik")], [(I4, "ik")])
+    assert check("x", bad).witness == (3,)
+    with pytest.raises(ShapeError, match="ok, bad"):
+        check("x", [ok, bad])
+    with pytest.raises(ShapeError, match="ok, bad"):
+        with ledger():
+            check("x", [ok, bad])
+    # or on having a witness letter at all
+    H = sweedler()
+    scalar = Identity("scalar", "", "", [(H.unit, "i"), (H.counit, "i")], [])
+    with pytest.raises(ShapeError, match="scalar, ok"):
+        check("x", [scalar, ok])
+
+
+def _unit_laws(mult, unit):
+    delta = Tensor.identity(mult.field, mult.shape[0])
+    return [Identity("unit", "i", "k", [(unit, "j"), (mult, "jik")], [(delta, "ik")]),
+            Identity("unit", "i", "k", [(unit, "j"), (mult, "ijk")], [(delta, "ik")])]
+
+
+def _reduced_failure():
+    """A_H(sweedler)'s product with one entry bumped, the first one for which
+    the unit laws still hold and associativity on A_H's proved generators
+    fails at another witness than the full scan; and those generators."""
+    A = build_ah(sweedler())
+    for idx in sorted(A.mult.entries):
+        bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
+        alone = identity._first_failure((on_generators(_assoc(bad), A.generators),))
+        full = check("x", _assoc(bad))
+        if alone is not None and full.witness != alone.witness and check("x", _unit_laws(bad, A.unit)):
+            return bad, A
+    raise AssertionError("no corruption fails on the generators")
+
+
+def test_on_generators_without_generators_is_the_identity_itself():
+    spec = _assoc(sweedler().mult)
+    assert on_generators(spec, None) is spec
+    assert spec.full is None
+
+
+@pytest.mark.parametrize("scope", ["none", "empty", "proved"])
+def test_a_failing_reduced_identity_reports_what_the_full_scan_reports(scope):
+    bad, A = _reduced_failure()
+    reduced = on_generators(_assoc(bad), A.generators)
+    assert reduced.full is not None and reduced.full.full is None
+    want = check("algebra", _assoc(bad), _unit_laws(bad, A.unit))
+    assert not want.passed
+    with contextlib.nullcontext() if scope == "none" else ledger():
+        if scope == "proved":  # the preconditions are already in the ledger
+            assert check("unit", _unit_laws(bad, A.unit)).passed
+        got = check("algebra", reduced, _unit_laws(bad, A.unit))
+    assert (got.passed, got.axiom, got.witness) == (want.passed, want.axiom, want.witness)
+    assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+
+
+def test_a_reduced_identity_and_its_full_one_are_freed_by_reference_counting():
+    # a reference from an identity to itself would leave every Identity to
+    # the cyclic collector
+    H = sweedler()
+    gc.disable()
+    try:
+        full = _assoc(H.mult)
+        reduced = on_generators(full, Tensor.identity(Q, H.dim))
+        assert check("x", reduced).passed
+        refs = [weakref.ref(full), weakref.ref(reduced)]
+        del full, reduced
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_require_returns_a_pass_and_raises_a_failure():
+    ok = Report.ok("x")
+    assert ok.require() is ok
+    bad = Report.fail("x", (1, 2))
+    with pytest.raises(CheckFailedError) as err:
+        bad.require()
+    assert err.value.report is bad
