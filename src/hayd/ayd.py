@@ -92,11 +92,12 @@ def _compatibility(M: TwoSidedStructure, anti: bool) -> Report:
     }[case]
     out = coaction_letters(side, "", "j", "b")
     label = f"{'anti-yetter-drinfeld' if anti else 'yetter-drinfeld'}-{case}"
+    # the twisted factors bind h first, so the coaction is looked up on (a, h)
     return check(label, Identity(
         label, "ia", out,
         [(act, "iax"), (co, "x" + out)],
-        [(iterated_coproduct(H, 3), "ipqr"), (co, coaction_letters(side, "a", "h", "x")),
-         *twisted, (act, "qxb")],
+        [(iterated_coproduct(H, 3), "ipqr"), *twisted,
+         (co, coaction_letters(side, "a", "h", "x")), (act, "qxb")],
     ))
 
 

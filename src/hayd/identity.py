@@ -110,16 +110,18 @@ class Identity:
 def check(ok_label: str, *groups) -> Report:
     """Scan each group of identities in turn; the first failure wins.
 
-    A group is one Identity or a sequence of identities sharing the range of
-    their first witness letter (a ShapeError otherwise).  The identities of a
-    group are scanned slice by slice together, so the least failing witness
-    across the group is reported, and at equal witnesses the identity listed
-    first.  Inside a ``ledger()`` scope, identities already proved there are
-    not scanned again, and each group that passes is recorded.  A failure in
-    a call that holds a reduced identity is rescanned in full (see the
-    module docstring).
+    A group is one Identity or a nonempty sequence of identities sharing the
+    range of their first witness letter (a ShapeError otherwise).  The
+    identities of a group are scanned slice by slice together, so the least
+    failing witness across the group is reported, and at equal witnesses the
+    identity listed first.  Inside a ``ledger()`` scope, identities already
+    proved there are not scanned again, and each group that passes is
+    recorded.  A failure in a call that holds a reduced identity is rescanned
+    in full (see the module docstring).
     """
     groups = [(group,) if isinstance(group, Identity) else tuple(group) for group in groups]
+    if not all(groups):
+        raise ShapeError(f"{ok_label}: a group holds no identity")
     report = _scan(groups)
     if report is not None and any(ident.full is not None for group in groups for ident in group):
         report = _scan([tuple(ident.full or ident for ident in group) for group in groups])

@@ -8,12 +8,15 @@ problem, a key the kind does not use included, with a JSON-pointer location;
 dimensions are capped by HAYD_MAX_DIM (default 64) to keep exhaustive checks
 at desk scale.
 
-This module alone knows the tensor shapes of each document kind; the axis
-layout of a coaction comes from ``hayd.reps``.
-``parse_document`` walks every entry once and returns the document with its
-``field`` and tensor entry lists replaced by the Field and Tensors it built;
-the ``doc_to_*`` constructors assemble domain objects from those parts after
-one check of kind, field and ``hopf_dim``.
+``_KINDS`` is the one place each document kind is described: its dimension
+keys and its parts in document order, basis, tensors and side-plus-tensor
+structures with their shapes over the Hopf dimension n and the space
+dimension m.  One loop in ``parse_document`` validates those parts and one
+function, ``_to_doc``, serializes them; the axis layout of a coaction comes
+from ``hayd.reps``.  ``parse_document`` walks every entry once and returns
+the document with its ``field`` and tensor entry lists replaced by the Field
+and Tensors it built; the ``doc_to_*`` constructors assemble domain objects
+from those parts after one check of kind, field and ``hopf_dim``.
 """
 
 from __future__ import annotations
@@ -32,16 +35,29 @@ from .tensor import Tensor
 
 DEFAULT_MAX_DIM = 64
 
-# each kind with the top-level keys it may hold besides kind, field and name
-_KEYS = {
-    "hopf": {"dim", "basis", "mult", "unit", "comult", "counit", "antipode"},
-    "two_sided": {"hopf_dim", "dim", "action", "coaction"},
-    "comodule_algebra": {"hopf_dim", "dim", "basis", "mult", "unit", "coaction"},
-    "action": {"side", "hopf_dim", "dim", "tensor"},
-    "coaction": {"side", "hopf_dim", "dim", "tensor"},
-    "algebra": {"dim", "basis", "mult", "unit"},
+
+def _action_shape(side, dim, hopf_dim):
+    """The shape of an action tensor, the same on either side."""
+    return (hopf_dim, dim, dim)
+
+
+# Each kind's dimension keys, the Hopf dimension n first and the space
+# dimension m last (hopf and algebra have one key for both), and its parts in
+# document order as (key, shape): shape None for a basis of m names, a string
+# over n and m for a tensor's axes, or a function shape(side, m, n) for a
+# side-plus-tensor structure, nested under key or, with key None, at the top
+# level.
+_KINDS = {
+    "hopf": (("dim",), (("basis", None), ("mult", "nnn"), ("unit", "n"),
+                        ("comult", "nnn"), ("counit", "n"), ("antipode", "nn"))),
+    "two_sided": (("hopf_dim", "dim"), (("action", _action_shape), ("coaction", coaction_shape))),
+    "comodule_algebra": (("hopf_dim", "dim"), (("basis", None), ("mult", "mmm"), ("unit", "m"),
+                                               ("coaction", "mmn"))),
+    "action": (("hopf_dim", "dim"), ((None, _action_shape),)),
+    "coaction": (("hopf_dim", "dim"), ((None, coaction_shape),)),
+    "algebra": (("dim",), (("basis", None), ("mult", "mmm"), ("unit", "m"))),
 }
-KINDS = tuple(_KEYS)
+KINDS = tuple(_KINDS)
 
 _INDEX_KEYS = ("i", "j", "k", "l")
 
@@ -173,22 +189,9 @@ def _validate_tensor(doc, key, shape, field, chk: _Check, base=""):
 
 def _validate_basis(doc, dim, chk: _Check):
     basis = doc.get("basis")
-    if basis is None:
-        return None
-    if not isinstance(basis, list) or len(basis) != dim or not all(
-        isinstance(b, str) for b in basis
-    ):
+    if basis is not None and (not isinstance(basis, list) or len(basis) != dim
+                              or not all(isinstance(b, str) for b in basis)):
         chk.fail("/basis", f"expected a list of {dim} strings")
-        return None
-    return basis
-
-
-def _validate_side(node, pointer, chk: _Check):
-    side = node.get("side")
-    if side not in ("left", "right"):
-        chk.fail(f"{pointer}/side", f"expected 'left' or 'right', got {side!r}")
-        return None
-    return side
 
 
 def parse_document(text: str) -> dict:
@@ -209,7 +212,11 @@ def parse_document(text: str) -> dict:
     if kind not in KINDS:
         chk.fail("/kind", f"expected one of {list(KINDS)}, got {kind!r}")
         chk.raise_if_failed()
-    _reject_unknown(doc, {"kind", "field", "name", *_KEYS[kind]}, "", chk)
+    dim_keys, parts = _KINDS[kind]
+    allowed = {"kind", "field", "name", *dim_keys}
+    for key, _ in parts:
+        allowed.update((key,) if key else ("side", "tensor"))
+    _reject_unknown(doc, allowed, "", chk)
     field = _validate_field(doc, chk)
     if field is None:
         chk.raise_if_failed()
@@ -217,52 +224,36 @@ def parse_document(text: str) -> dict:
     if "name" in doc and not isinstance(doc["name"], str):
         chk.fail("/name", f"expected a string, got {doc['name']!r}")
 
-    if kind in ("hopf", "algebra"):
-        n = _validate_dim(doc, "dim", chk)
-        if n is None:
-            chk.raise_if_failed()
-        _validate_basis(doc, n, chk)
-        _validate_tensor(doc, "mult", (n, n, n), field, chk)
-        _validate_tensor(doc, "unit", (n,), field, chk)
-        if kind == "hopf":
-            _validate_tensor(doc, "comult", (n, n, n), field, chk)
-            _validate_tensor(doc, "counit", (n,), field, chk)
-            _validate_tensor(doc, "antipode", (n, n), field, chk)
-    elif kind in ("action", "coaction"):
-        n = _validate_dim(doc, "hopf_dim", chk)
-        m = _validate_dim(doc, "dim", chk)
-        side = _validate_side(doc, "", chk)
-        if None not in (n, m, side):
-            shape = _structure_shape(kind, side, n, m)
-            _validate_tensor(doc, "tensor", shape, field, chk)
-    elif kind == "two_sided":
-        n = _validate_dim(doc, "hopf_dim", chk)
-        m = _validate_dim(doc, "dim", chk)
-        for part, part_kind in (("action", "action"), ("coaction", "coaction")):
-            node = doc.get(part)
-            if not isinstance(node, dict):
-                chk.fail(f"/{part}", "missing or not an object")
-                continue
-            _reject_unknown(node, {"side", "tensor"}, f"/{part}", chk)
-            side = _validate_side(node, f"/{part}", chk)
-            if None in (n, m, side):
-                continue
-            shape = _structure_shape(part_kind, side, n, m)
-            _validate_tensor(node, "tensor", shape, field, chk, base=f"/{part}")
-    elif kind == "comodule_algebra":
-        n = _validate_dim(doc, "hopf_dim", chk)
-        m = _validate_dim(doc, "dim", chk)
-        if None not in (n, m):
-            _validate_basis(doc, m, chk)
-            _validate_tensor(doc, "mult", (m, m, m), field, chk)
-            _validate_tensor(doc, "unit", (m,), field, chk)
-            _validate_tensor(doc, "coaction", (m, m, n), field, chk)
+    dims = [_validate_dim(doc, key, chk) for key in dim_keys]
+    size = None if None in dims else {"n": dims[0], "m": dims[-1]}
+    for key, shape in parts:
+        if callable(shape):
+            _validate_structure(doc, key, shape, size, field, chk)
+        elif size is None:
+            continue  # a bad dimension leaves no basis or tensor to shape
+        elif shape is None:
+            _validate_basis(doc, size["m"], chk)
+        else:
+            _validate_tensor(doc, key, tuple(size[axis] for axis in shape), field, chk)
     chk.raise_if_failed()
     return doc
 
 
-def _structure_shape(kind, side, n, m):
-    return (n, m, m) if kind == "action" else coaction_shape(side, m, n)
+def _validate_structure(doc, key, shape, size, field, chk: _Check):
+    """Validate a side and the tensor it shapes, in the object doc[key] or,
+    with key None, at the top level of doc."""
+    node, base = doc, ""
+    if key is not None:
+        node, base = doc.get(key), f"/{key}"
+        if not isinstance(node, dict):
+            chk.fail(base, "missing or not an object")
+            return
+        _reject_unknown(node, {"side", "tensor"}, base, chk)
+    side = node.get("side")
+    if side not in ("left", "right"):
+        chk.fail(f"{base}/side", f"expected 'left' or 'right', got {side!r}")
+    elif size is not None:
+        _validate_tensor(node, "tensor", shape(side, size["m"], size["n"]), field, chk, base)
 
 
 def load_document(path) -> dict:
@@ -375,77 +366,46 @@ def tensor_to_doc(t: Tensor):
     return out
 
 
+def _to_doc(kind, field, dims, parts, **extra) -> dict:
+    """The document of ``kind`` with ``dims`` and ``parts`` in ``_KINDS``
+    order: basis names, Tensors and side-plus-tensor structures."""
+    dim_keys, layout = _KINDS[kind]
+    doc = {"kind": kind, **extra, "field": _field_doc(field), **dict(zip(dim_keys, dims))}
+    for (key, shape), part in zip(layout, parts):
+        if shape is None:
+            doc[key] = list(part)
+        elif isinstance(shape, str):
+            doc[key] = tensor_to_doc(part)
+        else:
+            node = {"side": part.side, "tensor": tensor_to_doc(part.tensor)}
+            doc.update(node if key is None else {key: node})
+    return doc
+
+
 def hopf_to_doc(H: FinHopfAlgebra) -> dict:
-    return {
-        "kind": "hopf",
-        "name": H.name,
-        "field": _field_doc(H.field),
-        "dim": H.dim,
-        "basis": list(H.basis_names),
-        "mult": tensor_to_doc(H.mult),
-        "unit": tensor_to_doc(H.unit),
-        "comult": tensor_to_doc(H.comult),
-        "counit": tensor_to_doc(H.counit),
-        "antipode": tensor_to_doc(H.antipode),
-    }
+    return _to_doc("hopf", H.field, (H.dim,),
+                   (H.basis_names, H.mult, H.unit, H.comult, H.counit, H.antipode), name=H.name)
 
 
 def algebra_to_doc(A: FinAlgebra) -> dict:
-    return {
-        "kind": "algebra",
-        "name": A.name,
-        "field": _field_doc(A.field),
-        "dim": A.dim,
-        "basis": list(A.basis_names),
-        "mult": tensor_to_doc(A.mult),
-        "unit": tensor_to_doc(A.unit),
-    }
+    return _to_doc("algebra", A.field, (A.dim,), (A.basis_names, A.mult, A.unit), name=A.name)
 
 
 def two_sided_to_doc(M) -> dict:
-    return {
-        "kind": "two_sided",
-        "field": _field_doc(M.hopf.field),
-        "hopf_dim": M.hopf.dim,
-        "dim": M.dim,
-        "action": {"side": M.action.side, "tensor": tensor_to_doc(M.action.tensor)},
-        "coaction": {"side": M.coaction.side, "tensor": tensor_to_doc(M.coaction.tensor)},
-    }
+    return _to_doc("two_sided", M.hopf.field, (M.hopf.dim, M.dim), (M.action, M.coaction))
 
 
 def action_to_doc(A: ActionStructure, hopf_dim: int) -> dict:
-    return {
-        "kind": "action",
-        "field": _field_doc(A.tensor.field),
-        "side": A.side,
-        "hopf_dim": hopf_dim,
-        "dim": A.dim,
-        "tensor": tensor_to_doc(A.tensor),
-    }
+    return _to_doc("action", A.tensor.field, (hopf_dim, A.dim), (A,))
 
 
 def coaction_to_doc(C: CoactionStructure, hopf_dim: int) -> dict:
-    return {
-        "kind": "coaction",
-        "field": _field_doc(C.tensor.field),
-        "side": C.side,
-        "hopf_dim": hopf_dim,
-        "dim": C.dim,
-        "tensor": tensor_to_doc(C.tensor),
-    }
+    return _to_doc("coaction", C.tensor.field, (hopf_dim, C.dim), (C,))
 
 
 def comodule_algebra_to_doc(CA) -> dict:
-    return {
-        "kind": "comodule_algebra",
-        "field": _field_doc(CA.field),
-        "hopf_dim": CA.H.dim,
-        "dim": CA.dim,
-        "basis": list(CA.P.basis_names),
-        "mult": tensor_to_doc(CA.P.mult),
-        "unit": tensor_to_doc(CA.P.unit),
-        "coaction": tensor_to_doc(CA.coaction.tensor),
-    }
+    return _to_doc("comodule_algebra", CA.field, (CA.H.dim, CA.dim),
+                   (CA.P.basis_names, CA.P.mult, CA.P.unit, CA.coaction.tensor))
 
 
 def dumps(doc: dict) -> str:

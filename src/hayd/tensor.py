@@ -226,16 +226,17 @@ class Tensor:
         shape = tuple(int(d) for d in shape)
         if prod(shape) != prod(self.shape):
             raise ShapeError(f"cannot reshape {self.shape} into {shape}")
-        entries = {}
-        for idx, c in self.entries.items():
-            flat = 0
-            for i, d in zip(idx, self.shape):
-                flat = flat * d + i
-            new = []
-            for d in reversed(shape):
-                flat, i = divmod(flat, d)
-                new.append(i)
-            entries[tuple(reversed(new))] = c
+        # one column per axis: the flat indices, then each target axis's index
+        keys = list(self.entries)
+        flat = [0] * len(keys)
+        for axis, d in enumerate(self.shape):
+            flat = [f * d + idx[axis] for f, idx in zip(flat, keys)]
+        columns = []
+        for d in reversed(shape):
+            columns.append([f % d for f in flat])
+            flat = [f // d for f in flat]
+        new = zip(*reversed(columns)) if shape else [()] * len(keys)
+        entries = dict(zip(new, self.entries.values()))
         return Tensor(self.field, shape, entries, _normalized=True)
 
 

@@ -299,6 +299,16 @@ def test_a_group_must_share_the_range_of_its_first_witness_letter():
         check("x", [scalar, ok])
 
 
+
+@pytest.mark.parametrize("scope", ["none", "ledger"])
+def test_an_empty_group_is_a_shape_error_in_either_scope(scope):
+    # inside a ledger an empty group was never scanned, so it used to pass
+    with contextlib.nullcontext() if scope == "none" else ledger():
+        with pytest.raises(ShapeError, match="empty-x"):
+            check("empty-x", [])
+        with pytest.raises(ShapeError, match="empty-y"):
+            check("empty-y", _assoc(sweedler().mult), ())
+
 def _unit_laws(mult, unit):
     delta = Tensor.identity(mult.field, mult.shape[0])
     return [Identity("unit", "i", "k", [(unit, "j"), (mult, "jik")], [(delta, "ik")]),

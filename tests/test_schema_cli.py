@@ -59,6 +59,29 @@ def test_comodule_algebra_round_trip():
     assert CA2.coaction.tensor == CA.coaction.tensor
 
 
+
+def test_algebra_round_trip():
+    from hayd.double import build_ah
+
+    A = build_ah(sweedler())
+    text = schema.dumps(schema.algebra_to_doc(A))
+    A2 = schema.doc_to_algebra(schema.parse_document(text))
+    assert (A2.mult, A2.unit, A2.basis_names) == (A.mult, A.unit, A.basis_names)
+    assert schema.dumps(schema.algebra_to_doc(A2)) == text
+
+
+@pytest.mark.parametrize("action", ["missing", [], "left"])
+def test_two_sided_part_that_is_not_an_object(action):
+    H = sweedler()
+    doc = schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr"))
+    if action == "missing":
+        del doc["action"]
+    else:
+        doc["action"] = action
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert err.value.violations == [("/action", "missing or not an object")]
+
 def test_cli_verify_comodule_algebra_failure_is_exit_one(tmp_path, capsys):
     from hayd.galois import comodule_algebra_from_hopf
 
