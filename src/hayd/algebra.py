@@ -72,6 +72,11 @@ class FinAlgebra:
     (``left_closure_rank``); ``self.generators`` is then that matrix, whose
     rows the structures built on this algebra scan in place of its basis.
     It is None until ``verify`` passes that way.
+
+    The structure tensors (``mult`` and ``unit``, and a Hopf algebra's
+    ``comult``, ``counit`` and ``antipode``) are not rebound after
+    ``verify``: its proof, the proved generators and every build cached
+    from the structure rest on them.  The tensors themselves are read-only.
     """
 
     def __init__(self, field, mult: Tensor, unit: Tensor, basis_names=None, name="algebra",

@@ -248,7 +248,6 @@ def check_entwined_module(E: EntwiningData, M: TwoSidedStructure) -> Report:
 
 def _require_modular_candidates(H: FinHopfAlgebra, delta: Tensor, sigma: Tensor):
     """An InputError unless delta is a character and sigma a group-like of H."""
-    H.require_verified()
     if not check_element(H, delta, "character"):
         raise InputError("delta is not a character")
     if not check_element(H, sigma, "group_like"):

@@ -27,7 +27,7 @@ from .galois import comodule_algebra_from_hopf, make_sayd_prop5
 from .hopf import verify_hopf_axioms
 from .report import Report
 from .reps import verify_action, verify_coaction
-from .suite import BUILTINS, builtin, hopf_target, resolve_targets, run_suite, verified_input
+from .suite import BUILTINS, builtin, hopf_target, resolve_targets, run_suite
 from .tensor import Tensor
 
 CHECK_NAMES = (
@@ -88,11 +88,6 @@ def _emit_report(report: Report, target: str, millis: int, as_json: bool) -> int
     return 0 if report.passed else 1
 
 
-def _hopf_input(name_or_path):
-    """The --hopf context of a command: a builtin or hopf document, verified."""
-    return verified_input(hopf_target(name_or_path), name_or_path)
-
-
 def _structure_report(doc, H) -> Report:
     """Verify an action, coaction, two_sided or comodule_algebra document over H."""
     kind = doc["kind"]
@@ -121,7 +116,7 @@ def cmd_verify(args) -> int:
         article = "an" if kind[0] in "aeiou" else "a"
         raise InputError(f"verifying {article} {kind} document needs --hopf")
     else:
-        report = _structure_report(doc, _hopf_input(args.hopf))
+        report = _structure_report(doc, hopf_target(args.hopf).require_verified(args.hopf))
     millis = int((time.monotonic() - start) * 1000)
     return _emit_report(report, args.file, 0 if args.json and not args.timing else millis, args.json)
 
@@ -139,7 +134,7 @@ def cmd_check(args) -> int:
         report = verify_hopf_axioms(hopf_target(args.hopf))
     else:
         target = args.module
-        H = _hopf_input(args.hopf)
+        H = hopf_target(args.hopf).require_verified(args.hopf)
         if not args.module:
             raise InputError(f"check {args.name} needs --module")
         doc = schema.load_document(args.module)
@@ -179,7 +174,7 @@ def cmd_build(args) -> int:
     for option in ("module", "left", "right", "case", "json"):
         if getattr(args, option) and option not in _BUILD_OPTIONS[args.what]:
             raise InputError(f"build {args.what} does not take --{option}")
-    H = _hopf_input(args.hopf)
+    H = hopf_target(args.hopf).require_verified(args.hopf)
     if args.what == "ah":
         _write_doc(schema.algebra_to_doc(build_ah(H)), args.out)
         return 0

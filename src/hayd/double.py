@@ -27,6 +27,7 @@ from .hopf import (
     FinHopfAlgebra,
     antipode_inverse,
     by_construction,
+    derived,
     iterated_coproduct,
     verify_hopf_given_algebra,
 )
@@ -61,45 +62,37 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
     return by_construction(A, A.verify())
 
 
+@derived("generators")
 def _generators(H: FinHopfAlgebra) -> Tensor:
     """The rows e_i* (x) 1 for greedy generators e_i* of the dual, then
     counit (x) e_j for greedy generators e_j of H: candidate generators of
     both products on dual (x) self, chosen once per H; each product proves
     them for itself."""
-    if "generators" not in H._cache:
-        n = H.dim
-        dual = greedy_generators(H.comult.transpose((1, 2, 0)), H.counit)
-        own = greedy_generators(H.mult, H.unit)
-        rows = {(r, i * n + b): c for r, i in enumerate(dual) for (b,), c in H.unit.entries.items()}
-        rows.update({(len(dual) + r, a * n + j): c
-                     for r, j in enumerate(own) for (a,), c in H.counit.entries.items()})
-        H._cache["generators"] = Tensor(H.field, (len(dual) + len(own), n * n), rows,
-                                        _normalized=True)
-    return H._cache["generators"]
+    n = H.dim
+    dual = greedy_generators(H.comult.transpose((1, 2, 0)), H.counit)
+    own = greedy_generators(H.mult, H.unit)
+    rows = {(r, i * n + b): c for r, i in enumerate(dual) for (b,), c in H.unit.entries.items()}
+    rows.update({(len(dual) + r, a * n + j): c
+                 for r, j in enumerate(own) for (a,), c in H.counit.entries.items()})
+    return Tensor(H.field, (len(dual) + len(own), n * n), rows, _normalized=True)
 
 
+@derived("ah")
 def build_ah(H: FinHopfAlgebra) -> FinAlgebra:
     """The twisted product on dual (x) self whose modules match check_ayd."""
-    H.require_verified()
-    if "ah" not in H._cache:
-        H._cache["ah"] = _product_space(H, squared_antipode=True)
-    return H._cache["ah"]
+    return _product_space(H, squared_antipode=True)
 
 
+@derived("double")
 def build_double(H: FinHopfAlgebra) -> FinAlgebra:
     """The same product with the squared antipode dropped: the Drinfeld double."""
-    H.require_verified()
-    if "double" not in H._cache:
-        H._cache["double"] = _product_space(H, squared_antipode=False)
-    return H._cache["double"]
+    return _product_space(H, squared_antipode=False)
 
 
+@derived("double_hopf")
 def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
     """The double as a Hopf algebra: co-opposite dual coalgebra interleaved
     with the coalgebra of H, antipode assembled from both factors."""
-    H.require_verified()
-    if "double_hopf" in H._cache:
-        return H._cache["double_hopf"]
     alg = build_double(H)
     f = H.field
     n = H.dim
@@ -121,8 +114,7 @@ def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
     # build_double has proved the product and its generators; the rest pins
     # the coalgebra and antipode conventions against it
     D.generators = alg.generators
-    H._cache["double_hopf"] = by_construction(D, verify_hopf_given_algebra(D))
-    return D
+    return by_construction(D, verify_hopf_given_algebra(D))
 
 
 # -- module conversions --------------------------------------------------------
@@ -184,7 +176,6 @@ def ah_module_roundtrip(H: FinHopfAlgebra, V: AlgebraModule) -> AlgebraModule:
 def ah_double_coaction(H: FinHopfAlgebra) -> CoactionStructure:
     """The interleaved double coaction making build_ah(H) a comodule algebra
     over build_double_hopf(H); verified before returning."""
-    H.require_verified()
     A = build_ah(H)
     D = build_double_hopf(H)
     # e_i* (x) e_j goes to the dual coproduct legs of e_i* interleaved with the

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import FinAlgebra
 from .ayd import TwoSidedStructure, check_ayd, check_stability
 from .errors import CheckFailedError, InputError, NotGaloisError, ShapeError
-from .hopf import FinHopfAlgebra, antipode_inverse
+from .hopf import FinHopfAlgebra, antipode_inverse, derived
 from .identity import Identity, check, evaluate, on_generators
 from .report import Report
 from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
@@ -52,7 +52,6 @@ class ComoduleAlgebra:
     """An algebra with a verified right coaction that is an algebra map."""
 
     def __init__(self, P: FinAlgebra, H: FinHopfAlgebra, coaction: CoactionStructure):
-        H.require_verified()
         check_comodule_algebra(P, H, coaction).require()
         self.P = P
         self.H = H
@@ -69,15 +68,13 @@ class ComoduleAlgebra:
 
 def comodule_algebra_from_hopf(H: FinHopfAlgebra) -> ComoduleAlgebra:
     """The baseline example: H coacting on itself by its comultiplication."""
-    H.require_verified()
     return ComoduleAlgebra(H, H, CoactionStructure("right", H.dim, H.comult))
 
 
+@derived("galois")
 def hopf_galois_data(H: FinHopfAlgebra) -> GaloisData:
     """The canonical map of H coacting on itself, computed once per H."""
-    if "galois" not in H._cache:
-        H._cache["galois"] = canonical_map(comodule_algebra_from_hopf(H))
-    return H._cache["galois"]
+    return canonical_map(comodule_algebra_from_hopf(H))
 
 
 def coinvariants(CA: ComoduleAlgebra):

@@ -17,6 +17,7 @@ not statistical evidence.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import product as iter_product
 
 from .algebra import FinAlgebra, associativity_report, unit_report
@@ -28,8 +29,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import Field, rationals
-from .groups import Group, cyclic, symmetric
-from .identity import Identity, check, evaluate, on_generators
+from .groups import Group
+from .identity import Identity, check, on_generators
 from .report import Report
 from .tensor import Tensor, invert_matrix
 
@@ -74,14 +75,19 @@ class FinHopfAlgebra(FinAlgebra):
     def basis_vector(self, i: int) -> Tensor:
         return Tensor.basis(self.field, (self.dim,), (i,))
 
-    def require_verified(self):
+    def require_verified(self, label=None) -> FinHopfAlgebra:
+        """This H once every Hopf axiom holds on it: the one gate before any
+        build or check over H.  An H already verified, such as a builtin its
+        factory verified, is not scanned again.  A failure is an InputError
+        naming ``label``, by default this structure."""
         if not self.verified:
             report = verify_hopf_axioms(self)
             if not report.passed:
                 raise InputError(
-                    f"Hopf structure '{self.name}' fails axiom "
-                    f"'{report.axiom}' at {report.witness}"
+                    f"{self if label is None else label} fails '{report.axiom}' at "
+                    f"{report.witness}; supply a valid Hopf structure"
                 )
+        return self
 
     def verify(self) -> Report:
         return verify_hopf_axioms(self)
@@ -157,6 +163,23 @@ def by_construction(structure, report: Report):
     return structure
 
 
+def derived(key):
+    """Decorator for a structure built from H alone (and its extra
+    arguments): the call passes H's gate, then builds once per H into
+    ``H._cache[key]``, or ``H._cache[(key, *args)]`` with extra arguments,
+    and every later call returns that same object."""
+    def memo(build):
+        @wraps(build)
+        def cached(H: FinHopfAlgebra, *args):
+            slot = (key, *args) if args else key
+            H.require_verified()
+            if slot not in H._cache:
+                H._cache[slot] = build(H, *args)
+            return H._cache[slot]
+        return cached
+    return memo
+
+
 def antipode_inverse(H: FinHopfAlgebra) -> Tensor:
     """Matrix inverse of the antipode, which verifying H computes and stores;
     an H that fails verification, a singular antipode included, raises
@@ -165,28 +188,22 @@ def antipode_inverse(H: FinHopfAlgebra) -> Tensor:
     return H._antipode_inv
 
 
+@derived("cop")
 def iterated_coproduct(H: FinHopfAlgebra, k: int) -> Tensor:
     """k-fold coproduct legs as a tensor (input axis, then k output axes)."""
     if k < 1:
         raise InputError("iterated coproduct needs k >= 1")
-    key = ("cop", k)
-    if key in H._cache:
-        return H._cache[key]
     if k == 1:
-        t = Tensor.identity(H.field, H.dim)
-    else:
-        t = H.comult
-        for _ in range(k - 2):
-            t = t.contract(H.comult, [(t.rank - 1, 0)])
-    H._cache[key] = t
+        return Tensor.identity(H.field, H.dim)
+    t = H.comult
+    for _ in range(k - 2):
+        t = t.contract(H.comult, [(t.rank - 1, 0)])
     return t
 
 
+@derived("dual")
 def dual_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
     """The dual Hopf algebra on the dual basis (finite-dimensional duality)."""
-    H.require_verified()
-    if "dual" in H._cache:
-        return H._cache["dual"]
     dual = FinHopfAlgebra(
         H.field,
         H.comult.transpose((1, 2, 0)),
@@ -197,8 +214,7 @@ def dual_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
         basis_names=[name + "*" for name in H.basis_names],
         name=H.name + "*",
     )
-    H._cache["dual"] = by_construction(dual, verify_hopf_axioms(dual))
-    return dual
+    return by_construction(dual, verify_hopf_axioms(dual))
 
 
 def variant(H: FinHopfAlgebra, which: str) -> FinHopfAlgebra:
@@ -279,29 +295,24 @@ def taft(n: int, field: Field, zeta) -> FinHopfAlgebra:
     if n < 2:
         raise InputError("taft needs n >= 2")
     zeta = field.coerce(zeta)
-    power = field.one
+    zeta_pow = [field.one]  # zeta^k for 0 <= k < n
     for k in range(1, n):
-        power = field.mul(power, zeta)
-        if power == field.one:
+        zeta_pow.append(field.mul(zeta_pow[-1], zeta))
+        if zeta_pow[-1] == field.one:
             raise InputError(f"zeta={zeta} has order {k}, expected {n}")
-    if field.mul(power, zeta) != field.one:
+    if field.mul(zeta_pow[-1], zeta) != field.one:
         raise InputError(f"zeta={zeta} does not have order {n}")
 
     dim = n * n
 
     def idx(a, b):
-        return a * n + b
-
-    zeta_pow = [field.one]
-    for _ in range(n * n):
-        zeta_pow.append(field.mul(zeta_pow[-1], zeta))
+        return (a % n) * n + b
 
     # monomial rule: (g^a x^b)(g^c x^d) = zeta^(bc) g^(a+c) x^(b+d), zero past x^n
     entries = {}
     for a, b, c, d in iter_product(range(n), repeat=4):
-        if b + d >= n:
-            continue
-        entries[(idx(a, b), idx(c, d), idx((a + c) % n, b + d))] = zeta_pow[b * c]
+        if b + d < n:
+            entries[(idx(a, b), idx(c, d), idx(a + c, b + d))] = zeta_pow[b * c % n]
     mult = Tensor(field, (dim, dim, dim), entries, _normalized=True)
     unit = Tensor(field, (dim,), {(idx(0, 0),): field.one}, _normalized=True)
     counit = Tensor(
@@ -310,48 +321,25 @@ def taft(n: int, field: Field, zeta) -> FinHopfAlgebra:
 
     names = [_monomial_name(a, b) for a in range(n) for b in range(n)]
 
-    def sq(x: Tensor, y: Tensor) -> Tensor:
-        """Componentwise product in H (x) H."""
-        return evaluate("ab", [(x, "ij"), (y, "kl"), (mult, "ika"), (mult, "jlb")])
+    # coproduct(g^a x^b) = sum_k [b k] g^(a+k) x^(b-k) (x) g^a x^k, with the
+    # zeta-binomials [b k] = [b-1 k-1] + zeta^k [b-1 k], all nonzero for b < n
+    binom = [[field.one]]
+    for b in range(1, n):
+        prev = binom[-1] + [field.zero]
+        binom.append([field.one] + [field.add(prev[k - 1], field.mul(zeta_pow[k], prev[k]))
+                                    for k in range(1, b + 1)])
+    comult = Tensor(field, (dim, dim, dim), {
+        (idx(a, b), idx(a + k, b - k), idx(a, k)): binom[b][k]
+        for a in range(n) for b in range(n) for k in range(b + 1)
+    }, _normalized=True)
 
-    # comultiplication: extend the generator images multiplicatively
-    d_g = Tensor(field, (dim, dim), {(idx(1, 0), idx(1, 0)): field.one})
-    d_x = Tensor(
-        field,
-        (dim, dim),
-        {(idx(0, 1), idx(0, 0)): field.one, (idx(1, 0), idx(0, 1)): field.one},
-    )
-    comult_entries = {}
-    d_ga = Tensor(field, (dim, dim), {(idx(0, 0), idx(0, 0)): field.one})
-    for a in range(n):
-        d_power = d_ga
-        for b in range(n):
-            for (j, k), c in d_power.entries.items():
-                comult_entries[(idx(a, b), j, k)] = c
-            d_power = sq(d_power, d_x)
-        d_ga = sq(d_ga, d_g)
-    comult = Tensor(field, (dim, dim, dim), comult_entries, _normalized=True)
-
-    # antipode: S(g) = g^(n-1), S(x) = -g^(n-1) x; S(g^a x^b) = S(x)^b S(g)^a
-    def mul_vec(x: Tensor, y: Tensor) -> Tensor:
-        return evaluate("k", [(x, "i"), (y, "j"), (mult, "ijk")])
-
-    def basis_v(a, b):
-        return Tensor.basis(field, (dim,), (idx(a, b),))
-
-    s_g = basis_v(n - 1, 0)
-    s_x = basis_v(n - 1, 1).scale(field.neg(field.one))
-    antipode_entries = {}
-    s_ga = basis_v(0, 0)
-    for a in range(n):
-        sxb = basis_v(0, 0)
-        for b in range(n):
-            image = mul_vec(sxb, s_ga)
-            for (j,), c in image.entries.items():
-                antipode_entries[(idx(a, b), j)] = c
-            sxb = mul_vec(sxb, s_x)
-        s_ga = mul_vec(s_ga, s_g)
-    antipode = Tensor(field, (dim, dim), antipode_entries, _normalized=True)
+    # antipode(g^a x^b) = (-1)^b zeta^(-b(b-1)/2 - ab) g^(-a-b) x^b
+    sign = [field.one, field.neg(field.one)]
+    antipode = Tensor(field, (dim, dim), {
+        (idx(a, b), idx(-a - b, b)):
+            field.mul(sign[b % 2], zeta_pow[(-b * (b - 1) // 2 - a * b) % n])
+        for a in range(n) for b in range(n)
+    }, _normalized=True)
 
     H = FinHopfAlgebra(
         field, mult, unit, comult, counit, antipode, basis_names=names,
@@ -414,24 +402,3 @@ def find_characters(H: FinHopfAlgebra):
     """Characters of H are exactly the group-likes of the dual."""
     return find_group_likes(dual_hopf(H))
 
-
-# re-exported convenience constructors
-
-__all__ = [
-    "FinHopfAlgebra",
-    "Report",
-    "verify_hopf_axioms",
-    "antipode_inverse",
-    "iterated_coproduct",
-    "dual_hopf",
-    "variant",
-    "group_algebra",
-    "function_algebra",
-    "sweedler",
-    "taft",
-    "check_element",
-    "find_group_likes",
-    "find_characters",
-    "cyclic",
-    "symmetric",
-]

@@ -83,20 +83,6 @@ def hopf_target(name: str) -> FinHopfAlgebra:
     return builtin(name) if name in BUILTINS else load_hopf(name)
 
 
-def verified_input(H: FinHopfAlgebra, label: str) -> FinHopfAlgebra:
-    """H once every Hopf axiom holds on it; builtins, which their factories
-    verify, are not scanned again.  A failure is an InputError naming
-    ``label``."""
-    if not H.verified:
-        report = verify_hopf_axioms(H)
-        if not report.passed:
-            raise InputError(
-                f"{label} fails '{report.axiom}' at {report.witness}; "
-                "supply a valid Hopf structure"
-            )
-    return H
-
-
 # -- stock two-sided structures used by several checks ----------------------------
 
 
@@ -292,7 +278,7 @@ def _check_ah_comodule_algebra(H):
 
 def _check_ah_roundtrip(H):
     A = build_ah(H)
-    reg = AlgebraModule(A, A.mult, check=False)  # A is verified, so this is a module
+    reg = AlgebraModule(A, A.mult)
     r = _agree("ah-roundtrip", (ah_module_roundtrip(H, reg).action, reg.action))
     if not r.passed:
         return r
@@ -361,7 +347,7 @@ def run_suite(targets, checks=None) -> SuiteResult:
         if name not in SUITE_CHECKS:
             raise InputError(f"unknown check {name!r}; known: {sorted(SUITE_CHECKS)}")
     for label, H in targets.items():
-        verified_input(H, f"target {label}")
+        H.require_verified(f"target {label}")
     result = SuiteResult()
     for label in sorted(targets):
         H = targets[label]

@@ -3,9 +3,11 @@
 A Tensor stores only nonzero entries in a dict keyed by multi-index, so the
 very sparse structure constants of group and Taft algebras stay cheap.  Two
 tensors are equal exactly when their entry maps are equal; every operation
-returns normalized entries (no stored zeros, residues reduced).  A Tensor is
-never written after construction, so it hashes by value, consistently with
-``==``; ``hayd.identity``'s ledger keys proved identities by their tensors.
+returns normalized entries (no stored zeros, residues reduced).  ``entries``
+is a read-only view of a dict the constructor owns (``_normalized=True``
+takes over the dict it is handed), so a Tensor is never written after
+construction and hashes by value, consistently with ``==``;
+``hayd.identity``'s ledger keys proved identities by their tensors.
 
 ``contract`` sums over paired axes; the unpaired axes of the left operand come
 first in the output, then those of the right operand.  The empty pairing is
@@ -23,6 +25,7 @@ of maps) runs on its elimination step.
 from __future__ import annotations
 
 from math import prod
+from types import MappingProxyType
 
 from .errors import ShapeError, SingularMatrixError
 from .fields import Field
@@ -39,7 +42,7 @@ class Tensor:
         if any(d < 0 for d in self.shape):
             raise ShapeError(f"negative dimension in shape {self.shape}")
         if _normalized:
-            self.entries = entries
+            self.entries = MappingProxyType(entries)
             return
         norm = {}
         rank = len(self.shape)
@@ -53,7 +56,7 @@ class Tensor:
             c = field.coerce(c)
             if not field.is_zero(c):
                 norm[idx] = c
-        self.entries = norm
+        self.entries = MappingProxyType(norm)
 
     # -- construction helpers ------------------------------------------------
 

@@ -1,6 +1,9 @@
 import pytest
 
+from hayd.ayd import entwining_map, one_dim_module
+from hayd.double import _generators, build_ah, build_double, build_double_hopf
 from hayd.errors import GuardError, InputError
+from hayd.galois import hopf_galois_data
 from hayd.fields import prime_field, rationals
 from hayd.groups import Group, cyclic, symmetric
 from hayd.hopf import (
@@ -18,6 +21,7 @@ from hayd.hopf import (
     verify_hopf_axioms,
     FinHopfAlgebra,
 )
+from hayd.reps import CoactionStructure, regular_action, verify_action, verify_coaction
 from hayd.tensor import Tensor, contract
 
 from helpers import dense, first_hopf_violation, naive_hopf_axioms
@@ -189,6 +193,14 @@ def test_taft_zeta_4_has_order_3_and_passes():
     assert verify_hopf_axioms(H).passed
 
 
+@pytest.mark.parametrize("n, p, zeta", [(5, 11, 3), (6, 7, 3)])
+def test_taft_builds_past_n_4(n, p, zeta):
+    # the factory proves its closed-form coproduct and antipode
+    # (by_construction), here with zeta-binomials [b k] for b up to n - 1
+    H = taft(n, prime_field(p), zeta)
+    assert H.verified and H.dim == n * n
+
+
 def test_non_group_cayley_table_rejected():
     with pytest.raises(InputError):
         Group([[0, 1], [1, 1]])  # not a latin square / no inverses
@@ -303,3 +315,57 @@ def test_hopf_witness_matches_dense_oracle_on_every_single_entry_corruption():
         assert not r.passed, case
         assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == want, case
     assert count == 261
+
+
+# -- the verify-or-raise gate and the per-H memo ----------------------------------
+
+# each call over a Hopf algebra B, with H4 (sweedler-2) supplying well-shaped data
+GATED = {
+    "build_ah": lambda B, H: build_ah(B),
+    "build_double": lambda B, H: build_double(B),
+    "build_double_hopf": lambda B, H: build_double_hopf(B),
+    "dual_hopf": lambda B, H: dual_hopf(B),
+    "variant": lambda B, H: variant(B, "op"),
+    "iterated_coproduct": lambda B, H: iterated_coproduct(B, 3),
+    "antipode_inverse": lambda B, H: antipode_inverse(B),
+    "check_element": lambda B, H: check_element(B, H.unit, "group_like"),
+    "hopf_galois_data": lambda B, H: hopf_galois_data(B),
+    "verify_action": lambda B, H: verify_action(B, regular_action(H, "left")),
+    "verify_coaction": lambda B, H: verify_coaction(B, CoactionStructure("right", 4, H.comult)),
+    "entwining_map": lambda B, H: entwining_map(B, "ayd"),
+    "one_dim_module": lambda B, H: one_dim_module(B, H.counit, H.unit),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_every_build_and_check_over_h_passes_the_gate(name, H4):
+    broken = FinHopfAlgebra(
+        H4.field, H4.mult, H4.unit, H4.comult, H4.counit,
+        Tensor.identity(H4.field, 4), basis_names=H4.basis_names,
+    )
+    with pytest.raises(InputError, match=r"fails 'antipode' at \(1,\); supply a valid Hopf"):
+        GATED[name](broken, H4)
+    assert GATED[name](H4, H4) is not None
+
+
+def test_the_gate_names_its_label_and_returns_h(H4):
+    assert H4.require_verified("target x") is H4
+    broken = FinHopfAlgebra(
+        H4.field, H4.mult, H4.unit, H4.comult, H4.counit,
+        Tensor.identity(H4.field, 4), basis_names=H4.basis_names, name="B",
+    )
+    with pytest.raises(InputError, match=r"^target x fails 'antipode' at \(1,\)"):
+        broken.require_verified("target x")
+    with pytest.raises(InputError, match=r"^FinHopfAlgebra\(B, dim=4, field=Q\) fails"):
+        broken.require_verified()
+
+
+@pytest.mark.parametrize("build, args", [
+    (iterated_coproduct, (3,)), (dual_hopf, ()), (_generators, ()), (build_ah, ()),
+    (build_double, ()), (build_double_hopf, ()), (hopf_galois_data, ()),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_a_derived_build_is_made_once_per_h(build, args):
+    H = sweedler()
+    first = build(H, *args)
+    assert build(H, *args) is first
+    assert build(sweedler(), *args) is not first

@@ -17,7 +17,7 @@ from collections import defaultdict
 import pytest
 
 from hayd import identity, suite
-from hayd.algebra import AlgebraModule, FinAlgebra
+from hayd.algebra import AlgebraModule, FinAlgebra, associativity_report
 from hayd.ayd import check_ayd, check_entwining, check_yd, entwining_map
 from hayd.cli import main
 from hayd.hopf import sweedler, verify_hopf_axioms
@@ -266,3 +266,18 @@ def test_the_battery_scans_at_most_half_the_groups_with_the_ledger(monkeypatch):
     plain = _battery_scans(monkeypatch, contextlib.nullcontext)
     with_ledger = _battery_scans(monkeypatch, ledger)
     assert with_ledger <= 0.5 * plain, (with_ledger, plain)
+
+
+def test_a_proved_tensor_cannot_be_written_in_place():
+    # a ledger hit is a proof only while the proved tensors keep their
+    # values: proving sweedler-2's product, scaling one entry in place and
+    # checking again can no longer be written
+    mult = sweedler().mult
+    idx, c = next(iter(mult.entries.items()))
+    with ledger():
+        assert associativity_report(mult).passed
+        with pytest.raises(TypeError):
+            mult.entries[idx] = mult.field.mul(c, mult.field.coerce(3))
+        with pytest.raises(TypeError):
+            del mult.entries[idx]
+    assert mult == sweedler().mult

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -501,16 +502,27 @@ def test_cli_check_coaction_rejects_an_action_document(tmp_path, capsys):
     assert "check coaction expects a document of kind 'coaction', got 'action'" in captured.err
 
 
+def _gate_scans(monkeypatch) -> list:
+    """The Hopf algebras that ``FinHopfAlgebra.require_verified`` scans from
+    now on; the scans that builtin factories and builders make to prove their
+    own output are not counted."""
+    from hayd import hopf
+
+    scanned, real = [], hopf.verify_hopf_axioms
+
+    def counting(H):
+        if sys._getframe(1).f_code.co_name == "require_verified":
+            scanned.append(H)
+        return real(H)
+
+    monkeypatch.setattr(hopf, "verify_hopf_axioms", counting)
+    return scanned
+
+
 def test_cli_verifies_a_hopf_context_only_when_it_is_not_a_builtin(tmp_path, monkeypatch, capsys):
-    from hayd import cli, suite
     from hayd.reps import regular_action
 
-    calls = []
-    for mod in (cli, suite):
-        real = mod.verify_hopf_axioms
-        monkeypatch.setattr(
-            mod, "verify_hopf_axioms", lambda H, real=real: calls.append(H.name) or real(H)
-        )
+    calls = _gate_scans(monkeypatch)
     H = sweedler()
     act = tmp_path / "act.json"
     act.write_text(schema.dumps(schema.action_to_doc(regular_action(H, "left"), H.dim)))
@@ -702,9 +714,7 @@ def test_rr_test_modules_are_distinct_and_keep_their_names(name):
 def test_run_suite_verifies_only_unverified_targets(monkeypatch):
     from hayd import suite
 
-    verified = []
-    real = suite.verify_hopf_axioms
-    monkeypatch.setattr(suite, "verify_hopf_axioms", lambda H: verified.append(H) or real(H))
+    verified = _gate_scans(monkeypatch)
     built = sweedler()  # verified by its factory
     loaded = schema.doc_to_hopf(schema.parse_document(schema.dumps(_valid_hopf_doc())))
     result = suite.run_suite({"built": built, "loaded": loaded}, checks=["antipode-inverse"])
