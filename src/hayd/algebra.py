@@ -29,6 +29,16 @@ def _unit(mult: Tensor, unit: Tensor) -> list:
             for product in ("jik", "ijk")]  # 1 e_i, then e_i 1
 
 
+def module_laws(mult: Tensor, unit: Tensor, act: Tensor, side="left", name="module") -> list:
+    """The identities ``{name}-unit`` (1 m == m) and ``{name}-associativity``
+    ((e_i e_j) m == e_i (e_j m) on the left, m (e_i e_j) == (m e_i) e_j on the
+    right) of an action tensor (alg, in, out) over the algebra (mult, unit)."""
+    delta = Tensor.identity(mult.field, act.shape[1])
+    twice = [(act, "icb"), (act, "jac")] if side == "left" else [(act, "iac"), (act, "jcb")]
+    return [Identity(f"{name}-unit", "a", "b", [(unit, "j"), (act, "jab")], [(delta, "ab")]),
+            Identity(f"{name}-associativity", "ija", "b", [(mult, "ijk"), (act, "kab")], twice)]
+
+
 def associativity_report(mult: Tensor) -> Report:
     """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple (i, j, k)."""
     return check("associativity", _associativity(mult))
@@ -142,9 +152,5 @@ class AlgebraModule:
     def verify(self) -> Report:
         """The unit acts as the identity, and (e_i e_j) m == e_i (e_j m),
         over an algebra with proved generators for e_i on them alone."""
-        alg, act = self.algebra, self.action
-        delta = Tensor.identity(alg.field, self.dim)
-        unit = Identity("module-unit", "a", "b", [(alg.unit, "j"), (act, "jab")], [(delta, "ab")])
-        assoc = Identity("module-associativity", "ija", "b",
-                         [(alg.mult, "ijk"), (act, "kab")], [(act, "icb"), (act, "jac")])
-        return check("module", unit, on_generators(assoc, alg.generators))
+        unit, assoc = module_laws(self.algebra.mult, self.algebra.unit, self.action)
+        return check("module", unit, on_generators(assoc, self.algebra.generators))

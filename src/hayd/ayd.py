@@ -11,7 +11,7 @@ antipode and vice versa, so one spec per side convention serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import FinAlgebra
 from .errors import CheckFailedError, InputError, ShapeError
@@ -29,10 +29,11 @@ from .report import Report
 from .reps import (
     ActionStructure,
     CoactionStructure,
+    action_laws,
+    coaction_laws,
     coaction_letters,
     coaction_shape,
     verify_action,
-    verify_coaction,
 )
 from .tensor import Tensor, matrix_rank
 
@@ -64,14 +65,15 @@ class TwoSidedStructure:
         return self.action.dim
 
     def verify(self) -> Report:
-        r = verify_action(self.hopf, self.action)
-        if not r.passed:
-            return r
-        return verify_coaction(self.hopf, self.coaction)
+        """The action's laws, then the coaction's; a pass is labelled as
+        ``verify_coaction``'s."""
+        return check(f"coaction-{self.coaction.side}", *action_laws(self.hopf, self.action),
+                     *coaction_laws(self.hopf, self.coaction))
 
 
-def _compatibility(M: TwoSidedStructure, anti: bool) -> Report:
-    """Evaluate the case-matching action/coaction compatibility identity.
+def compatibility(M: TwoSidedStructure, anti: bool) -> Identity:
+    """The case-matching action/coaction compatibility law, labelled
+    ``anti-yetter-drinfeld-{case}`` or ``yetter-drinfeld-{case}``.
 
     With (h1, h2, h3) the legs of the two-step coproduct of h and T the
     twisting antipode power, the coaction of h.m must equal, per case:
@@ -91,35 +93,43 @@ def _compatibility(M: TwoSidedStructure, anti: bool) -> Report:
         "rr": [(twist, "pt"), (mult, "thw"), (mult, "wrj")],
     }[case]
     out = coaction_letters(side, "", "j", "b")
-    label = f"{'anti-yetter-drinfeld' if anti else 'yetter-drinfeld'}-{case}"
     # the twisted factors bind h first, so the coaction is looked up on (a, h)
-    return check(label, Identity(
-        label, "ia", out,
+    return Identity(
+        f"{'anti-yetter-drinfeld' if anti else 'yetter-drinfeld'}-{case}", "ia", out,
         [(act, "iax"), (co, "x" + out)],
         [(iterated_coproduct(H, 3), "ipqr"), *twisted,
          (co, coaction_letters(side, "a", "h", "x")), (act, "qxb")],
-    ))
+    )
+
+
+def stability(M: TwoSidedStructure) -> Identity:
+    """The coaction leg acting back on the rest reproduces each element,
+    labelled ``stability-{case}``."""
+    M.hopf.require_verified()
+    legs = coaction_letters(M.coaction.side, "a", "h", "x")
+    return Identity(
+        f"stability-{M.case}", "a", "b", [(M.coaction.tensor, legs), (M.action.tensor, "hxb")],
+        [(Tensor.identity(M.hopf.field, M.dim), "ab")],
+    )
+
+
+def _prove(law: Identity) -> Report:
+    return check(law.label, law)
 
 
 def check_ayd(M: TwoSidedStructure) -> Report:
     """Coaction of the acted element equals the inverse-antipode-twisted side."""
-    return _compatibility(M, anti=True)
+    return _prove(compatibility(M, anti=True))
 
 
 def check_yd(M: TwoSidedStructure) -> Report:
     """The antipode-twisted compatibility in the same four conventions."""
-    return _compatibility(M, anti=False)
+    return _prove(compatibility(M, anti=False))
 
 
 def check_stability(M: TwoSidedStructure) -> Report:
     """The coaction leg acting back on the rest must reproduce each element."""
-    M.hopf.require_verified()
-    legs = coaction_letters(M.coaction.side, "a", "h", "x")
-    label = f"stability-{M.case}"
-    return check(label, Identity(
-        label, "a", "b", [(M.coaction.tensor, legs), (M.action.tensor, "hxb")],
-        [(Tensor.identity(M.hopf.field, M.dim), "ab")],
-    ))
+    return _prove(stability(M))
 
 
 # -- tensor construction ---------------------------------------------------------
@@ -142,16 +152,11 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
         raise InputError(
             f"factors are in cases {N.case}/{M.case}, requested {case}"
         )
-    r = check_yd(N)
-    if not r.passed:
-        raise CheckFailedError(
-            Report(False, f"tensor-left-factor-{r.axiom}", r.witness, r.lhs, r.rhs)
-        )
-    r = check_ayd(M)
-    if not r.passed:
-        raise CheckFailedError(
-            Report(False, f"tensor-right-factor-{r.axiom}", r.witness, r.lhs, r.rhs)
-        )
+    # the right factor is scanned only once the left one passes
+    for factor, check_factor, S in (("left", check_yd, N), ("right", check_ayd, M)):
+        r = check_factor(S)
+        if not r.passed:
+            raise CheckFailedError(replace(r, axiom=f"tensor-{factor}-factor-{r.axiom}"))
 
     H = N.hopf
     n, dim = H.dim, N.dim * M.dim
@@ -305,48 +310,28 @@ def check_pi_stability(
         raise ShapeError(f"pi has shape {pi.shape}, expected {(n, m)}")
     if coaction.side != "left" or coaction.dim != m:
         raise InputError("expected a left coaction on the algebra underlying M")
-
-    r = verify_coaction(H, coaction)
-    if not r.passed:
-        return r
-
-    # pi is an algebra map
     r = check(
-        "pi-algebra-map",
+        "pi-algebra-map", *coaction_laws(H, coaction),
         Identity("pi-algebra-map", "ij", "w",
                  [(H.mult, "ijk"), (pi, "kw")], [(pi, "iu"), (pi, "jv"), (M.mult, "uvw")]),
         Identity("pi-algebra-map", "", "w", [(H.unit, "i"), (pi, "iw")], [(M.unit, "w")]),
     )
     if not r.passed:
         return r
-
     rank = matrix_rank(pi)
     if rank != m:
         return Report.fail("pi-surjective", (rank,), pi, None)
-
     # induced action through pi and multiplication in M
-    act = pi.contract(M.mult, [(1, 0)])
-    action = ActionStructure("left", m, act)
-    r = verify_action(H, action)
-    if not r.passed:
-        return r
+    action = ActionStructure("left", m, pi.contract(M.mult, [(1, 0)]))
     structure = TwoSidedStructure(H, action, coaction)
-    r = check_ayd(structure)
-    if not r.passed:
-        return r
-
-    # pi applied to the coaction leg of 1 must multiply back to 1
-    r = check("unit-condition", Identity(
-        "unit-condition", "", "w",
-        [(M.unit, "a"), (coaction.tensor, "aib"), (pi, "iu"), (M.mult, "ubw")], [(M.unit, "w")],
-    ))
-    if not r.passed:
-        return r
-
-    r = check_stability(structure)
-    if not r.passed:
-        return r
-    return Report.ok("pi-stability")
+    return check(
+        "pi-stability", *action_laws(H, action), compatibility(structure, anti=True),
+        # pi applied to the coaction leg of 1 must multiply back to 1
+        Identity("unit-condition", "", "w",
+                 [(M.unit, "a"), (coaction.tensor, "aib"), (pi, "iu"), (M.mult, "ubw")],
+                 [(M.unit, "w")]),
+        stability(structure),
+    )
 
 
 # -- group gradings -----------------------------------------------------------------
@@ -357,7 +342,6 @@ def group_graded_module(
     grading,
     action,
     field: Field | None = None,
-    hopf: FinHopfAlgebra | None = None,
 ) -> TwoSidedStructure:
     """A graded space over a group algebra with a permutation-with-scalars action.
 
@@ -366,7 +350,7 @@ def group_graded_module(
     each basis vector with its grade; run check_ayd on the result to test the
     conjugation rule and check_stability for grade-wise fixedness.
     """
-    H = hopf if hopf is not None else group_algebra(group, field)
+    H = group_algebra(group, field)
     f = H.field
     m = len(grading)
     grading = [index_in(g, len(group), f"grading[{a}]") for a, g in enumerate(grading)]

@@ -15,6 +15,7 @@ import time
 
 from . import schema
 from .ayd import (
+    CASES,
     check_ayd,
     check_entwined_module,
     check_stability,
@@ -30,19 +31,6 @@ from .reps import verify_action, verify_coaction
 from .suite import BUILTINS, builtin, hopf_target, resolve_targets, run_suite
 from .tensor import Tensor
 
-CHECK_NAMES = (
-    "hopf_axioms",
-    "action",
-    "coaction",
-    "ayd",
-    "yd",
-    "stability",
-    "entwined_ayd",
-    "entwined_yd",
-    "comodule_algebra",
-)
-
-
 # the checks that read a two_sided document, run once its structures verify
 _TWO_SIDED_CHECKS = {
     "ayd": lambda H, M: check_ayd(M),
@@ -51,6 +39,8 @@ _TWO_SIDED_CHECKS = {
     "entwined_ayd": lambda H, M: check_entwined_module(entwining_map(H, "ayd"), M),
     "entwined_yd": lambda H, M: check_entwined_module(entwining_map(H, "yd"), M),
 }
+
+CHECK_NAMES = ("hopf_axioms", "action", "coaction", *_TWO_SIDED_CHECKS, "comodule_algebra")
 
 
 def _tensor_json(t):
@@ -262,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=CHECK_NAMES)
     p.add_argument("--hopf", required=True, help="builtin name or hopf document path")
     p.add_argument("--module", help="document with the structure to check")
-    p.add_argument("--case", choices=("ll", "lr", "rl", "rr"))
+    p.add_argument("--case", choices=CASES)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_check)
@@ -273,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", help="comodule_algebra document for sayd-prop5")
     p.add_argument("--left", help="two_sided document for the plain tensor factor")
     p.add_argument("--right", help="two_sided document for the twisted tensor factor")
-    p.add_argument("--case", choices=("ll", "lr", "rl", "rr"))
+    p.add_argument("--case", choices=CASES)
     p.add_argument("-o", "--out", help="output path (default stdout)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_build)

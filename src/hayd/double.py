@@ -128,25 +128,22 @@ def _conversion_action(H: FinHopfAlgebra, M: TwoSidedStructure) -> Tensor:
     ]).reshape((n * n, m, m))
 
 
+def _to_module(H: FinHopfAlgebra, M: TwoSidedStructure, check_compatible, build) -> AlgebraModule:
+    if M.case != "lr":
+        raise ShapeError(f"conversion expects the lr case, got {M.case}")
+    check_compatible(M).require()
+    return AlgebraModule(build(H), _conversion_action(H, M))
+
+
 def ayd_to_ah_module(H: FinHopfAlgebra, M: TwoSidedStructure) -> AlgebraModule:
     """A left-module/right-comodule structure passing check_ayd becomes a
     verified left module over build_ah(H)."""
-    if M.case != "lr":
-        raise ShapeError(f"conversion expects the lr case, got {M.case}")
-    check_ayd(M).require()
-    A = build_ah(H)
-    action = _conversion_action(H, M)
-    return AlgebraModule(A, action)
+    return _to_module(H, M, check_ayd, build_ah)
 
 
 def yd_to_double_module(H: FinHopfAlgebra, M: TwoSidedStructure) -> AlgebraModule:
     """The same conversion lands in the double when the plain check passes."""
-    if M.case != "lr":
-        raise ShapeError(f"conversion expects the lr case, got {M.case}")
-    check_yd(M).require()
-    D = build_double(H)
-    action = _conversion_action(H, M)
-    return AlgebraModule(D, action)
+    return _to_module(H, M, check_yd, build_double)
 
 
 def ah_module_to_ayd(H: FinHopfAlgebra, V: AlgebraModule) -> TwoSidedStructure:

@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .errors import FieldError
 
-RATIONALS = "rationals"
-PRIME = "prime-field"
-
 # an ASCII integer or 'a/b': no decimals, spaces, underscores or other digits
 _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -38,31 +35,30 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """A ground field specification plus its scalar arithmetic."""
+    """A ground field by its characteristic ``p``: None for the rationals Q,
+    otherwise a prime int (not a bool or a float) for F_p; plus its scalar
+    arithmetic."""
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind == RATIONALS:
-            if self.p is not None:
-                raise FieldError("rationals take no characteristic")
-        elif self.kind == PRIME:
-            if self.p is None or not is_prime(self.p):
-                raise FieldError(f"characteristic {self.p!r} is not prime")
-        else:
-            raise FieldError(f"unknown field kind {self.kind!r}")
+        if self.p is not None and (type(self.p) is not int or not is_prime(self.p)):
+            raise FieldError(f"characteristic {self.p!r} is not prime")
+
+    @property
+    def kind(self) -> str:
+        return "rationals" if self.p is None else "prime-field"
 
     def __str__(self):
-        return "Q" if self.kind == RATIONALS else f"F_{self.p}"
+        return "Q" if self.p is None else f"F_{self.p}"
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return Fraction(0) if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == RATIONALS else 1
+        return Fraction(1) if self.p is None else 1
 
     def coerce(self, x):
         """Turn an int, Fraction, or 'a/b' string into a normalized scalar."""
@@ -74,7 +70,7 @@ class Field:
             if not den:
                 raise FieldError(f"bad scalar literal {x!r}")
             x = Fraction(int(m[1]), den)
-        if self.kind == RATIONALS:
+        if self.p is None:
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, int):
@@ -89,18 +85,18 @@ class Field:
         return x % self.p
 
     def add(self, a, b):
-        return a + b if self.kind == RATIONALS else (a + b) % self.p
+        return a + b if self.p is None else (a + b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == RATIONALS else (a * b) % self.p
+        return a * b if self.p is None else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.kind == RATIONALS else (-a) % self.p
+        return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.is_zero(a):
             raise FieldError("division by zero")
-        if self.kind == RATIONALS:
+        if self.p is None:
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
 
@@ -108,8 +104,7 @@ class Field:
         return a == 0
 
 
-_RAT = Field(RATIONALS)
-_PRIME_CACHE: dict[int, Field] = {}
+_RAT = Field()
 
 
 def rationals() -> Field:
@@ -117,9 +112,4 @@ def rationals() -> Field:
 
 
 def prime_field(p: int) -> Field:
-    try:
-        return _PRIME_CACHE[p]
-    except KeyError:
-        f = Field(PRIME, p)
-        _PRIME_CACHE[p] = f
-        return f
+    return Field(p)

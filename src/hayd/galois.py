@@ -18,7 +18,7 @@ from .errors import CheckFailedError, InputError, NotGaloisError, ShapeError
 from .hopf import FinHopfAlgebra, antipode_inverse, derived
 from .identity import Identity, check, evaluate, on_generators
 from .report import Report
-from .reps import ActionStructure, CoactionStructure, verify_action, verify_coaction
+from .reps import ActionStructure, CoactionStructure, coaction_laws, verify_action
 from .tensor import Tensor, invert_matrix, kernel_rows, matrix_rank, rref, span_coordinates
 
 
@@ -34,9 +34,6 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
         raise InputError("comodule algebras carry a right coaction here")
     if coaction.dim != A.dim or coaction.hopf_dim != K.dim:
         raise ShapeError("coaction does not match the algebra/Hopf dimensions")
-    r = verify_coaction(K, coaction)
-    if not r.passed:
-        return r
     co = coaction.tensor
     # coaction(ab) == coaction(a) coaction(b); the factor order keeps the
     # join narrow: a's legs, their products, then b's legs
@@ -45,7 +42,8 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
                     [(co, "api"), (A.mult, "pqx"), (co, "bqj"), (K.mult, "ijk")])
     unital = Identity("coaction-unital", "", "xk",
                       [(A.unit, "a"), (co, "axk")], [(A.unit, "x"), (K.unit, "k")])
-    return check("comodule-algebra", on_generators(mult, A.generators), unital)
+    return check("comodule-algebra", *coaction_laws(K, coaction),
+                 on_generators(mult, A.generators), unital)
 
 
 class ComoduleAlgebra:

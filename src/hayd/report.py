@@ -16,11 +16,10 @@ class Report:
     multi-index, and ``lhs``/``rhs`` hold both sides of the identity there.
     A few failures are not identities and report what they measured instead:
     a rank (``antipode-invertible``, and ``galois-baseline`` on a canonical
-    map that is not bijective), the positions of the (delta, sigma)
-    candidates (``modular-pair-equivalence``), or a module dimension
-    (``ah-roundtrip``).  An identity without witness letters, such as
-    ``bialgebra-unit``, fails at the placeholder ``identity._report`` gives
-    it, the one-entry tuple holding 0.
+    map that is not bijective) or the positions of the (delta, sigma)
+    candidates (``modular-pair-equivalence``).  An identity without witness
+    letters, such as ``bialgebra-unit``, fails at the placeholder
+    ``identity._report`` gives it, the one-entry tuple holding 0.
     """
 
     passed: bool

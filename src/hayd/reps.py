@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import module_laws
 from .errors import InputError, ShapeError
 from .hopf import FinHopfAlgebra
 from .identity import Identity, check, evaluate
@@ -68,43 +69,47 @@ class CoactionStructure:
         return self.tensor.shape[coaction_letters(self.side, "m", "h", "n").index("h")]
 
 
-def verify_action(H: FinHopfAlgebra, A: ActionStructure) -> Report:
-    """Unit and associativity of a module structure, exhaustively."""
+def _require_over(H: FinHopfAlgebra, S, what: str):
+    """The gate on H, then a ShapeError unless the structure S is over H."""
     H.require_verified()
-    if A.hopf_dim != H.dim:
-        raise ShapeError(f"action is over dim {A.hopf_dim}, Hopf algebra has dim {H.dim}")
-    if A.tensor.field != H.field:
-        raise ShapeError("field mismatch between action and Hopf algebra")
-    act = A.tensor
-    # left: (e_i e_j) m = e_i (e_j m); right: m (e_i e_j) = (m e_i) e_j
-    twice = [(act, "icb"), (act, "jac")] if A.side == "left" else [(act, "iac"), (act, "jcb")]
-    return check(
-        f"action-{A.side}",
-        Identity("action-unit", "a", "b", [(H.unit, "j"), (act, "jab")],
-                 [(Tensor.identity(H.field, A.dim), "ab")]),
-        Identity("action-associativity", "ija", "b", [(H.mult, "ijk"), (act, "kab")], twice),
-    )
+    if S.hopf_dim != H.dim:
+        raise ShapeError(f"{what} is over dim {S.hopf_dim}, Hopf algebra has dim {H.dim}")
+    if S.tensor.field != H.field:
+        raise ShapeError(f"field mismatch between {what} and Hopf algebra")
 
 
-def verify_coaction(H: FinHopfAlgebra, C: CoactionStructure) -> Report:
-    """Counit law and coassociativity of a comodule structure, exhaustively."""
-    H.require_verified()
-    if C.hopf_dim != H.dim:
-        raise ShapeError(f"coaction is over dim {C.hopf_dim}, Hopf algebra has dim {H.dim}")
-    if C.tensor.field != H.field:
-        raise ShapeError("field mismatch between coaction and Hopf algebra")
+def action_laws(H: FinHopfAlgebra, A: ActionStructure) -> list:
+    """The unit and associativity laws of an action over H, as identities
+    labelled ``action-unit`` and ``action-associativity``."""
+    _require_over(H, A, "action")
+    return module_laws(H.mult, H.unit, A.tensor, A.side, "action")
+
+
+def coaction_laws(H: FinHopfAlgebra, C: CoactionStructure) -> list:
+    """The counit law and coassociativity of a coaction over H, as
+    identities labelled ``coaction-counit`` and ``coaction-coassociativity``."""
+    _require_over(H, C, "coaction")
     co = C.tensor
     # left: (comult (x) id).lam == (id (x) lam).lam, legs ordered (h, h, m);
     # right: (lam (x) id).lam == (id (x) comult).lam, legs ordered (m, h, h)
     first, second = (H.comult, co) if C.side == "left" else (co, H.comult)
-    return check(
-        f"coaction-{C.side}",
+    return [
         Identity("coaction-counit", "a", "b",
                  [(co, coaction_letters(C.side, "a", "i", "b")), (H.counit, "i")],
                  [(Tensor.identity(H.field, C.dim), "ab")]),
         Identity("coaction-coassociativity", "a", "xyz",
                  [(co, "apz"), (first, "pxy")], [(co, "axp"), (second, "pyz")]),
-    )
+    ]
+
+
+def verify_action(H: FinHopfAlgebra, A: ActionStructure) -> Report:
+    """Unit and associativity of a module structure, exhaustively."""
+    return check(f"action-{A.side}", *action_laws(H, A))
+
+
+def verify_coaction(H: FinHopfAlgebra, C: CoactionStructure) -> Report:
+    """Counit law and coassociativity of a comodule structure, exhaustively."""
+    return check(f"coaction-{C.side}", *coaction_laws(H, C))
 
 
 # -- stock structures ------------------------------------------------------------

@@ -130,7 +130,7 @@ def _validate_dim(doc, key, chk: _Check) -> int | None:
 
 def _parse_scalar(field: Field, raw):
     """``(scalar, None)``, or ``(None, message)`` if raw is not one."""
-    if field.kind == "rationals":
+    if field.p is None:
         if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             return None, f"rational scalar must be int or 'a/b' string, got {raw!r}"
         try:
@@ -347,13 +347,13 @@ def doc_to_comodule_algebra(doc, H: FinHopfAlgebra) -> ComoduleAlgebra:
 
 
 def _field_doc(field: Field):
-    if field.kind == "rationals":
+    if field.p is None:
         return {"kind": "rationals"}
     return {"kind": "prime-field", "characteristic": field.p}
 
 
 def _scalar_doc(field: Field, c):
-    return str(c) if field.kind == "rationals" else int(c)
+    return str(c) if field.p is None else int(c)
 
 
 def tensor_to_doc(t: Tensor):

@@ -31,11 +31,13 @@ from hayd.hopf import (
 from hayd.algebra import FinAlgebra
 from hayd.reps import ActionStructure, CoactionStructure
 from hayd.suite import adjoint_structure
+from hayd.identity import Identity, evaluate
 from hayd.tensor import Tensor
 
 from helpers import (
     coproduct3_rows,
     dense,
+    dense_first_failure,
     entry_rows,
     first_compat_violation,
     graded_structure,
@@ -491,8 +493,11 @@ def test_pi_stability_reports_non_surjective():
     coaction = _conjugation_coaction(G, Q, [0, 1])
     pi = Tensor(Q, (2, 2), {(0, 0): Q.one, (1, 0): Q.one})  # rank 1, still an algebra map? no
     r = check_pi_stability(H, M, coaction, pi)
-    assert not r.passed
-    assert r.axiom in ("pi-algebra-map", "pi-surjective")
+    assert not r.passed and r.axiom == "pi-algebra-map"
+    # an algebra map of rank 1: d_e goes to 1 and d_g to 0
+    pi = Tensor(Q, (2, 2), {(0, 0): Q.one, (0, 1): Q.one})
+    r = check_pi_stability(H, M, coaction, pi)
+    assert (r.passed, r.axiom, r.witness) == (False, "pi-surjective", (1,))
 
 
 def test_pi_stability_reports_non_algebra_map():
@@ -507,7 +512,128 @@ def test_pi_stability_reports_non_algebra_map():
     assert not r.passed and r.axiom == "pi-algebra-map"
 
 
+def _assert_first_of(report, *groups):
+    """``report`` is the failure of the first group that the dense oracle
+    finds failing, groups taken in order: label, witness and both sides."""
+    want = next(w for group in groups if (w := dense_first_failure(group)) is not None)
+    assert not report.passed
+    assert (report.axiom, report.witness) == want[:2]
+    assert (dense(report.lhs), dense(report.rhs)) == want[2:]
+
+
+def _coaction_laws(H, co):
+    delta = Tensor.identity(H.field, co.shape[0])
+    return ([Identity("coaction-counit", "a", "b", [(co, "aib"), (H.counit, "i")],
+                      [(delta, "ab")])],
+            [Identity("coaction-coassociativity", "a", "xyz",
+                      [(co, "apz"), (H.comult, "pxy")], [(co, "axp"), (co, "pyz")])])
+
+
+def test_pi_stability_fails_first_at_a_corrupted_coaction():
+    G = cyclic(2)
+    H = function_algebra(G)
+    M = _diagonal_algebra(Q, 2)
+    good = _conjugation_coaction(G, Q, [0, 1])
+    bad = Tensor(Q, good.tensor.shape, {**good.tensor.entries, (0, 1, 1): Q.one})
+    # pi is not an algebra map either; the coaction is scanned first
+    pi = Tensor(Q, (2, 2), {(0, 0): Q.coerce(2), (1, 1): Q.one})
+    r = check_pi_stability(H, M, CoactionStructure("left", 2, bad), pi)
+    _assert_first_of(r, *_coaction_laws(H, bad))
+    assert r.axiom == "coaction-coassociativity"
+
+
+def test_pi_stability_names_the_first_pair_that_pi_does_not_multiply():
+    G = cyclic(2)
+    H = function_algebra(G)
+    M = _diagonal_algebra(Q, 2)
+    pi = Tensor(Q, (2, 2), {(0, 0): Q.coerce(2), (1, 1): Q.one})
+    r = check_pi_stability(H, M, _conjugation_coaction(G, Q, [0, 1]), pi)
+    _assert_first_of(
+        r,
+        [Identity("pi-algebra-map", "ij", "w", [(H.mult, "ijk"), (pi, "kw")],
+                  [(pi, "iu"), (pi, "jv"), (M.mult, "uvw")])],
+        [Identity("pi-algebra-map", "", "w", [(H.unit, "i"), (pi, "iw")], [(M.unit, "w")])],
+    )
+    assert r.witness == (0, 0)
+
+
+def _sweedler_adjoint_coaction(H):
+    """m -> m1 S(m3) (x) m2: a left H-comodule structure on H whose induced
+    structure (H acting on itself by left multiplication, pi the identity) is
+    Yetter-Drinfeld in the ll case but not anti-Yetter-Drinfeld, and not
+    stable, as S^2 is not the identity."""
+    co = evaluate("ahb", [(H.comult, "apy"), (H.comult, "ybr"), (H.antipode, "rs"),
+                          (H.mult, "psh")])
+    return CoactionStructure("left", H.dim, co)
+
+
+def test_pi_stability_names_the_first_failure_of_the_compatibility(H4):
+    M = FinAlgebra(Q, H4.mult, H4.unit)
+    coaction = _sweedler_adjoint_coaction(H4)
+    r = check_pi_stability(H4, M, coaction, Tensor.identity(Q, H4.dim))
+    structure = TwoSidedStructure(H4, ActionStructure("left", H4.dim, H4.mult), coaction)
+    want = first_compat_violation(structure, True, dense(antipode_inverse(H4)))
+    assert want is not None and want[0] == "anti-yetter-drinfeld-ll"
+    assert (r.passed, r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == (False, *want)
+
+
+def test_pi_stability_reports_the_unit_condition():
+    # k^C2 coacting on k by the sign, through pi = evaluation at g: pi sends
+    # the coaction leg of 1, d_e - d_g, to -1
+    H = function_algebra(cyclic(2))
+    M = _diagonal_algebra(Q, 1)
+    co = Tensor(Q, (1, 2, 1), {(0, 0, 0): Q.one, (0, 1, 0): Q.coerce(-1)})
+    pi = Tensor(Q, (2, 1), {(1, 0): Q.one})
+    r = check_pi_stability(H, M, CoactionStructure("left", 1, co), pi)
+    _assert_first_of(r, [Identity(
+        "unit-condition", "", "w",
+        [(M.unit, "a"), (co, "aib"), (pi, "iu"), (M.mult, "ubw")], [(M.unit, "w")])])
+    assert (r.axiom, r.witness) == ("unit-condition", (0,))
+
+
+def test_pi_stability_scans_stability_last(H4, monkeypatch):
+    """The earlier hypotheses force stability, so its scan is reached only
+    with a weaker compatibility: with S in place of S^-1 the ll compatibility
+    is the Yetter-Drinfeld one, which the adjoint coaction satisfies."""
+    import hayd.ayd
+
+    monkeypatch.setattr(hayd.ayd, "antipode_inverse", lambda H: H.antipode)
+    M = FinAlgebra(Q, H4.mult, H4.unit)
+    co = _sweedler_adjoint_coaction(H4).tensor
+    r = check_pi_stability(H4, M, CoactionStructure("left", H4.dim, co), Tensor.identity(Q, 4))
+    _assert_first_of(r, [Identity("stability-ll", "a", "b", [(co, "ahx"), (H4.mult, "hxb")],
+                                  [(Tensor.identity(Q, 4), "ab")])])
+    assert r.axiom == "stability-ll"
+
+
+def test_two_sided_verify_names_the_action_when_both_parts_fail(H4):
+    M = adjoint_structure(H4, twisted=True)
+    act, co = M.action.tensor, M.coaction.tensor
+    bad_act = Tensor(Q, act.shape, {**act.entries, (1, 2, 3): Q.one})
+    bad_co = Tensor(Q, co.shape, {**co.entries, (0, 0, 0): Q.coerce(5)})
+    broken = TwoSidedStructure(H4, ActionStructure("right", 4, bad_act),
+                               CoactionStructure("right", 4, bad_co))
+    delta = Tensor.identity(Q, 4)
+    r = broken.verify()
+    _assert_first_of(
+        r,
+        [Identity("action-unit", "a", "b", [(H4.unit, "j"), (bad_act, "jab")], [(delta, "ab")])],
+        [Identity("action-associativity", "ija", "b", [(H4.mult, "ijk"), (bad_act, "kab")],
+                  [(bad_act, "iac"), (bad_act, "jcb")])],
+    )
+    assert r.axiom.startswith("action-")
+
+
 # -- group-graded module edge cases ---------------------------------------------------
+
+
+def test_group_graded_module_is_over_the_group_algebra_of_its_group():
+    G = cyclic(2)
+    M = group_graded_module(G, [0, 1], lambda g, a: (a, 1), field=prime_field(5))
+    assert M.hopf.dim == len(G) and M.hopf.field == prime_field(5)
+    with pytest.raises(TypeError):
+        group_graded_module(cyclic(3), [0, 1, 2], lambda g, a: (a, 1),
+                            hopf=group_algebra(cyclic(2)))
 
 
 def test_group_graded_requires_unital_action():

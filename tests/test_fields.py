@@ -37,7 +37,19 @@ def test_prime_field_requires_prime_characteristic():
     with pytest.raises(FieldError):
         prime_field(6)
     with pytest.raises(FieldError):
-        Field("prime-field", 1)
+        Field(1)
+
+
+def test_a_characteristic_is_an_int_before_and_after_the_prime_field_is_built():
+    from hayd.suite import builtin
+
+    for _ in range(2):  # the second round runs after prime_field(7) has been built
+        for p in (7.0, True):
+            with pytest.raises(FieldError):
+                prime_field(p)
+        assert prime_field(7) == Field(7) and Field(7).kind == "prime-field"
+    assert Field() == rationals() and rationals().kind == "rationals"
+    assert builtin("taft-3-f7").field == prime_field(7)
 
 
 def test_is_prime_small():

@@ -5,7 +5,6 @@ failures that are not identities report what they measured."""
 
 import copy
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +25,7 @@ from helpers import (
     dense_is_element,
     dense_is_modular_pair,
     dense_rank,
+    first_compat_violation,
     screening_misses,
 )
 
@@ -159,10 +159,22 @@ def test_ah_roundtrip_names_the_wrong_entry(monkeypatch):
     _assert_entry_witness(report, "ah-roundtrip", made[0].action, build_ah(H).mult)
 
 
-def test_ah_roundtrip_reports_the_dimension_of_the_trivial_module(monkeypatch):
-    monkeypatch.setattr(suite, "yd_to_double_module", lambda H, M: SimpleNamespace(dim=2))
-    report = suite.SUITE_CHECKS["ah-roundtrip"](group_algebra(cyclic(2)))
-    assert not report.passed and report.witness == (2,)
+def test_ah_roundtrip_fails_where_the_trivial_structure_is_not_yetter_drinfeld(monkeypatch):
+    # with sigma = g in place of the unit, the one-dimensional lr structure
+    # on sweedler-2 is not Yetter-Drinfeld; the item names that law's witness
+    H = suite.builtin("sweedler-2")
+    g = H.basis_vector(H.basis_names.index("g"))
+    real = suite.one_dim_module
+    monkeypatch.setattr(suite, "one_dim_module",
+                        lambda H, delta, sigma, case="rl": real(H, delta, g, case))
+    with pytest.raises(CheckFailedError) as exc:
+        suite.SUITE_CHECKS["ah-roundtrip"](H)
+    r = exc.value.report
+    want = first_compat_violation(real(H, H.counit, g, "lr"), False, dense(hopf.antipode_inverse(H)))
+    assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == want
+    assert want[:2] == ("yetter-drinfeld-lr", (1, 0))
+    [item] = suite.run_suite({"sweedler-2": H}, ["ah-roundtrip"]).items
+    assert (item.passed, item.witness) == (False, (1, 0))
 
 
 def test_modular_pair_equivalence_reports_candidate_positions(monkeypatch):
