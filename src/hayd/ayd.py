@@ -302,7 +302,9 @@ def check_pi_stability(
     order: the coaction axioms, pi multiplicative and unital, pi surjective,
     the induced action h.m = pi(h) m being a module and satisfying the ll
     compatibility, the unit condition on the coaction of 1, and finally
-    stability itself.
+    stability itself.  The groups before it imply stability
+    (pi(h1) pi(1_-1) pi(S^-1(h3) h2) 1_0 = pi(h) 1 = m), so that last group
+    checks the theorem rather than a hypothesis, and it stays as that check.
     """
     H.require_verified()
     n, m = H.dim, M.dim

@@ -51,15 +51,15 @@ def _tensor_json(t):
     return str(t)
 
 
-def _result_json(check: str, target: str, result, millis: int) -> dict:
-    """One machine-output item; ``result`` is a Report or a suite item."""
+def _result_json(check: str, target: str, report: Report, millis: int) -> dict:
+    """One machine-output item."""
     return {
         "check": check,
         "target": target,
-        "passed": result.passed,
-        "witness": list(result.witness) if result.witness is not None else None,
-        "lhs": _tensor_json(result.lhs),
-        "rhs": _tensor_json(result.rhs),
+        "passed": report.passed,
+        "witness": list(report.witness) if report.witness is not None else None,
+        "lhs": _tensor_json(report.lhs),
+        "rhs": _tensor_json(report.rhs),
         "millis": millis,
     }
 
@@ -97,14 +97,16 @@ def _structure_report(doc, H) -> Report:
 def cmd_verify(args) -> int:
     doc = schema.load_document(args.file)
     kind = doc["kind"]
+    standalone = kind in ("hopf", "algebra")
+    if standalone == bool(args.hopf):
+        article = "an" if kind[0] in "aeiou" else "a"
+        need = "does not take" if standalone else "needs"
+        raise InputError(f"verifying {article} {kind} document {need} --hopf")
     start = time.monotonic()
     if kind == "hopf":
         report = verify_hopf_axioms(schema.doc_to_hopf(doc))
     elif kind == "algebra":
         report = schema.doc_to_algebra(doc, check=False).verify()
-    elif not args.hopf:
-        article = "an" if kind[0] in "aeiou" else "a"
-        raise InputError(f"verifying {article} {kind} document needs --hopf")
     else:
         report = _structure_report(doc, hopf_target(args.hopf).require_verified(args.hopf))
     millis = int((time.monotonic() - start) * 1000)
@@ -182,8 +184,7 @@ def cmd_build(args) -> int:
         try:
             M = make_sayd_prop5(CA)
         except CheckFailedError as exc:
-            _emit_report(exc.report, args.hopf, 0, args.json)
-            return 1
+            return _emit_report(exc.report, args.hopf, 0, args.json)
         _write_doc(schema.two_sided_to_doc(M), args.out)
         return 0
     if not (args.left and args.right and args.case):
@@ -193,8 +194,7 @@ def cmd_build(args) -> int:
     try:
         T = tensor_product(N, M, args.case)
     except CheckFailedError as exc:
-        _emit_report(exc.report, f"{args.left},{args.right}", 0, args.json)
-        return 1
+        return _emit_report(exc.report, f"{args.left},{args.right}", 0, args.json)
     _write_doc(schema.two_sided_to_doc(T), args.out)
     return 0
 
@@ -207,16 +207,16 @@ def cmd_suite(args) -> int:
     result = run_suite(targets, checks=args.checks.split(",") if args.checks else None)
     items = sorted(result.items, key=lambda it: (it.target, it.check))
     if args.json:
-        results = [_result_json(it.check, it.target, it, it.millis if args.timing else 0)
+        results = [_result_json(it.check, it.target, it.report, it.millis if args.timing else 0)
                    for it in items]
         print(json.dumps({"passed": result.passed, "results": results}, sort_keys=True, indent=1))
     else:
         for it in items:
-            state = "pass" if it.passed else "FAIL"
-            suffix = "" if it.passed else f" at {it.witness}"
-            print(f"{it.target:<12} {it.check:<24} {state}{suffix} ({it.millis} ms)")
+            r = it.report
+            state = "pass" if r.passed else f"FAIL at {r.witness}"
+            print(f"{it.target:<12} {it.check:<24} {state} ({it.millis} ms)")
         total = len(items)
-        bad = sum(1 for it in items if not it.passed)
+        bad = sum(1 for it in items if not it.report.passed)
         print(f"{total - bad}/{total} checks passed")
     return 0 if result.passed else 1
 

@@ -285,9 +285,7 @@ def make_sayd_prop5(CA: ComoduleAlgebra, galois: GaloisData | None = None) -> Tw
     G = canonical_map(CA) if galois is None else galois
     if not G.bijective:
         raise NotGaloisError("the canonical map is not bijective")
-    action, carrier = mu_action(G, flipped=True)
-    if len(carrier) != CA.dim:
-        raise InputError("flipped action did not land on all of P")
+    action, _ = mu_action(G, flipped=True)  # its carrier is the basis of P
     M = TwoSidedStructure(CA.H, action, CA.coaction)
     check_ayd(M).require()
     check_stability(M).require()

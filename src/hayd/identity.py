@@ -48,9 +48,11 @@ failure is always scanned; proved identities never fail, so a partly proved
 group reports the least witness of the whole group.
 
 An identity reduced to generator rows (``on_generators``) shares a ``check``
-call with the preconditions that make its scan a proof.  When any group of
-that call fails, ``check`` rescans the same groups with each reduced identity
-replaced by its full one and returns that report, the full scan's.
+call with the preconditions that make its scan a proof.  When a group of
+that call fails at or after the first group that holds a reduced identity,
+``check`` rescans from that group on with each reduced identity replaced by
+its full one and returns that report, the full scan's; the groups before it
+are the same in full and have passed.
 
 ``evaluate(out, factors)`` runs the same join on one factor list with no
 witness slice, decodes the keys to tuples once at the end, and returns the
@@ -116,22 +118,28 @@ def check(ok_label: str, *groups) -> Report:
     failing witness across the group is reported, and at equal witnesses the
     identity listed first.  Inside a ``ledger()`` scope, identities already
     proved there are not scanned again, and each group that passes is
-    recorded.  A failure in a call that holds a reduced identity is rescanned
-    in full (see the module docstring).
+    recorded.  A failure at or after a reduced identity is rescanned in
+    full (see the module docstring).
     """
     groups = [(group,) if isinstance(group, Identity) else tuple(group) for group in groups]
     if not all(groups):
         raise ShapeError(f"{ok_label}: a group holds no identity")
-    report = _scan(groups)
-    if report is not None and any(ident.full is not None for group in groups for ident in group):
-        report = _scan([tuple(ident.full or ident for ident in group) for group in groups])
-    return Report.ok(ok_label) if report is None else report
+    at, report = _scan(groups)
+    if report is None:
+        return Report.ok(ok_label)
+    for n, group in enumerate(groups[:at + 1]):
+        if any(ident.full is not None for ident in group):
+            # the groups before n are the same in full and have passed
+            return _scan([tuple(ident.full or ident for ident in group)
+                          for group in groups[n:]])[1]
+    return report
 
 
-def _scan(groups) -> Report | None:
-    """The first failure of the groups, in order, or None."""
+def _scan(groups) -> tuple[int, Report | None]:
+    """The index and the report of the first failing group, in order, or
+    ``(len(groups), None)``."""
     proved = _LEDGER.get()
-    for group in groups:
+    for n, group in enumerate(groups):
         if proved is None:
             report = _first_failure(group)
         else:
@@ -140,8 +148,8 @@ def _scan(groups) -> Report | None:
             if report is None:
                 proved.update(key for key, _ in todo)
         if report is not None:
-            return report
-    return None
+            return n, report
+    return len(groups), None
 
 
 _LEDGER: ContextVar[set | None] = ContextVar("ledger", default=None)
@@ -209,7 +217,7 @@ def on_generators(ident: Identity, generators: Tensor | None) -> Identity:
       the same chain with A (x) K in place of A (x) A.
 
     A caller states the reduced identity in one ``check`` call with the
-    preconditions it rests on; ``check`` rescans any failure of that call
+    preconditions it rests on; ``check`` rescans a failure at or after it
     with the full identity, so a report never depends on the generators.
     """
     if generators is None:

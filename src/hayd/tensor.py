@@ -183,6 +183,7 @@ class Tensor:
 
     def scale(self, c):
         f = self.field
+        c = f.coerce(c)
         if f.is_zero(c):
             return Tensor.zeros(f, self.shape)
         return Tensor(

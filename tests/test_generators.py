@@ -338,6 +338,21 @@ def test_failing_preconditions_fall_back(monkeypatch, name):
         assert first.label == label or _reduced(first)
 
 
+def test_a_failure_before_every_reduced_identity_is_scanned_once(monkeypatch):
+    # coaction-counit comes before the reduced coaction-multiplicative in its
+    # check call, so the full rescan has nothing to change there
+    _, A, _, D, coaction = _built("sweedler-2")
+    co = coaction.tensor
+    for idx in sorted(co.entries):
+        doubled = Tensor(co.field, co.shape, {**co.entries, idx: 2 * co.get(idx)})
+        report, log = _scanned(monkeypatch, _comodule(A, D, doubled))
+        if report.axiom == "coaction-counit":
+            break
+    else:
+        pytest.fail("no doubled entry breaks coaction-counit")
+    assert [result for group, result in log if group[0].label == "coaction-counit"] == [report]
+
+
 @pytest.mark.parametrize("name", ["group-c2", "sweedler-2", "taft-3-f7"])
 def test_non_spanning_generators_take_the_full_scan(monkeypatch, name):
     # the dual rows alone generate dual (x) 1 only: the closure proof fails,

@@ -210,6 +210,22 @@ def test_cli_verify_names_the_document_kind_that_needs_a_hopf(tmp_path, capsys):
     assert "verifying an action document needs --hopf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["hopf", "algebra"])
+def test_cli_verify_rejects_a_hopf_context_it_never_reads(tmp_path, capsys, kind):
+    from hayd.double import build_ah
+
+    H = sweedler()
+    path = tmp_path / f"{kind}.json"
+    doc = schema.hopf_to_doc(H) if kind == "hopf" else schema.algebra_to_doc(build_ah(H))
+    path.write_text(schema.dumps(doc))
+    assert main(["verify", str(path), "--hopf", str(tmp_path / "nonexistent.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    article = "an" if kind == "algebra" else "a"
+    assert f"input error: verifying {article} {kind} document does not take --hopf" in captured.err
+    assert main(["verify", str(path), "--json"]) == 0
+
+
 def test_schema_rejects_zero_entries_and_duplicates():
     doc = _valid_hopf_doc()
     doc["mult"][0]["c"] = "0"
@@ -678,8 +694,8 @@ def test_suite_item_carries_the_failure_its_builder_asserts(monkeypatch, check, 
         suite.SUITE_CHECKS[check](H)
     assert exc.value.report is bad
     (item,) = suite.run_suite({"H": H}, checks=[check]).items
-    assert not item.passed
-    assert (item.witness, item.lhs, item.rhs) == ((1, 2), lhs, rhs)
+    assert not item.report.passed
+    assert (item.report.witness, item.report.lhs, item.report.rhs) == ((1, 2), lhs, rhs)
 
 
 def test_galois_checks_share_one_canonical_map_per_target(monkeypatch):

@@ -16,6 +16,7 @@ from hayd.galois import canonical_map, comodule_algebra_from_hopf, coinvariants
 from hayd.hopf import check_element, group_algebra, sweedler
 from hayd.groups import cyclic
 from hayd.identity import Identity, evaluate
+from hayd.report import Report
 from hayd.suite import BUILTINS
 from hayd.tensor import Tensor
 
@@ -174,7 +175,7 @@ def test_ah_roundtrip_fails_where_the_trivial_structure_is_not_yetter_drinfeld(m
     assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == want
     assert want[:2] == ("yetter-drinfeld-lr", (1, 0))
     [item] = suite.run_suite({"sweedler-2": H}, ["ah-roundtrip"]).items
-    assert (item.passed, item.witness) == (False, (1, 0))
+    assert (item.report.passed, item.report.witness) == (False, (1, 0))
 
 
 def test_modular_pair_equivalence_reports_candidate_positions(monkeypatch):
@@ -262,3 +263,21 @@ def test_check_element_and_check_modular_pair_agree_with_dense_loops(builtin):
             assert check_modular_pair(H, delta, sigma) == want, (name, delta, sigma)
     with pytest.raises(InputError):
         check_modular_pair(H, H.unit + H.unit, H.unit)
+
+
+@pytest.mark.parametrize("check, name", [
+    ("hopf-axioms", "verify_hopf_axioms"),
+    ("ah-associative", "build_ah"),
+    ("double-associative", "build_double"),
+    ("double-hopf", "build_double_hopf"),
+    ("ah-comodule-algebra", "ah_double_coaction"),
+])
+def test_suite_checks_call_their_builder_by_its_module_name(monkeypatch, check, name):
+    # a rebinding of the name, such as a trace wrapper, sees every call; the
+    # builder's result is not a Report, so run_suite records a pass
+    H, calls, built = sweedler(), [], object()
+    monkeypatch.setattr(suite, name, lambda *args: calls.append(args) or built)
+    assert suite.SUITE_CHECKS[check](H) is built
+    [item] = suite.run_suite({"sweedler-2": H}, [check]).items
+    assert calls == [(H,), (H,)]
+    assert item.report == Report.ok(check)

@@ -95,6 +95,17 @@ def test_constructor_coerces_every_entry():
         Tensor(Q, (1,), {(0,): 0.5})
 
 
+def test_scale_coerces_its_scalar_through_the_field():
+    t = Tensor(F7, (2,), {(0,): 3})
+    with pytest.raises(FieldError):
+        t.scale(Fraction(1, 2))
+    with pytest.raises(FieldError):
+        t.scale(True)
+    scaled = t.scale(Fraction(2))
+    assert scaled.entries == {(0,): 6}
+    assert type(scaled.get((0,))) is int
+
+
 def test_out_of_range_index_rejected():
     with pytest.raises(ShapeError):
         Tensor(Q, (2,), {(2,): Q.one})
