@@ -70,6 +70,6 @@ from .reps import (
     verify_action,
     verify_coaction,
 )
-from .tensor import Tensor, contract, invert_matrix
+from .tensor import Tensor, invert_matrix
 
 __version__ = "0.1.0"

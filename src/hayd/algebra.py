@@ -121,10 +121,6 @@ class FinAlgebra:
         self.generators = G if report.passed else None
         return report
 
-    def mul_vec(self, x: Tensor, y: Tensor) -> Tensor:
-        """Product of two elements given by coefficient vectors."""
-        return x.contract(self.mult, [(0, 0)]).contract(y, [(0, 0)])
-
     def is_commutative(self) -> bool:
         flip = self.mult.transpose((1, 0, 2))
         return flip == self.mult

@@ -29,7 +29,6 @@ from .hopf import verify_hopf_axioms
 from .report import Report
 from .reps import verify_action, verify_coaction
 from .suite import BUILTINS, builtin, hopf_target, resolve_targets, run_suite
-from .tensor import Tensor
 
 # the checks that read a two_sided document, run once its structures verify
 _TWO_SIDED_CHECKS = {
@@ -43,14 +42,6 @@ _TWO_SIDED_CHECKS = {
 CHECK_NAMES = ("hopf_axioms", "action", "coaction", *_TWO_SIDED_CHECKS, "comodule_algebra")
 
 
-def _tensor_json(t):
-    if t is None:
-        return None
-    if isinstance(t, Tensor):
-        return schema.tensor_to_doc(t)
-    return str(t)
-
-
 def _result_json(check: str, target: str, report: Report, millis: int) -> dict:
     """One machine-output item."""
     return {
@@ -58,8 +49,8 @@ def _result_json(check: str, target: str, report: Report, millis: int) -> dict:
         "target": target,
         "passed": report.passed,
         "witness": list(report.witness) if report.witness is not None else None,
-        "lhs": _tensor_json(report.lhs),
-        "rhs": _tensor_json(report.rhs),
+        "lhs": None if report.lhs is None else schema.tensor_to_doc(report.lhs),
+        "rhs": None if report.rhs is None else schema.tensor_to_doc(report.rhs),
         "millis": millis,
     }
 

@@ -17,31 +17,45 @@ from .errors import FieldError
 # an ASCII integer or 'a/b': no decimals, spaces, underscores or other digits
 _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+# characteristics are below this bound, where is_prime is exact
+CHARACTERISTIC_BOUND = 2**64
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases up to 37, exact for n < 3.18e23."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 @dataclass(frozen=True)
 class Field:
     """A ground field by its characteristic ``p``: None for the rationals Q,
-    otherwise a prime int (not a bool or a float) for F_p; plus its scalar
-    arithmetic."""
+    otherwise a prime int (not a bool or a float) below 2**64 for F_p; plus
+    its scalar arithmetic."""
 
     p: int | None = None
 
     def __post_init__(self):
+        if type(self.p) is int and self.p >= CHARACTERISTIC_BOUND:
+            raise FieldError(f"characteristic {self.p} is not below 2**64")
         if self.p is not None and (type(self.p) is not int or not is_prime(self.p)):
             raise FieldError(f"characteristic {self.p!r} is not prime")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import FinAlgebra
 from .ayd import TwoSidedStructure, check_ayd, check_stability
-from .errors import CheckFailedError, InputError, NotGaloisError, ShapeError
+from .errors import InputError, NotGaloisError, ShapeError
 from .hopf import FinHopfAlgebra, antipode_inverse, derived
 from .identity import Identity, check, evaluate, on_generators
 from .report import Report
@@ -82,12 +82,13 @@ def coinvariants(CA: ComoduleAlgebra):
     p_one = evaluate("abi", [(Tensor.identity(f, m), "ab"), (CA.H.unit, "i")])
     mat = (CA.coaction.tensor - p_one).reshape((m, m * n))
     basis = kernel_rows(mat)
-    # closure under multiplication is forced by multiplicativity of the coaction
-    products = [CA.P.mul_vec(x, y) for x in basis for y in basis]
-    _, outside = span_coordinates(_stack(f, basis, m), _stack(f, products, m))
+    k, stacked = len(basis), _stack(f, basis, m)
+    # row x*k + y is b_x b_y; closure is forced by multiplicativity of the coaction
+    products = evaluate("xyw", [(stacked, "xa"), (stacked, "yb"), (CA.P.mult, "abw")])
+    products = products.reshape((k * k, m))
+    _, outside = span_coordinates(stacked, products)
     if outside is not None:
-        raise CheckFailedError(Report.fail(
-            "coinvariants-closed", divmod(outside, len(basis)), products[outside], None))
+        Report.fail("coinvariants-closed", divmod(outside, k), _row(products, outside)).require()
     return basis
 
 
@@ -119,8 +120,7 @@ def restrict_coaction(CA: ComoduleAlgebra, carrier) -> Tensor:
     slices = evaluate("rib", [(stacked, "ra"), (CA.coaction.tensor, "abi")])
     coords, outside = span_coordinates(stacked, slices.reshape((r * n, m)))
     if outside is not None:
-        raise CheckFailedError(Report.fail(
-            "centralizer-subcomodule", divmod(outside, n), carrier[outside // n], None))
+        Report.fail("centralizer-subcomodule", divmod(outside, n), carrier[outside // n]).require()
     return coords.reshape((r, n, r)).transpose((0, 2, 1))
 
 
@@ -128,6 +128,13 @@ def _stack(field, vectors, m) -> Tensor:
     """The vectors of length m as the rows of a matrix."""
     return Tensor(field, (len(vectors), m), {
         (r, w): c for r, v in enumerate(vectors) for (w,), c in v.entries.items()
+    }, _normalized=True)
+
+
+def _row(matrix: Tensor, t) -> Tensor:
+    """Row t of a matrix as a vector."""
+    return Tensor(matrix.field, matrix.shape[1:], {
+        (j,): c for (i, j), c in matrix.entries.items() if i == t
     }, _normalized=True)
 
 
@@ -212,9 +219,7 @@ def translation_map(G: GaloisData):
         # exactness: coords . can == 1 (x) h_i
         check("translation-exactness", Identity("translation-exactness", "i", "k", [
             (coords, "is"), (G.can, "sk")], [(targets, "ik")])).require()
-        G._translation = [Tensor(f, (G.rel.dim,), {
-            (s,): c for (r, s), c in coords.entries.items() if r == i
-        }, _normalized=True) for i in range(n)]
+        G._translation = [_row(coords, i) for i in range(n)]
     return G._translation
 
 
@@ -267,9 +272,7 @@ def mu_action(G: GaloisData, flipped: bool = False):
     ]).reshape((n * dim, m))
     coords, outside = span_coordinates(stacked, out)
     if outside is not None:
-        vec = {(w,): c for (t, w), c in out.entries.items() if t == outside}
-        raise CheckFailedError(Report.fail(
-            "sandwich-closed", divmod(outside, dim), Tensor(f, (m,), vec, _normalized=True), None))
+        Report.fail("sandwich-closed", divmod(outside, dim), _row(out, outside)).require()
     action = ActionStructure("right", dim, coords.reshape((n, dim, dim)))
     verify_action(CA.H, action).require()
     return action, carrier

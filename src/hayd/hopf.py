@@ -69,9 +69,6 @@ class FinHopfAlgebra(FinAlgebra):
 
     # -- element helpers -------------------------------------------------------
 
-    def apply_antipode(self, x: Tensor) -> Tensor:
-        return x.contract(self.antipode, [(0, 0)])
-
     def basis_vector(self, i: int) -> Tensor:
         return Tensor.basis(self.field, (self.dim,), (i,))
 

@@ -59,8 +59,8 @@ witness slice, decodes the keys to tuples once at the end, and returns the
 whole result as a Tensor with axes in the order of ``out``.  Every builder is
 such a spec: the product spaces, the double's coalgebra and antipode, tensor
 products, entwinings, the adjoint and sandwich actions, and
-``Tensor.contract`` itself, so this module holds the package's only sparse
-contraction loop.
+``Tensor.contract`` itself.  The one other sparse contraction loop is
+``tensor.closure_rank``'s, which maps each word by hand.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ import os
 from .algebra import FinAlgebra
 from .ayd import TwoSidedStructure
 from .errors import FieldError, InputError, SchemaError
-from .fields import Field, is_prime, prime_field, rationals
+from .fields import CHARACTERISTIC_BOUND, Field, is_prime, prime_field, rationals
 from .galois import ComoduleAlgebra
 from .hopf import FinHopfAlgebra
 from .reps import ActionStructure, CoactionStructure, coaction_shape
@@ -66,64 +66,55 @@ def max_dim() -> int:
     raw = os.environ.get("HAYD_MAX_DIM", "")
     if not raw:
         return DEFAULT_MAX_DIM
-    try:
-        cap = int(raw)
-    except ValueError:
+    try:  # ASCII digits only: int() also reads " 81", "8_1", "+81" and "٨١"
+        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than int() converts
         cap = 0
     if cap < 1:
         raise InputError(f"HAYD_MAX_DIM={raw!r} is not a positive integer")
     return cap
 
 
-class _Check:
-    def __init__(self):
-        self.violations = []
-
-    def fail(self, pointer, message):
-        self.violations.append((pointer, message))
-
-    def raise_if_failed(self):
-        if self.violations:
-            raise SchemaError(self.violations)
-
-
-def _reject_unknown(node, allowed, pointer, chk: _Check):
+def _reject_unknown(node, allowed, pointer, bad: list):
     """Each key of ``node`` outside ``allowed`` is a violation at its RFC 6901
     pointer."""
     for key in sorted(set(node) - allowed):
-        chk.fail(f"{pointer}/" + key.replace("~", "~0").replace("/", "~1"), "unknown key")
+        bad.append((f"{pointer}/" + key.replace("~", "~0").replace("/", "~1"), "unknown key"))
 
 
-def _validate_field(doc, chk: _Check) -> Field | None:
+def _validate_field(doc, bad: list) -> Field | None:
     spec = doc.get("field")
     if not isinstance(spec, dict):
-        chk.fail("/field", "missing or not an object")
+        bad.append(("/field", "missing or not an object"))
         return None
-    _reject_unknown(spec, {"kind", "characteristic"}, "/field", chk)
+    _reject_unknown(spec, {"kind", "characteristic"}, "/field", bad)
     kind = spec.get("kind")
     if kind == "rationals":
         if "characteristic" in spec:
-            chk.fail("/field/characteristic", "rationals take no characteristic")
+            bad.append(("/field/characteristic", "rationals take no characteristic"))
             return None
         return rationals()
     if kind == "prime-field":
         p = spec.get("characteristic")
+        if isinstance(p, int) and p >= CHARACTERISTIC_BOUND:
+            bad.append(("/field/characteristic", f"{p} is not below 2**64"))
+            return None
         if not isinstance(p, int) or not is_prime(p):
-            chk.fail("/field/characteristic", f"{p!r} is not a prime integer")
+            bad.append(("/field/characteristic", f"{p!r} is not a prime integer"))
             return None
         return prime_field(p)
-    chk.fail("/field/kind", f"expected 'rationals' or 'prime-field', got {kind!r}")
+    bad.append(("/field/kind", f"expected 'rationals' or 'prime-field', got {kind!r}"))
     return None
 
 
-def _validate_dim(doc, key, chk: _Check) -> int | None:
+def _validate_dim(doc, key, bad: list) -> int | None:
     d = doc.get(key)
     if type(d) is not int or d < 1:
-        chk.fail(f"/{key}", f"expected a positive integer, got {d!r}")
+        bad.append((f"/{key}", f"expected a positive integer, got {d!r}"))
         return None
     cap = max_dim()
     if d > cap:
-        chk.fail(f"/{key}", f"dimension {d} exceeds HAYD_MAX_DIM={cap}")
+        bad.append((f"/{key}", f"dimension {d} exceeds HAYD_MAX_DIM={cap}"))
         return None
     return d
 
@@ -144,54 +135,46 @@ def _parse_scalar(field: Field, raw):
     return raw, None
 
 
-def _validate_tensor(doc, key, shape, field, chk: _Check, base=""):
+def _validate_tensor(doc, key, shape, field, bad: list, base=""):
     """Validate the entry list doc[key] and replace it by its Tensor."""
     pointer = f"{base}/{key}"
     entries_raw = doc.get(key)
     if not isinstance(entries_raw, list):
-        chk.fail(pointer, "missing or not a list of entries")
+        bad.append((pointer, "missing or not a list of entries"))
         return
     keys = _INDEX_KEYS[: len(shape)]
     allowed = {*keys, "c"}
     entries = {}
-    ok = True
     # JSON pointers are formatted only for an entry that is bad
     for pos, entry in enumerate(entries_raw):
         if not isinstance(entry, dict):
-            chk.fail(f"{pointer}/{pos}", "entry is not an object")
-            ok = False
+            bad.append((f"{pointer}/{pos}", "entry is not an object"))
             continue
         if not entry.keys() <= allowed:
-            chk.fail(f"{pointer}/{pos}", f"unexpected keys {sorted(entry.keys() - allowed)}")
-            ok = False
+            bad.append((f"{pointer}/{pos}", f"unexpected keys {sorted(entry.keys() - allowed)}"))
         idx = tuple(map(entry.get, keys))
         for v, d, kname in zip(idx, shape, keys):
             if type(v) is not int or not 0 <= v < d:
-                chk.fail(f"{pointer}/{pos}/{kname}", f"index {v!r} is not an integer in [0, {d})")
-                ok = False
+                bad.append((f"{pointer}/{pos}/{kname}", f"index {v!r} is not an integer in [0, {d})"))
                 break
         else:
             c, error = _parse_scalar(field, entry.get("c"))
             if error is not None:
-                chk.fail(f"{pointer}/{pos}/c", error)
-                ok = False
+                bad.append((f"{pointer}/{pos}/c", error))
             elif field.is_zero(c):
-                chk.fail(f"{pointer}/{pos}/c", "stored entries must be nonzero")
-                ok = False
+                bad.append((f"{pointer}/{pos}/c", "stored entries must be nonzero"))
             elif idx in entries:
-                chk.fail(f"{pointer}/{pos}", f"duplicate index {idx}")
-                ok = False
+                bad.append((f"{pointer}/{pos}", f"duplicate index {idx}"))
             else:
                 entries[idx] = c
-    if ok:
-        doc[key] = Tensor(field, shape, entries, _normalized=True)
+    doc[key] = Tensor(field, shape, entries, _normalized=True)
 
 
-def _validate_basis(doc, dim, chk: _Check):
+def _validate_basis(doc, dim, bad: list):
     basis = doc.get("basis")
     if basis is not None and (not isinstance(basis, list) or len(basis) != dim
                               or not all(isinstance(b, str) for b in basis)):
-        chk.fail("/basis", f"expected a list of {dim} strings")
+        bad.append(("/basis", f"expected a list of {dim} strings"))
 
 
 def parse_document(text: str) -> dict:
@@ -207,53 +190,53 @@ def parse_document(text: str) -> dict:
         raise SchemaError([("", f"JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")])
     if not isinstance(doc, dict):
         raise SchemaError([("", "document must be a JSON object")])
-    chk = _Check()
     kind = doc.get("kind")
     if kind not in KINDS:
-        chk.fail("/kind", f"expected one of {list(KINDS)}, got {kind!r}")
-        chk.raise_if_failed()
+        raise SchemaError([("/kind", f"expected one of {list(KINDS)}, got {kind!r}")])
+    bad = []
     dim_keys, parts = _KINDS[kind]
     allowed = {"kind", "field", "name", *dim_keys}
     for key, _ in parts:
         allowed.update((key,) if key else ("side", "tensor"))
-    _reject_unknown(doc, allowed, "", chk)
-    field = _validate_field(doc, chk)
+    _reject_unknown(doc, allowed, "", bad)
+    field = _validate_field(doc, bad)
     if field is None:
-        chk.raise_if_failed()
+        raise SchemaError(bad)
     doc["field"] = field
     if "name" in doc and not isinstance(doc["name"], str):
-        chk.fail("/name", f"expected a string, got {doc['name']!r}")
+        bad.append(("/name", f"expected a string, got {doc['name']!r}"))
 
-    dims = [_validate_dim(doc, key, chk) for key in dim_keys]
+    dims = [_validate_dim(doc, key, bad) for key in dim_keys]
     size = None if None in dims else {"n": dims[0], "m": dims[-1]}
     for key, shape in parts:
         if callable(shape):
-            _validate_structure(doc, key, shape, size, field, chk)
+            _validate_structure(doc, key, shape, size, field, bad)
         elif size is None:
             continue  # a bad dimension leaves no basis or tensor to shape
         elif shape is None:
-            _validate_basis(doc, size["m"], chk)
+            _validate_basis(doc, size["m"], bad)
         else:
-            _validate_tensor(doc, key, tuple(size[axis] for axis in shape), field, chk)
-    chk.raise_if_failed()
+            _validate_tensor(doc, key, tuple(size[axis] for axis in shape), field, bad)
+    if bad:
+        raise SchemaError(bad)
     return doc
 
 
-def _validate_structure(doc, key, shape, size, field, chk: _Check):
+def _validate_structure(doc, key, shape, size, field, bad: list):
     """Validate a side and the tensor it shapes, in the object doc[key] or,
     with key None, at the top level of doc."""
     node, base = doc, ""
     if key is not None:
         node, base = doc.get(key), f"/{key}"
         if not isinstance(node, dict):
-            chk.fail(base, "missing or not an object")
+            bad.append((base, "missing or not an object"))
             return
-        _reject_unknown(node, {"side", "tensor"}, base, chk)
+        _reject_unknown(node, {"side", "tensor"}, base, bad)
     side = node.get("side")
     if side not in ("left", "right"):
-        chk.fail(f"{base}/side", f"expected 'left' or 'right', got {side!r}")
+        bad.append((f"{base}/side", f"expected 'left' or 'right', got {side!r}"))
     elif size is not None:
-        _validate_tensor(node, "tensor", shape(side, size["m"], size["n"]), field, chk, base)
+        _validate_tensor(node, "tensor", shape(side, size["m"], size["n"]), field, bad, base)
 
 
 def load_document(path) -> dict:

@@ -152,24 +152,9 @@ def _check_antipode_inverse(H):
     ])
 
 
-def _check_dual_reflexive(H):
-    DD = dual_hopf(dual_hopf(H))
-    return _agree("dual-reflexive", (DD.mult, H.mult), (DD.unit, H.unit), (DD.comult, H.comult),
-                  (DD.counit, H.counit), (DD.antipode, H.antipode))
-
-
-def _check_dual_op_cop(H):
-    left = dual_hopf(variant(H, "op"))
-    right = variant(dual_hopf(H), "cop")
-    return _agree("dual-op-cop", (left.mult, right.mult), (left.comult, right.comult),
-                  (left.antipode, right.antipode), (left.unit, right.unit),
-                  (left.counit, right.counit))
-
-
-def _check_variant_involution(H):
-    back = variant(variant(H, "op"), "op")
-    return _agree("variant-involution", (back.mult, H.mult), (back.comult, H.comult),
-                  (back.antipode, H.antipode))
+def _same(label, A, B, parts) -> Report:
+    """A and B agree on each structure tensor named in ``parts``, in that order."""
+    return _agree(label, *((getattr(A, part), getattr(B, part)) for part in parts.split()))
 
 
 def _check_entwining_equivalence(H):
@@ -249,9 +234,12 @@ SUITE_CHECKS = {
     "hopf-axioms": lambda H: verify_hopf_axioms(H),
     "antipode-antialgebra": _check_antipode_antialgebra,
     "antipode-inverse": _check_antipode_inverse,
-    "dual-reflexive": _check_dual_reflexive,
-    "dual-op-cop": _check_dual_op_cop,
-    "variant-involution": _check_variant_involution,
+    "dual-reflexive": lambda H: _same("dual-reflexive", dual_hopf(dual_hopf(H)), H,
+                                      "mult unit comult counit antipode"),
+    "dual-op-cop": lambda H: _same("dual-op-cop", dual_hopf(variant(H, "op")),
+                                   variant(dual_hopf(H), "cop"), "mult comult antipode unit counit"),
+    "variant-involution": lambda H: _same("variant-involution", variant(variant(H, "op"), "op"), H,
+                                          "mult comult antipode"),
     "entwining-axioms": lambda H: (entwining_map(H, "ayd"), entwining_map(H, "yd")),
     "entwining-equivalence": _check_entwining_equivalence,
     "modular-pair-equivalence": _check_modular_pair_equivalence,
@@ -283,17 +271,13 @@ class SuiteResult:
         return all(item.report.passed for item in self.items)
 
 
-def run_suite(targets, checks=None) -> SuiteResult:
-    """Run the named checks on each target; targets parse and verify up front.
-    The checks of one target share an ``identity.ledger()`` scope, so an
-    identity several of them state is scanned once.
-
-    ``targets`` is either a list of builtin names / hopf-document paths or a
-    mapping from display names to FinHopfAlgebra instances.  Any InputError
-    escapes to the caller before checks run.
+def run_suite(targets: dict, checks=None) -> SuiteResult:
+    """Run the named checks on each target of ``targets``, a mapping from
+    display names to FinHopfAlgebra instances (``resolve_targets``); the
+    targets verify up front.  The checks of one target share an
+    ``identity.ledger()`` scope, so an identity several of them state is
+    scanned once.  Any InputError escapes to the caller before checks run.
     """
-    if not isinstance(targets, dict):
-        targets = resolve_targets(targets)
     chosen = sorted(set(checks)) if checks else sorted(SUITE_CHECKS)
     for name in chosen:
         if name not in SUITE_CHECKS:

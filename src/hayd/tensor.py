@@ -181,15 +181,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        if f.is_zero(c):
-            return Tensor.zeros(f, self.shape)
-        return Tensor(
-            f, self.shape, {idx: f.mul(c, v) for idx, v in self.entries.items()}, _normalized=True
-        )
-
     def transpose(self, perm):
         perm = tuple(perm)
         if sorted(perm) != list(range(self.rank)):
@@ -242,10 +233,6 @@ class Tensor:
         new = zip(*reversed(columns)) if shape else [()] * len(keys)
         entries = dict(zip(new, self.entries.values()))
         return Tensor(self.field, shape, entries, _normalized=True)
-
-
-def contract(t: Tensor, u: Tensor, pairs) -> Tensor:
-    return t.contract(u, pairs)
 
 
 # -- exact elimination --------------------------------------------------------

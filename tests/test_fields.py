@@ -57,6 +57,24 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_is_prime_agrees_with_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if trial(n)]
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
+    # a Carmichael number, then the least strong pseudoprimes to the bases
+    # up to 7 and up to 23
+    assert not any(map(is_prime, (561, 3215031751, 3825123056546413051)))
+
+
+def test_a_characteristic_is_below_2_to_the_64():
+    assert prime_field(2**64 - 59).p == 2**64 - 59
+    for p in (2**64, 10**29 + 7):
+        with pytest.raises(FieldError, match=r"not below 2\*\*64"):
+            Field(p)
+
+
 def test_coerce_normalizes():
     q = rationals()
     x = q.coerce("4/6")

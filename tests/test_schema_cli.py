@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,18 @@ def test_schema_rejects_non_prime_characteristic():
     _expect_violation(doc, "/field/characteristic")
 
 
+def test_schema_rejects_a_characteristic_of_64_bits_or_more_at_once():
+    doc = schema.hopf_to_doc(group_algebra(cyclic(2), prime_field(2**64 - 59)))
+    schema.parse_document(json.dumps(doc))
+    for p in (2**64, 10**29 + 7):
+        doc["field"]["characteristic"] = p
+        start = time.monotonic()
+        with pytest.raises(SchemaError) as err:
+            schema.parse_document(json.dumps(doc))
+        assert time.monotonic() - start < 1
+        assert err.value.violations == [("/field/characteristic", f"{p} is not below 2**64")]
+
+
 @pytest.mark.parametrize("field, pointer", [
     ({"kind": "rationals", "characteristic": 5}, "/field/characteristic"),
     ({"kind": "rationals", "characteristic": None}, "/field/characteristic"),
@@ -186,6 +199,21 @@ def test_schema_rejects_unknown_keys_inside_a_two_sided_part():
     with pytest.raises(SchemaError) as err:
         schema.parse_document(json.dumps(doc))
     assert [ptr for ptr, _ in err.value.violations] == ["/coaction/sid"]
+
+
+def test_schema_reports_the_violations_of_every_part_in_document_order():
+    H = sweedler()
+    doc = schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr"))
+    doc["extra"] = 1
+    doc["action"]["tensor"][0]["c"] = 0
+    doc["coaction"]["side"] = "up"
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert err.value.violations == [
+        ("/extra", "unknown key"),
+        ("/action/tensor/0/c", "stored entries must be nonzero"),
+        ("/coaction/side", "expected 'left' or 'right', got 'up'"),
+    ]
 
 
 @pytest.mark.parametrize("argv", [
@@ -278,7 +306,7 @@ def test_dimension_cap_respects_environment(monkeypatch):
     schema.parse_document(json.dumps(doc))
 
 
-@pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5"])
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5", " 81", "8_1", "+81", "\u0668\u0661"])
 def test_malformed_dimension_cap_is_an_input_error(monkeypatch, tmp_path, capsys, raw):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps(_valid_hopf_doc()))
@@ -659,17 +687,11 @@ def test_cli_list_builtins(capsys):
         assert name in out
 
 
-def test_run_suite_accepts_name_lists():
-    from hayd.suite import run_suite
-
-    result = run_suite(["group-c2"], checks=["hopf-axioms"])
-    assert result.passed and len(result.items) == 1
-
-
 def test_run_suite_runs_each_named_check_once(capsys):
-    from hayd.suite import run_suite
+    from hayd.suite import resolve_targets, run_suite
 
-    result = run_suite(["group-c2", "group-c2"], checks=["hopf-axioms", "hopf-axioms"])
+    result = run_suite(resolve_targets(["group-c2", "group-c2"]),
+                       checks=["hopf-axioms", "hopf-axioms"])
     assert [(it.target, it.check) for it in result.items] == [("group-c2", "hopf-axioms")]
     assert main(["suite", "--builtin", "group-c2", "--checks", "hopf-axioms,hopf-axioms"]) == 0
     assert capsys.readouterr().out.endswith("1/1 checks passed\n")
