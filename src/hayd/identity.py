@@ -21,11 +21,28 @@ witness letters, then the output letters, sit in the low bits with the first
 one most significant, so integer order is the lexicographic order of the
 result tuple.  A letter summed between two factors takes the lowest bits that
 no other letter holds meanwhile, often those of an output letter not yet
-bound.  Each factor is looked up in a sparse row index keyed by its bound
-letters' fields (``rows.get(key & bmask)``); the letters that no later factor
-and no result needs are masked off (``key &= kmask``) and the factor's new
-letters ORed in, and a new letter that nothing needs is summed out inside the
-row index.
+bound.
+
+That layout, and each side's join skeleton (per factor: the ``(axis,
+shift)`` fields of its bound and new letters, and two masks), depend only on
+the identity's signature: its witness and output letters and the letters
+and shape of each factor.  ``Identity`` validates a signature and computes
+them once, in a module-level memo that holds no tensor and no entry value;
+every identity of that signature shares the entry.  A malformed signature
+is never recorded, so it raises ShapeError on every construction, and the
+factors' fields are checked per identity.
+
+A scan then only builds row indexes.  Each factor is looked up in a sparse
+row index keyed by its bound letters' fields (``rows.get(key & bmask)``);
+the letters that no later factor and no result needs are masked off
+(``key &= kmask``) and the factor's new letters ORed in, and a new letter
+that nothing needs is summed out inside the row index.  The indexes of one
+``check`` group are shared by token (tensor, fields).  A side's second
+factor is indexed only at the keys its first factor can produce from the
+slices' keys, when the first factor is small: for the unit laws the
+first factor is the unit and for a reduced identity the generator matrix,
+which reach a few rows of a product of thousands of entries.  Such an index
+serves only the side it was built for.
 
 Both sides of an identity accumulate into one dict per slice, the lhs with
 sign +1 and the rhs with -1.  The slice passes when every value is 0 over Q,
@@ -39,13 +56,14 @@ the first failing slice.
 
 Inside a ``ledger()`` scope, which ``suite.run_suite`` opens per target,
 each identity is proved once.  Its key is the identity as a value, label
-aside: the numbers of witness and output letters, then each side's factors
-in order as (tensor, letter pattern), result letters numbered by their place
-in ``witness + out`` and summed ones by first appearance on their side.  A
-hit is a set lookup, so equal hashes are confirmed by ``==`` on every tensor:
-exactly this statement was proved.  Only passing groups are recorded, so a
-failure is always scanned; proved identities never fail, so a partly proved
-group reports the least witness of the whole group.
+aside: its letter pattern from the memo (the numbers of witness and output
+letters, then each side's letters, result letters numbered by their place in
+``witness + out`` and summed ones by first appearance on their side), then
+the tensors of its factors in order.  A hit is a set lookup, so equal hashes
+are confirmed by ``==`` on every tensor: exactly this statement was proved.
+Only passing groups are recorded, so a failure is always scanned; proved
+identities never fail, so a partly proved group reports the least witness of
+the whole group.
 
 An identity reduced to generator rows (``on_generators``) shares a ``check``
 call with the preconditions that make its scan a proof.  When a group of
@@ -69,6 +87,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ShapeError
 from .report import Report
@@ -81,6 +100,8 @@ class Identity:
     ``witness`` and ``out`` are strings of letters; every one of them must
     occur on each side that is not ``None``.  ``full`` is None, or for an
     identity reduced by ``on_generators`` the identity it stands for.
+    ``compiled`` is what the letters and shapes alone determine, shared by
+    every identity of the same signature (see ``_compile``).
     """
 
     def __init__(self, label: str, witness: str, out: str, lhs, rhs, full=None):
@@ -91,22 +112,13 @@ class Identity:
         self.lhs = tuple(lhs)
         self.rhs = None if rhs is None else tuple(rhs)
         self.field = self.lhs[0][0].field
-        self.dims: dict[str, int] = {}  # of the witness and output letters
-        for side in (self.lhs, self.rhs or ()):
-            dims: dict[str, int] = {}  # summed letters are local to a side
-            for tensor, letters in side:
-                if tensor.field is not self.field and tensor.field != self.field:
-                    raise ShapeError(f"{label}: factors over {self.field} and {tensor.field}")
-                if len(letters) != tensor.rank or len(set(letters)) != len(letters):
-                    raise ShapeError(f"{label}: letters {letters!r} do not index {tensor.shape}")
-                for letter, dim in zip(letters, tensor.shape):
-                    if dims.setdefault(letter, dim) != dim:
-                        raise ShapeError(f"{label}: letter {letter!r} has two dimensions")
-            for letter in witness + out:
-                if letter in dims and self.dims.setdefault(letter, dims[letter]) != dims[letter]:
-                    raise ShapeError(f"{label}: letter {letter!r} has two dimensions")
-        if set(witness + out) - set(self.dims):
-            raise ShapeError(f"{label}: no factor indexes every letter of {witness + out!r}")
+        for tensor, _ in self.lhs + (self.rhs or ()):
+            if tensor.field is not self.field and tensor.field != self.field:
+                raise ShapeError(f"{label}: factors over {self.field} and {tensor.field}")
+        signature = (witness, out, *[None if side is None else
+                                     tuple([(letters, t.shape) for t, letters in side])
+                                     for side in (self.lhs, self.rhs)])
+        self.compiled = _COMPILED.get(signature) or _compile(label, signature)
 
 
 def check(ok_label: str, *groups) -> Report:
@@ -166,16 +178,9 @@ def ledger():
 
 
 def _key(ident: Identity) -> tuple:
-    """The identity as a value, the ledger's key (see the module docstring)."""
-    result = {x: n for n, x in enumerate(ident.witness + ident.out)}
-
-    def side(factors):
-        names = dict(result)
-        return tuple((t, tuple([names.setdefault(x, len(names)) for x in letters]))
-                     for t, letters in factors)
-
-    return (len(ident.witness), len(ident.out), side(ident.lhs),
-            None if ident.rhs is None else side(ident.rhs))
+    """The identity as a value, the ledger's key (see the module docstring):
+    its letter pattern, then its factors' tensors in order."""
+    return (ident.compiled.pattern, *[t for t, _ in ident.lhs], *[t for t, _ in ident.rhs or ()])
 
 
 def on_generators(ident: Identity, generators: Tensor | None) -> Identity:
@@ -243,38 +248,36 @@ def evaluate(out: str, factors) -> Tensor:
     """
     ident = Identity("evaluate", "", out, factors, None)
     field = ident.field
-    fields = _layout(ident)
-    acc = _accumulate(_plan(ident, ident.lhs, fields, {}), 0, 1, {})
+    compiled = ident.compiled
+    acc = _accumulate(_plan(ident.lhs, compiled.lhs, compiled.starts, {}), 0, 1, {})
     # decoding is a large share of a contraction with many outputs: one
     # comprehension per axis, zip builds the tuples, and zeros are dropped
     # in the same pass
-    axes = [[(k & mask) >> shift for k in acc] for shift, mask in map(fields.get, out)]
+    axes = [[(k & mask) >> shift for k in acc] for shift, mask in compiled.out_fields]
     idxs = zip(*axes) if axes else [()] * len(acc)
     if field.p is None:
         entries = {i: Fraction(c) for i, c in zip(idxs, acc.values()) if c}
     else:
         entries = {i: r for i, c in zip(idxs, acc.values()) if (r := c % field.p)}
-    shape = tuple(ident.dims[x] for x in out)
-    return Tensor(field, shape, entries, _normalized=True)
+    return Tensor(field, compiled.shape, entries, _normalized=True)
 
 
 def _first_failure(identities) -> Report | None:
+    if len({ident.compiled.span for ident in identities}) > 1:
+        raise ShapeError(f"{', '.join(ident.label for ident in identities)}: "
+                         "the first witness letters have different ranges")
     cache: dict = {}
     scans = []
     for ident in identities:
-        fields = _layout(ident)
-        shift = fields[ident.witness[0]][0] if ident.witness else 0
-        scans.append((ident, fields, shift, _plan(ident, ident.lhs, fields, cache),
-                      _plan(ident, ident.rhs, fields, cache)))
-    if len({ident.dims[ident.witness[0]] if ident.witness else None for ident in identities}) > 1:
-        raise ShapeError(f"{', '.join(ident.label for ident in identities)}: "
-                         "the first witness letters have different ranges")
-    lead = identities[0]
-    p = lead.field.p
-    for v in range(lead.dims[lead.witness[0]] if lead.witness else 1):
+        compiled = ident.compiled
+        scans.append((ident, compiled.starts, compiled.witness_fields,
+                      _plan(ident.lhs, compiled.lhs, compiled.starts, cache),
+                      _plan(ident.rhs, compiled.rhs, compiled.starts, cache)))
+    p = identities[0].field.p
+    for v in range(len(identities[0].compiled.starts)):
         best = None
-        for ident, fields, shift, lplan, rplan in scans:
-            start = v << shift  # each identity has its own layout
+        for ident, starts, witness_fields, lplan, rplan in scans:
+            start = starts[v]  # each identity has its own layout
             diff = _accumulate(lplan, start, 1, {})
             if rplan is not None:
                 _accumulate(rplan, start, -1, diff)
@@ -284,9 +287,9 @@ def _first_failure(identities) -> Report | None:
                 bad = [k for k, c in diff.items() if c % p]
             if not bad:
                 continue
-            witness = _unpack(min(bad), [fields[x] for x in ident.witness])
+            witness = _unpack(min(bad), witness_fields)
             if best is None or witness < best[0]:
-                best = (witness, ident, fields, start, lplan, rplan)
+                best = (witness, ident, start, lplan, rplan)
         if best is not None:
             return _report(*best)
     return None
@@ -322,37 +325,101 @@ def _side(steps, start, p) -> dict:
     return {k: r for k, c in items if (r := c % p)}
 
 
-def _layout(ident: Identity) -> dict:
-    """The bit field ``(shift, mask)`` of each result letter: the witness
-    letters, then the output letters, the first one most significant."""
+class _Compiled(NamedTuple):
+    """What an identity's signature alone determines: no tensor, no entry."""
+
+    span: int | None  # the range of the first witness letter; None without one
+    starts: range  # the packed key of each slice
+    witness_fields: tuple  # the (shift, mask) field of each witness letter
+    out_fields: tuple  # and of each output letter
+    shape: tuple  # of the output letters
+    lhs: tuple  # per factor: its bound and new (axis, shift) fields, bmask, kmask
+    rhs: tuple | None
+    pattern: tuple  # the ledger key's letters (see the module docstring)
+
+
+_COMPILED: dict[tuple, _Compiled] = {}
+
+
+def _compile(label: str, signature) -> _Compiled:
+    """Validate a signature ``(witness, out, lhs, rhs)``, each side a tuple
+    of (letters, shape) or None, and record what it determines in
+    ``_COMPILED``.  A malformed one raises ShapeError and is not recorded,
+    so it raises again on every construction."""
+    witness, out, lhs, rhs = signature
+    result = witness + out
+    dims: dict[str, int] = {}  # of the witness and output letters
+    for side in (lhs, rhs or ()):
+        local: dict[str, int] = {}  # summed letters are local to a side
+        for letters, shape in side:
+            if len(letters) != len(shape) or len(set(letters)) != len(letters):
+                raise ShapeError(f"{label}: letters {letters!r} do not index {shape}")
+            for letter, dim in zip(letters, shape):
+                if local.setdefault(letter, dim) != dim:
+                    raise ShapeError(f"{label}: letter {letter!r} has two dimensions")
+        for letter in result:
+            if letter in local and dims.setdefault(letter, local[letter]) != local[letter]:
+                raise ShapeError(f"{label}: letter {letter!r} has two dimensions")
+    if set(result) - set(dims):
+        raise ShapeError(f"{label}: no factor indexes every letter of {result!r}")
+    # the bit fields of the result letters, the first one most significant
     fields = {}
     at = 0
-    for x in reversed(ident.witness + ident.out):
-        width = (ident.dims[x] - 1).bit_length()
+    for x in reversed(result):
+        width = (dims[x] - 1).bit_length()
         fields[x] = (at, ((1 << width) - 1) << at)
         at += width
-    return fields
+    span = dims[witness[0]] if witness else None
+    shift = fields[witness[0]][0] if witness else 0
+    numbers = {x: n for n, x in enumerate(result)}
+
+    def pattern(side):
+        names = dict(numbers)
+        return tuple(tuple([names.setdefault(x, len(names)) for x in letters])
+                     for letters, _ in side)
+
+    entry = _COMPILED[_shared(signature)] = _Compiled(*map(_shared, (
+        span, range(0, (span or 1) << shift, 1 << shift),
+        tuple(fields[x] for x in witness),
+        tuple(fields[x] for x in out), tuple(dims[x] for x in out),
+        _skeleton(label, witness, out, lhs, fields),
+        None if rhs is None else _skeleton(label, witness, out, rhs, fields),
+        (len(witness), len(out), pattern(lhs), None if rhs is None else pattern(rhs)),
+    )))
+    return entry
 
 
-def _plan(ident: Identity, side, fields, cache):
-    """Per factor: its row index, the mask of the bound letters that picks
-    a row, and the mask of the bound letters that a later factor or the
-    result still needs; new letters that nothing needs are summed out inside
-    the row index."""
-    if side is None:
-        return None
-    result = ident.witness + ident.out
-    first = dict.fromkeys(ident.witness[:1], 0)  # the step that binds each letter
+_SHARED: dict[tuple, tuple] = {}
+
+
+def _shared(value):
+    """``value`` with every tuple in it replaced by an equal one that the
+    memo already holds, if any: entries repeat most of their fields and
+    steps, and sharing them keeps the memo under half its size."""
+    if type(value) is not tuple:
+        return value
+    value = tuple([_shared(x) for x in value])
+    return _SHARED.setdefault(value, value)
+
+
+def _skeleton(label, witness, out, side, fields) -> tuple:
+    """Per factor of one side: the ``(axis, shift)`` fields of its bound
+    letters and of its new ones that a later factor or the result needs,
+    the mask of the bound letters that picks a row, and the mask of the
+    bound letters still needed after it; new letters that nothing needs are
+    summed out inside the row index."""
+    result = witness + out
+    first = dict.fromkeys(witness[:1], 0)  # the step that binds each letter
     last = {}
-    for pos, (_, letters) in enumerate(side):
+    for pos, (letters, _) in enumerate(side):
         for x in letters:
             first.setdefault(x, pos)
             last[x] = pos
     end = dict.fromkeys(result, len(side))  # the step that unbinds each letter
     fields = dict(fields)
-    live = list(ident.witness[:1])
+    live = list(witness[:1])
     steps = []
-    for pos, (tensor, letters) in enumerate(side):
+    for pos, (letters, shape) in enumerate(side):
         bound, new, bmask = [], [], 0
         for axis, x in enumerate(letters):
             if x in live:
@@ -361,17 +428,45 @@ def _plan(ident: Identity, side, fields, cache):
                 bmask |= mask
             elif end.setdefault(x, last[x]) > pos:
                 if x not in fields:
-                    fields[x] = _free_field(fields, first, end, x, tensor.shape[axis])
+                    fields[x] = _free_field(fields, first, end, x, shape[axis])
                 new.append((axis, fields[x][0]))
         live = [x for x in live if end[x] > pos]
         kmask = 0
         for x in live:
             kmask |= fields[x][1]
         live += [letters[axis] for axis, _ in new]
-        steps.append((_rows(tensor, bound, new, cache), bmask, kmask))
+        steps.append((tuple(bound), tuple(new), bmask, kmask))
     if sorted(live) != sorted(result):
-        raise ShapeError(f"{ident.label}: a side does not bind {result!r}")
+        raise ShapeError(f"{label}: a side does not bind {result!r}")
+    return tuple(steps)
+
+
+def _plan(side, skeleton, starts, cache):
+    """Per factor of ``side``: its row index, then the masks of its
+    skeleton step.  The second factor's index holds only the rows that the
+    ``starts`` can reach when ``_reach`` finds them few."""
+    if side is None:
+        return None
+    steps = []
+    for n, ((tensor, _), (bound, new, bmask, kmask)) in enumerate(zip(side, skeleton)):
+        reach = _reach(steps[0], len(side[0][0].entries), starts, bmask,
+                       len(tensor.entries)) if n == 1 else None
+        steps.append((_rows(tensor, bound, new, cache, reach), bmask, kmask))
     return steps
+
+
+def _reach(first, nnz, starts, bmask, size):
+    """The keys at which the slices from ``starts`` look up a side's second
+    factor, of ``size`` entries: ``((k & kmask) | p) & bmask`` for each start
+    k and each hit p of the first factor's row at k, as in ``_accumulate``.
+    None when the second factor binds no letter, or when the first factor,
+    of ``nnz`` entries, might give more than ``size / 4`` keys; one that
+    does not bind the first witness letter, such as the unit in the unit
+    laws, gives its hits once per start."""
+    rows, bmask0, kmask0 = first
+    if not bmask or 4 * nnz * (1 if bmask0 else len(starts)) > size:
+        return None
+    return {((k & kmask0) | p) & bmask for k in starts for p, _ in rows.get(k & bmask0, ())}
 
 
 def _free_field(fields, first, end, x, dim):
@@ -400,38 +495,49 @@ def _unpack(key: int, axes) -> tuple:
     return tuple([(key & mask) >> shift for shift, mask in axes])
 
 
-def _rows(tensor: Tensor, bound, new, cache) -> dict:
+def _rows(tensor: Tensor, bound, new, cache, reach=None) -> dict:
     """Entries grouped by their bound letters: packed key -> [(packed new
-    letters, c)], for ``(axis, shift)`` lists ``bound`` and ``new``."""
-    token = (id(tensor), *bound, None, *new)  # None ends the bound fields
-    rows = cache.get(token)
-    if rows is None:
+    letters, c)], for ``(axis, shift)`` tuples ``bound`` and ``new``.  An
+    index is shared through ``cache`` unless ``reach`` limits it to the
+    keys in that set: such an index serves only the side it was built for."""
+    if reach is None:
+        token = (id(tensor), bound, new)
+        rows = cache.get(token)
+        if rows is not None:
+            return rows
         rows = cache[token] = defaultdict(list)
-        exact = tensor.field.p is None
-        for idx, c in tensor.entries.items():
-            if exact and c.denominator == 1:
-                c = c.numerator
-            key = packed = 0
-            for axis, shift in bound:
-                key |= idx[axis] << shift
-            for axis, shift in new:
-                packed |= idx[axis] << shift
-            rows[key].append((packed, c))
+    else:
+        rows = defaultdict(list)
+    exact = tensor.field.p is None
+    for idx, c in tensor.entries.items():
+        key = 0
+        for axis, shift in bound:
+            key |= idx[axis] << shift
+        if reach is not None and key not in reach:
+            continue
+        if exact and c.denominator == 1:
+            c = c.numerator
+        packed = 0
+        for axis, shift in new:
+            packed |= idx[axis] << shift
+        rows[key].append((packed, c))
     return rows
 
 
-def _report(witness, ident: Identity, fields, start, lplan, rplan) -> Report:
+def _report(witness, ident: Identity, start, lplan, rplan) -> Report:
     field = ident.field
-    shape = tuple(ident.dims[x] for x in ident.out)
+    compiled = ident.compiled
     scalar = Fraction if field.p is None else int
-    at = [fields[x] for x in ident.witness]
-    axes = [fields[x] for x in ident.out]
+    mask = bits = 0  # of the witness letters, and their values
+    for w, (shift, field_mask) in zip(witness, compiled.witness_fields):
+        mask |= field_mask
+        bits |= w << shift
 
     def at_witness(plan):
         side = {} if plan is None else _side(plan, start, field.p)
-        entries = {_unpack(k, axes): scalar(c) for k, c in side.items()
-                   if _unpack(k, at) == witness}
-        return Tensor(field, shape, entries, _normalized=True)
+        entries = {_unpack(k, compiled.out_fields): scalar(c) for k, c in side.items()
+                   if k & mask == bits}
+        return Tensor(field, compiled.shape, entries, _normalized=True)
 
     # an identity without witness letters reports the placeholder (0,)
     return Report.fail(ident.label, witness or (0,), at_witness(lplan), at_witness(rplan))

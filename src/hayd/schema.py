@@ -188,6 +188,8 @@ def parse_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError([("", f"JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}")])
+    except ValueError as exc:  # an integer literal beyond Python's int-string limit
+        raise SchemaError([("", f"JSON parse error: {exc}")])
     if not isinstance(doc, dict):
         raise SchemaError([("", "document must be a JSON object")])
     kind = doc.get("kind")

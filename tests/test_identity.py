@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import io
 import random
 import weakref
 from fractions import Fraction
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 from hayd import identity
+from hayd.cli import main
 from hayd.double import build_ah
 from hayd.errors import CheckFailedError, ShapeError
 from hayd.fields import prime_field, rationals
@@ -15,6 +17,7 @@ from hayd.groups import cyclic, symmetric
 from hayd.hopf import group_algebra, sweedler
 from hayd.identity import Identity, check, evaluate, ledger, on_generators
 from hayd.report import Report
+from hayd.suite import BUILTINS
 from hayd.tensor import Tensor
 
 from helpers import dense, dense_einsum, dense_first_failure
@@ -373,3 +376,167 @@ def test_require_returns_a_pass_and_raises_a_failure():
     with pytest.raises(CheckFailedError) as err:
         bad.require()
     assert err.value.report is bad
+
+
+# -- one compiled entry per signature ------------------------------------------------
+
+
+def test_one_signature_shares_one_entry_and_other_shapes_get_their_own():
+    s3, c2 = group_algebra(symmetric(3)), group_algebra(cyclic(2))
+    assert _assoc(s3.mult).compiled is _assoc(group_algebra(symmetric(3)).mult).compiled
+    # over another field the signature is the same; the field is the instance's
+    assert _assoc(s3.mult).compiled is _assoc(group_algebra(symmetric(3), prime_field(5)).mult).compiled
+    # the same letters at other shapes
+    a, b = _assoc(s3.mult), _assoc(c2.mult)
+    assert a.compiled is not b.compiled
+    assert (a.compiled.shape, b.compiled.shape) == ((6,), (2,))
+    assert check("ok", b).passed and check("ok", a).passed
+
+
+def test_factors_over_two_fields_are_rejected_even_when_the_signature_is_compiled():
+    u, v = group_algebra(cyclic(2)).counit, group_algebra(cyclic(2), prime_field(5)).counit
+    assert check("ok", Identity("x", "i", "", [(u, "i")], [(u, "i")])).passed
+    for _ in range(2):
+        with pytest.raises(ShapeError, match="factors over"):
+            Identity("x", "i", "", [(u, "i")], [(v, "i")])
+
+
+@pytest.mark.parametrize("case", ["rank", "two-dimensions", "unbound"])
+def test_a_malformed_spec_raises_on_every_construction(case):
+    H = group_algebra(cyclic(2))
+    spec, message = {
+        "rank": (("i", "", [(H.mult, "ij")], None), "do not index"),
+        "two-dimensions": (("i", "", [(H.mult, "ijk"), (Tensor.identity(Q, 3), "kl")], None),
+                           "has two dimensions"),
+        # the rhs binds k, the lhs never does
+        "unbound": (("i", "k", [(H.counit, "i")], [(Tensor.identity(Q, 2), "ik")]),
+                    "does not bind"),
+    }[case]
+    entries = len(identity._COMPILED)
+    for _ in range(3):
+        with pytest.raises(ShapeError, match=message):
+            Identity("x", *spec)
+    assert len(identity._COMPILED) == entries
+
+
+def test_no_tensor_is_reachable_from_the_memo_after_a_battery_run():
+    # the memo holds letters, shapes, bit fields and masks: plain data that
+    # keeps no structure alive
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite", "--builtin", "all", "--json"]) == 0
+    assert identity._COMPILED
+    seen, todo = set(), [identity._COMPILED, identity._SHARED]
+    while todo:
+        obj = todo.pop()
+        # an entry's class is among its referents; classes are not data
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert isinstance(obj, (dict, tuple, str, int, range, type(None))), type(obj)
+        todo.extend(gc.get_referents(obj))
+
+
+# -- row indexes over the keys a scan can reach ----------------------------------
+
+
+def _filtered(monkeypatch) -> list:
+    """(entries of the factor, entries indexed) of each index built over
+    reachable keys only, as the spy sees them."""
+    seen = []
+    real = identity._rows
+
+    def spy(tensor, bound, new, cache, reach=None):
+        rows = real(tensor, bound, new, cache, reach)
+        if reach is not None:
+            seen.append((len(tensor.entries), sum(map(len, rows.values()))))
+        return rows
+
+    monkeypatch.setattr(identity, "_rows", spy)
+    return seen
+
+
+def _unfiltered(monkeypatch):
+    monkeypatch.setattr(identity, "_reach", lambda *args: None)
+
+
+def test_the_unit_law_on_a_h_indexes_only_the_unit_rows_and_reports_the_dense_failure(monkeypatch):
+    A = build_ah(BUILTINS["taft-3-f7"]())
+    unit = sorted(i for i, in A.unit.entries)  # the rows 0, 27 and 54
+    idx = next(idx for idx in sorted(A.mult.entries) if idx[0] in unit and idx[1] == 5)
+    bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
+    law = _unit_laws(bad, A.unit)[0]  # (1 e_i) reads bad at (1's support, i, k)
+    seen = _filtered(monkeypatch)
+    r = check("unit", law)
+    assert seen == [(3051, sum(1 for j, _, _ in A.mult.entries if j in unit))]
+    assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == dense_first_failure([law])
+    _unfiltered(monkeypatch)
+    assert check("unit", law) == r
+
+
+def _reduced_assoc_failure(bad, generators):
+    reduced = on_generators(_assoc(bad), generators)
+    return reduced, identity._first_failure((reduced,))
+
+
+def test_a_reduced_scan_on_a_h_finds_a_corruption_in_a_reachable_row(monkeypatch):
+    # the first factor is the generator matrix: the product's index holds
+    # only the rows of the generators' support
+    A = build_ah(BUILTINS["taft-3-f7"]())
+    support = {i for _, i in A.generators.entries}
+    unit = {i for i, in A.unit.entries}
+    idx = next(idx for idx in sorted(A.mult.entries)
+               if idx[0] in support - unit and idx[1] not in unit)
+    bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
+    seen = _filtered(monkeypatch)
+    reduced, got = _reduced_assoc_failure(bad, A.generators)
+    assert got is not None
+    assert seen and all(kept < size / 2 for size, kept in seen)
+    # the full scan that check falls back to, and the same reduced scan
+    # with every index whole
+    full = check("algebra", _assoc(bad), _unit_laws(bad, A.unit))
+    assert check("algebra", reduced, _unit_laws(bad, A.unit)) == full
+    _unfiltered(monkeypatch)
+    assert _reduced_assoc_failure(bad, A.generators)[1] == got
+
+
+def test_a_reduced_scan_with_a_filtered_index_matches_the_dense_oracle(monkeypatch):
+    # one generator row of A_H(k_7 C_3), so that the dense loop stays small
+    A = build_ah(group_algebra(cyclic(3), prime_field(7)))
+    g = max(g for g, _ in A.generators.entries)
+    row = Tensor(A.field, (1, A.dim), {(0, i): c for (h, i), c in A.generators.entries.items() if h == g})
+    seen = _filtered(monkeypatch)
+    for idx in sorted(A.mult.entries):
+        if (0, idx[0]) in row.entries:
+            bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
+            reduced, got = _reduced_assoc_failure(bad, row)
+            assert (got.axiom, got.witness, dense(got.lhs), dense(got.rhs)) == \
+                dense_first_failure([reduced])
+            break
+    assert seen and all(kept < size for size, kept in seen)
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(5)], ids=["Q", "F5"])
+def test_evaluate_with_a_small_first_factor_agrees_with_a_dense_einsum(field, monkeypatch):
+    rng = random.Random(3)
+    seen = _filtered(monkeypatch)
+    t, u = _random(rng, field, (5, 4, 6)), _random(rng, field, (6, 3))
+    for v in (Tensor(field, (5,), {(2,): field.one}),
+              Tensor(field, (5,), {(0,): field.coerce(2), (4,): field.coerce(3)})):
+        for out, factors in [("jk", [(v, "i"), (t, "ijk")]),
+                             ("kj", [(v, "i"), (t, "ijk")]),
+                             ("jl", [(v, "i"), (t, "ijk"), (u, "kl")])]:
+            assert evaluate(out, factors) == dense_einsum(field, out, factors)
+    assert len(seen) == 6 and all(kept < size for size, kept in seen)
+
+
+def test_a_filtered_index_serves_only_the_side_it_was_built_for():
+    # in one group, the unit law indexes the product over the unit's rows
+    # only; the next identity reads the same product with the same bound
+    # letters at the same bits after a dense first factor, so it needs every row
+    H = group_algebra(symmetric(3))
+    ones = Tensor(Q, (6, 6), {(i, j): Q.one for i in range(6) for j in range(6)})
+    wide = [(ones, "ij"), (H.mult, "jik")]
+    group = [_unit_laws(H.mult, H.unit)[0],
+             Identity("wide", "i", "k", wide, [(dense_einsum(Q, "ik", wide), "ik")])]
+    assert dense_first_failure(group) is None
+    assert check("ok", group).passed

@@ -2,6 +2,7 @@
 builtins; skipped where hypothesis is not installed."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hayd import identity  # noqa: E402
 from hayd.hopf import FinHopfAlgebra, verify_hopf_axioms  # noqa: E402
 from hayd.suite import BUILTINS  # noqa: E402
 from hayd.tensor import Tensor  # noqa: E402
@@ -50,3 +52,24 @@ def test_any_single_entry_corruption_reports_the_dense_first_violation(C):
         assert r.passed or r.axiom == "antipode-invertible"
     else:
         assert (r.axiom, r.witness, dense(r.lhs), dense(r.rhs)) == want
+
+
+class _Cold(dict):
+    """A signature memo that never hits: every identity is compiled afresh,
+    as if the memo were cleared before each construction and so before
+    every check."""
+
+    def get(self, key, default=None):
+        return default
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_corrupted_builtin())
+def test_a_cold_signature_memo_gives_the_same_report_as_a_warm_one(C):
+    def fresh():  # no generators or verdict carried over from the other run
+        return FinHopfAlgebra(C.field, name=C.name, **{key: getattr(C, key) for key in _HOPF_LABELS})
+
+    warm = verify_hopf_axioms(fresh())
+    with mock.patch.object(identity, "_COMPILED", _Cold()):
+        cold = verify_hopf_axioms(fresh())
+    assert cold == warm

@@ -370,6 +370,14 @@ def test_cli_schema_error_exits_two(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def test_cli_an_integer_beyond_the_int_string_limit_is_a_schema_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "hopf", "dim": ' + "1" * 5000 + "}")
+    assert main(["verify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("schema error at /: JSON parse error")
+
+
 def test_cli_check_ayd_on_module_file(tmp_path, capsys):
     H = sweedler()
     good = one_dim_module(H, H.counit, H.basis_vector(2), "rr")
