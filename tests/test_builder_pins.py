@@ -55,7 +55,7 @@ PINS = {
     "ah-double-coaction": "abf3273182715df80a942ed5406ade78031004374a43eefff7db0a2425156cdf",
     "ah-module-to-ayd": "f7e73822b5d15ddac55ae4091b1b2d9bbbfec23e0e2d0e655a749f93f337ff11",
     "ayd-to-ah-module": "4ed730441d9ac86dcd2d51c2a0b28c17dcee572f0a954231f8be122b6b4c5910",
-    "canonical-map": "77fe4e33b216bd3086d688d79ec1c4ced49879d8e39fe40010167163988bb3db",
+    "canonical-map": "61d1a7bfda4d8996682f6f8bf432522c11cf0020725455c39d9e9f86ae3c59a2",
     "double": "884c4cbf3a035b3e42bbd55c9b7c712453eae28489613a7827b63aaab5f6a2c9",
     "double-antipode": "374c1e0575cf12d7620ac9dc8efddbd498828f6b53166ca45f817d0b06545293",
     "double-comult": "abf3273182715df80a942ed5406ade78031004374a43eefff7db0a2425156cdf",
@@ -63,14 +63,14 @@ PINS = {
     "entwining-ayd": "f19fabc0fa969e3d89c163bf6843c679315fb4926a1e5af587ee50e6e4408791",
     "entwining-yd": "21a987b6921cfce4a1429b0b65d729849b14c114e6d7eb248103a6a66303a322",
     "hopf": "b85c9a5ba938de20332aa7f62399e0ef626276e32156e111479442dad85708de",
-    "mu-action": "a7129d97af9ce86b5c8d02449a96b908705de51ab0b3a8f7e01e1926473e91f8",
-    "mu-action-flipped": "d2dc154f2f0eabb4e3aa03f933b386212da6251dcd3ad50bfe95a45b5157148e",
+    "mu-action": "db3c1cef4c244e90e95a3a4076329bca865357bb0b4a9458a125605b1d3e5d01",
+    "mu-action-flipped": "beb2642006005210ba761009590addb61c8ca732da0adcb8b8848b59918f4b1e",
     "restrict-coaction": "5ac1fd2991511d57e4b8914b0b73ca01c8a6938b2fd9e6973a495dff50f65205",
     "tensor-ll": "02820b0f1a25dc97f7de0509f77ae3fbe23a071df007570007be55ce55f091d0",
     "tensor-lr": "b47fe8c0d2e5a427c33ef048c727b99f02dcc37d8cc235f4096e928a02406e4c",
     "tensor-rl": "21fe0f88d684c15f611e82fce9aa71032af351793bd8574343d94ab6b7ce0fb2",
     "tensor-rr": "03dea9c148749808135500e2b5408acd79f0bd8e6d963d5299553ca21ef8ab39",
-    "translation-map": "c1a1eee95d2c9cd1158e5d5187c0a0974e0c6110cc0f917d954b25ca513c88f5",
+    "translation-map": "46ec038a89091b95e62dfd7afcd57508aee338147cd6349bfb325cc2806083ae",
 }
 
 
@@ -80,6 +80,12 @@ def _canon(x):
     if isinstance(x, (list, tuple)):
         return [_canon(y) for y in x]
     return repr(x)
+
+
+def _stacked(vectors):
+    """Vectors of equal length as the rows of one matrix."""
+    return Tensor(vectors[0].field, (len(vectors), *vectors[0].shape), {
+        (r, *idx): c for r, v in enumerate(vectors) for idx, c in v.entries.items()})
 
 
 def _structures(H, case):
@@ -130,11 +136,12 @@ def _outputs(H) -> dict:
     out["ah-double-coaction"] = ah_double_coaction(H).tensor
     CA = comodule_algebra_from_hopf(H)
     G = canonical_map(CA)
-    out["canonical-map"] = [G.can, G.bijective, G.b_basis, G.rel.relations, G.rel.section]
-    out["translation-map"] = translation_map(G)
+    out["canonical-map"] = [G.can, G.bijective, _stacked(G.b_basis), G.rel.relations,
+                            G.rel.section]
+    out["translation-map"] = _stacked(translation_map(G))
     for flipped in (False, True):
         action, carrier = mu_action(G, flipped)
-        out["mu-action-flipped" if flipped else "mu-action"] = [action.tensor, carrier]
+        out["mu-action-flipped" if flipped else "mu-action"] = [action.tensor, _stacked(carrier)]
     _, carrier = mu_action(G, False)
     out["restrict-coaction"] = restrict_coaction(CA, carrier)
     return out
