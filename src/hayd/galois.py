@@ -5,7 +5,7 @@ translation table -> sandwich actions.  The relative tensor square is realized
 as an explicit quotient of P (x) P by its RREF relation rows, with the
 non-pivot basis vectors as a section, so bijectivity of the canonical map is a
 rank statement and well-definedness of the sandwich actions is checked, on
-every relation, not assumed.  Every matrix here is a Tensor.
+every relation, not assumed.  Every matrix is a Tensor, every basis its rows.
 """
 
 from __future__ import annotations
@@ -75,64 +75,54 @@ def hopf_galois_data(H: FinHopfAlgebra) -> GaloisData:
     return canonical_map(comodule_algebra_from_hopf(H))
 
 
-def coinvariants(CA: ComoduleAlgebra):
+def coinvariants(CA: ComoduleAlgebra) -> Tensor:
     """Basis of {p : coaction(p) = p (x) 1}, closed under multiplication."""
-    f = CA.field
     m, n = CA.dim, CA.H.dim
-    p_one = evaluate("abi", [(Tensor.identity(f, m), "ab"), (CA.H.unit, "i")])
-    mat = (CA.coaction.tensor - p_one).reshape((m, m * n))
-    basis = kernel_rows(mat)
-    k, stacked = len(basis), _stack(f, basis, m)
+    p_one = evaluate("abi", [(Tensor.identity(CA.field, m), "ab"), (CA.H.unit, "i")])
+    basis = kernel_rows((CA.coaction.tensor - p_one).reshape((m, m * n)))
+    k = basis.shape[0]
     # row x*k + y is b_x b_y; closure is forced by multiplicativity of the coaction
-    products = evaluate("xyw", [(stacked, "xa"), (stacked, "yb"), (CA.P.mult, "abw")])
+    products = evaluate("xyw", [(basis, "xa"), (basis, "yb"), (CA.P.mult, "abw")])
     products = products.reshape((k * k, m))
-    _, outside = span_coordinates(stacked, products)
+    _, outside = span_coordinates(basis, products)
     if outside is not None:
         Report.fail("coinvariants-closed", divmod(outside, k), _row(products, outside)).require()
     return basis
 
 
-def _commutators(CA: ComoduleAlgebra, b_basis) -> Tensor:
+def _commutators(CA: ComoduleAlgebra, b_basis: Tensor) -> Tensor:
     """The matrix (a, (z, c)) of b_z e_a - e_a b_z: zero exactly when the b_z
     are central, and its left kernel is their centralizer."""
     m, mult = CA.dim, CA.P.mult
-    coinv = _stack(CA.field, b_basis, m)
-    diff = (evaluate("azc", [(coinv, "zw"), (mult, "wac")])
-            - evaluate("azc", [(coinv, "zw"), (mult, "awc")]))
-    return diff.reshape((m, len(b_basis) * m))
+    diff = (evaluate("azc", [(b_basis, "zw"), (mult, "wac")])
+            - evaluate("azc", [(b_basis, "zw"), (mult, "awc")]))
+    return diff.reshape((m, b_basis.shape[0] * m))
 
 
-def centralizer(CA: ComoduleAlgebra, b_basis):
+def centralizer(CA: ComoduleAlgebra, b_basis: Tensor) -> Tensor:
     """Basis of {p : bp = pb for all b in the given basis}; a subcomodule."""
     basis = kernel_rows(_commutators(CA, b_basis))
     restrict_coaction(CA, basis)  # raises unless the span is a subcomodule
     return basis
 
 
-def restrict_coaction(CA: ComoduleAlgebra, carrier) -> Tensor:
+def restrict_coaction(CA: ComoduleAlgebra, carrier: Tensor) -> Tensor:
     """The coaction in the coordinates of a subcomodule basis of P.
 
     Raises CheckFailedError ('centralizer-subcomodule', witness (r, i)) when
     the Hopf slice i of the coaction of carrier vector r leaves the span.
     """
-    m, n, r = CA.dim, CA.H.dim, len(carrier)
-    stacked = _stack(CA.field, carrier, m)
-    slices = evaluate("rib", [(stacked, "ra"), (CA.coaction.tensor, "abi")])
-    coords, outside = span_coordinates(stacked, slices.reshape((r * n, m)))
+    m, n, r = CA.dim, CA.H.dim, carrier.shape[0]
+    slices = evaluate("rib", [(carrier, "ra"), (CA.coaction.tensor, "abi")])
+    coords, outside = span_coordinates(carrier, slices.reshape((r * n, m)))
     if outside is not None:
-        Report.fail("centralizer-subcomodule", divmod(outside, n), carrier[outside // n]).require()
+        z, i = divmod(outside, n)
+        Report.fail("centralizer-subcomodule", (z, i), _row(carrier, z)).require()
     return coords.reshape((r, n, r)).transpose((0, 2, 1))
 
 
-def _stack(field, vectors, m) -> Tensor:
-    """The vectors of length m as the rows of a matrix."""
-    return Tensor(field, (len(vectors), m), {
-        (r, w): c for r, v in enumerate(vectors) for (w,), c in v.entries.items()
-    }, _normalized=True)
-
-
 def _row(matrix: Tensor, t) -> Tensor:
-    """Row t of a matrix as a vector."""
+    """Row t of a matrix as a vector, to name a vector outside a span."""
     return Tensor(matrix.field, matrix.shape[1:], {
         (j,): c for (i, j), c in matrix.entries.items() if i == t
     }, _normalized=True)
@@ -154,16 +144,15 @@ class RelativeTensor:
     section: Tensor
 
 
-def relative_tensor(CA: ComoduleAlgebra, b_basis) -> RelativeTensor:
+def relative_tensor(CA: ComoduleAlgebra, b_basis: Tensor) -> RelativeTensor:
     """Quotient of P (x) P by span{pb (x) p' - p (x) bp'}."""
-    f = CA.field
-    m = CA.dim
+    f, m = CA.field, CA.dim
     full = m * m
-    coinv, mult, delta = _stack(f, b_basis, m), CA.P.mult, Tensor.identity(f, m)
+    mult, delta = CA.P.mult, Tensor.identity(f, m)
     # relation (i, z, j) is e_i b_z (x) e_j - e_i (x) b_z e_j, a row over P (x) P
-    rel = (evaluate("izjab", [(coinv, "zw"), (mult, "iwa"), (delta, "jb")])
-           - evaluate("izjab", [(coinv, "zw"), (delta, "ia"), (mult, "wjb")]))
-    reduced, pivots = rref(rel.reshape((m * len(b_basis) * m, full)))
+    rel = (evaluate("izjab", [(b_basis, "zw"), (mult, "iwa"), (delta, "jb")])
+           - evaluate("izjab", [(b_basis, "zw"), (delta, "ia"), (mult, "wjb")]))
+    reduced, pivots = rref(rel.reshape((m * b_basis.shape[0] * m, full)))
     relations = Tensor(f, (len(reduced), full), {
         (r, c): v for r, row in enumerate(reduced) for c, v in row.items()
     }, _normalized=True)
@@ -180,11 +169,11 @@ class GaloisData:
     """The canonical map on the relative tensor square, plus derived data."""
 
     ca: ComoduleAlgebra
-    b_basis: list
+    b_basis: Tensor       # (k, dim P): the coinvariants' basis as rows
     rel: RelativeTensor
     can: Tensor           # (rel.dim, dim P * dim H): quotient coords -> P (x) H coords
     bijective: bool
-    _translation: list = None
+    _translation: Tensor | None = None
 
     @property
     def field(self):
@@ -206,8 +195,8 @@ def canonical_map(CA: ComoduleAlgebra) -> GaloisData:
     return GaloisData(CA, b_basis, rel, can_q, bijective)
 
 
-def translation_map(G: GaloisData):
-    """Preimages of 1 (x) h_i under the canonical map, in quotient coordinates."""
+def translation_map(G: GaloisData) -> Tensor:
+    """Row i is the preimage of 1 (x) h_i under the canonical map, in quotient coordinates."""
     if not G.bijective:
         raise NotGaloisError("the canonical map is not bijective")
     if G._translation is None:
@@ -219,7 +208,7 @@ def translation_map(G: GaloisData):
         # exactness: coords . can == 1 (x) h_i
         check("translation-exactness", Identity("translation-exactness", "i", "k", [
             (coords, "is"), (G.can, "sk")], [(targets, "ik")])).require()
-        G._translation = [_row(coords, i) for i in range(n)]
+        G._translation = coords
     return G._translation
 
 
@@ -231,12 +220,12 @@ def _sandwich(mult: Tensor, reverse: bool):
 
 def check_sandwich(CA: ComoduleAlgebra, rel: RelativeTensor, carrier, reverse=False) -> Report:
     """The sandwich is well defined on P (x)_B P: every relation row r sends
-    every carrier vector z to zero (witness (r, z))."""
-    f, m = CA.field, CA.dim
+    every carrier row z to zero (witness (r, z))."""
+    m = CA.dim
     relations = rel.relations.reshape((rel.relations.shape[0], m, m))
     return check("sandwich-well-defined", Identity(
         "sandwich-well-defined", "rz", "l",
-        [(relations, "rab"), (_stack(f, carrier, m), "zw"), *_sandwich(CA.P.mult, reverse)], None,
+        [(relations, "rab"), (carrier, "zw"), *_sandwich(CA.P.mult, reverse)], None,
     ))
 
 
@@ -247,30 +236,28 @@ def mu_action(G: GaloisData, flipped: bool = False):
     flipped:  p.h uses the legs of the inverse antipode image in reverse order,
               on all of P, and needs the coinvariants central.
 
-    Returns (right ActionStructure, carrier basis vectors).
+    Returns (right ActionStructure, carrier basis as the rows of a matrix).
     """
-    CA = G.ca
-    f = G.field
+    CA, f = G.ca, G.field
     m, n = CA.dim, CA.H.dim
     table = translation_map(G)
 
     if flipped:
         if not _commutators(CA, G.b_basis).is_zero():
             raise InputError("flipped sandwich action needs central coinvariants")
-        carrier = [Tensor.basis(f, (m,), (a,)) for a in range(m)]
+        carrier = Tensor.identity(f, m)
     else:
         carrier = centralizer(CA, G.b_basis)
     check_sandwich(CA, G.rel, carrier, reverse=flipped).require()
 
     # the table row of h (of S^-1(h) when flipped), lifted through the section
-    table = _stack(f, table, G.rel.dim)
     lifts = [(antipode_inverse(CA.H), "ij"), (table, "js")] if flipped else [(table, "is")]
     section = G.rel.section.reshape((G.rel.dim, m, m))
-    dim, stacked = len(carrier), _stack(f, carrier, m)
+    dim = carrier.shape[0]
     out = evaluate("irl", [
-        *lifts, (section, "sab"), (stacked, "rw"), *_sandwich(CA.P.mult, flipped),
+        *lifts, (section, "sab"), (carrier, "rw"), *_sandwich(CA.P.mult, flipped),
     ]).reshape((n * dim, m))
-    coords, outside = span_coordinates(stacked, out)
+    coords, outside = span_coordinates(carrier, out)
     if outside is not None:
         Report.fail("sandwich-closed", divmod(outside, dim), _row(out, outside)).require()
     action = ActionStructure("right", dim, coords.reshape((n, dim, dim)))

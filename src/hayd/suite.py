@@ -194,13 +194,13 @@ def _check_galois_baseline(H):
         return Report.fail("galois-baseline", (matrix_rank(G.can),), G.can, None)
     action, carrier = mu_action(G, flipped=False)
     M = TwoSidedStructure(
-        H, action, CoactionStructure("right", len(carrier), restrict_coaction(CA, carrier))
+        H, action, CoactionStructure("right", carrier.shape[0], restrict_coaction(CA, carrier))
     )
     r = check_yd(M)
     if not r.passed:
         return r
     if CA.P.is_commutative():
-        want = trivial_action(H, len(carrier), "right").tensor
+        want = trivial_action(H, carrier.shape[0], "right").tensor
         return _agree("galois-baseline", (action.tensor, want))
     return Report.ok("galois-baseline")
 

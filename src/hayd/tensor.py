@@ -363,19 +363,21 @@ def invert_matrix(m: Tensor) -> Tensor:
     }, _normalized=True)
 
 
-def kernel_rows(m: Tensor):
-    """Basis of the left kernel {v : v @ m = 0}, as rank-1 Tensors: one vector
-    per free column of the RREF of m's transpose, in column order."""
+def kernel_rows(m: Tensor) -> Tensor:
+    """Basis of the left kernel {v : v @ m = 0} as the rows of a (k, n) matrix,
+    one row per free column of the RREF of m's transpose, in column order."""
     f = m.field
     n = m.shape[0]
     rows, pivots = rref(m.transpose((1, 0)))
     pivot_set = set(pivots)
-    basis = {c: {(c,): f.one} for c in range(n) if c not in pivot_set}
+    basis = {c: {c: f.one} for c in range(n) if c not in pivot_set}
     for pc, row in zip(pivots, rows):
         for j, c in row.items():
             if j != pc:
-                basis[j][(pc,)] = f.neg(c)
-    return [Tensor(f, (n,), vec, _normalized=True) for vec in basis.values()]
+                basis[j][pc] = f.neg(c)
+    return Tensor(f, (len(basis), n), {
+        (r, j): c for r, vec in enumerate(basis.values()) for j, c in vec.items()
+    }, _normalized=True)
 
 
 def span_coordinates(basis: Tensor, rows: Tensor):

@@ -82,12 +82,6 @@ def _canon(x):
     return repr(x)
 
 
-def _stacked(vectors):
-    """Vectors of equal length as the rows of one matrix."""
-    return Tensor(vectors[0].field, (len(vectors), *vectors[0].shape), {
-        (r, *idx): c for r, v in enumerate(vectors) for idx, c in v.entries.items()})
-
-
 def _structures(H, case):
     """The trivial and one-dim structures the suite builds, plus for rr the
     two adjoint structures."""
@@ -136,12 +130,11 @@ def _outputs(H) -> dict:
     out["ah-double-coaction"] = ah_double_coaction(H).tensor
     CA = comodule_algebra_from_hopf(H)
     G = canonical_map(CA)
-    out["canonical-map"] = [G.can, G.bijective, _stacked(G.b_basis), G.rel.relations,
-                            G.rel.section]
-    out["translation-map"] = _stacked(translation_map(G))
+    out["canonical-map"] = [G.can, G.bijective, G.b_basis, G.rel.relations, G.rel.section]
+    out["translation-map"] = translation_map(G)
     for flipped in (False, True):
         action, carrier = mu_action(G, flipped)
-        out["mu-action-flipped" if flipped else "mu-action"] = [action.tensor, _stacked(carrier)]
+        out["mu-action-flipped" if flipped else "mu-action"] = [action.tensor, carrier]
     _, carrier = mu_action(G, False)
     out["restrict-coaction"] = restrict_coaction(CA, carrier)
     return out
