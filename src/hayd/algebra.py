@@ -5,7 +5,7 @@ Each axiom is an identity between structure tensors, declared as a spec and
 scanned exhaustively by ``hayd.identity``, which reports the
 lexicographically first violating basis tuple.  An algebra that has proved
 generators (rows whose left closure of the unit is the whole algebra, found
-by elimination in ``left_closure_rank``) scans associativity, and its
+by elimination in ``left_closure``) scans associativity, and its
 modules their associativity, with the first argument on the generators
 alone (``identity.on_generators``).
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import ShapeError
 from .identity import Identity, check, evaluate, on_generators
 from .report import Report
-from .tensor import Tensor, closure_rank
+from .tensor import Tensor, closure
 
 
 def _associativity(mult: Tensor) -> Identity:
@@ -49,28 +49,34 @@ def unit_report(mult: Tensor, unit: Tensor) -> Report:
     return check("unit", _unit(mult, unit))
 
 
+def left_closure(mult: Tensor, unit: Tensor, generators: Tensor) -> dict:
+    """The smallest subspace that holds the unit and is closed under left
+    multiplication by the rows of ``generators``, the span of the words
+    g_1 (g_2 (... (g_k 1))), as RREF rows {pivot column: row}."""
+    return closure(unit, evaluate("gbc", [(generators, "ga"), (mult, "abc")]))
+
+
 def left_closure_rank(mult: Tensor, unit: Tensor, generators: Tensor) -> int:
-    """Rank of the smallest subspace that holds the unit and is closed under
-    left multiplication by the rows of ``generators``: the span of the words
-    g_1 (g_2 (... (g_k 1))).  It is the dimension exactly when the rows
+    """The rank of ``left_closure``: the dimension exactly when the rows
     generate the algebra (``identity.on_generators``)."""
-    return closure_rank(unit, evaluate("gbc", [(generators, "ga"), (mult, "abc")]))
+    return len(left_closure(mult, unit, generators))
 
 
 def greedy_generators(mult: Tensor, unit: Tensor) -> list:
-    """Basis indices taken in order, each one that enlarges the left closure
-    of the unit under those taken before it; of an associative unital
-    algebra they are generators."""
+    """Basis indices taken in order, each one whose basis vector lies outside
+    the left closure of the unit under those taken before it.  In an
+    associative unital algebra that closure is the subalgebra they generate,
+    which e_j enlarges exactly when it lies outside it; the taken indices
+    generate the algebra."""
     f, n = mult.field, mult.shape[0]
-    chosen, rank = [], 1 if unit.entries else 0  # the closure of the unit alone
+    chosen, span = [], left_closure(mult, unit, Tensor.zeros(f, (0, n)))
     for j in range(n):
-        if rank == n:
-            break
-        rows = Tensor(f, (len(chosen) + 1, n),
-                      {(r, i): f.one for r, i in enumerate(chosen + [j])}, _normalized=True)
-        grown = left_closure_rank(mult, unit, rows)
-        if grown > rank:
-            chosen, rank = chosen + [j], grown
+        # e_j is in the span of RREF rows exactly when its pivot row is e_j
+        if span.get(j) != {j: 1}:
+            chosen.append(j)
+            rows = Tensor(f, (len(chosen), n), {(r, i): f.one for r, i in enumerate(chosen)},
+                          _normalized=True)
+            span = left_closure(mult, unit, rows)
     return chosen
 
 

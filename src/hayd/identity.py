@@ -78,7 +78,7 @@ whole result as a Tensor with axes in the order of ``out``.  Every builder is
 such a spec: the product spaces, the double's coalgebra and antipode, tensor
 products, entwinings, the adjoint and sandwich actions, and
 ``Tensor.contract`` itself.  The one other sparse contraction loop is
-``tensor.closure_rank``'s, which maps each word by hand.
+``tensor.closure``'s, which maps each word by hand.
 """
 
 from __future__ import annotations

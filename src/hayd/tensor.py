@@ -18,8 +18,8 @@ flattened pair indices of product spaces are written.
 
 Matrices are rank-2 Tensors.  ``rref`` is one sparse Gauss-Jordan elimination
 over rows {col: scalar}; rank, inverse, left kernel and coordinates inside a
-span all run on it, and ``closure_rank`` (the span of a vector under a set
-of maps) runs on its elimination step.
+span all run on it, and ``closure`` (the span of a vector under a set of
+maps) runs on its elimination step.
 """
 
 from __future__ import annotations
@@ -301,10 +301,10 @@ def _insert(pivot_rows, row, f) -> bool:
     return True
 
 
-def closure_rank(start: Tensor, maps: Tensor) -> int:
-    """Rank of the smallest subspace that holds the vector ``start`` and is
-    closed under v -> v @ maps[g] for every g: the span of all the words
-    start @ maps[g_1] @ ... @ maps[g_k].
+def closure(start: Tensor, maps: Tensor) -> dict:
+    """The smallest subspace that holds the vector ``start`` and is closed
+    under v -> v @ maps[g] for every g, the span of all the words
+    start @ maps[g_1] @ ... @ maps[g_k], as its RREF rows {pivot column: row}.
 
     Each vector that enlarges the span found so far is kept unreduced (words
     in sparse structure constants stay sparse) and later mapped by every
@@ -334,7 +334,7 @@ def closure_rank(start: Tensor, maps: Tensor) -> int:
                 out = {j: c for j, c in out.items() if c}
             if _insert(pivot_rows, dict(out), f):
                 todo.append(out)
-    return len(pivot_rows)
+    return pivot_rows
 
 
 def _augment(m: Tensor) -> Tensor:

@@ -21,12 +21,13 @@ from math import prod
 
 import pytest
 
-from hayd import identity
-from hayd.algebra import AlgebraModule, FinAlgebra, left_closure_rank
+from hayd import algebra, identity
+from hayd.algebra import AlgebraModule, FinAlgebra, greedy_generators, left_closure_rank
 from hayd.cli import main
 from hayd.double import ah_double_coaction, build_ah, build_double, build_double_hopf
 from hayd.galois import check_comodule_algebra
-from hayd.hopf import FinHopfAlgebra, verify_hopf_given_algebra
+from hayd.fields import prime_field
+from hayd.hopf import FinHopfAlgebra, taft, verify_hopf_given_algebra
 from hayd.identity import evaluate
 from hayd.reps import CoactionStructure
 from hayd.suite import BUILTINS
@@ -232,6 +233,50 @@ def test_closure_rank_against_dense_words(name):
         for rows, want in ((alg.generators, alg.dim), (_dual_rows(H), H.dim)):
             rank = left_closure_rank(alg.mult, alg.unit, rows)
             assert rank == dense_closure_rank(alg.mult, alg.unit, rows) == want
+
+
+def _greedy_by_rank(mult, unit):
+    """The earlier definition: basis indices taken in order, each one whose
+    addition raises the rank of the left closure of the unit."""
+    f, n = mult.field, mult.shape[0]
+    chosen, rank = [], 1 if unit.entries else 0
+    for j in range(n):
+        if rank == n:
+            break
+        rows = Tensor(f, (len(chosen) + 1, n), {(r, i): f.one for r, i in enumerate(chosen + [j])})
+        grown = left_closure_rank(mult, unit, rows)
+        if grown > rank:
+            chosen, rank = chosen + [j], grown
+    return chosen
+
+
+def _greedy_inputs():
+    """(label, mult, unit) of every builtin and of taft(4, F_5, 2|3), each H
+    and its dual, then A_H and the double of two builtins."""
+    hopfs = {name: factory() for name, factory in BUILTINS.items()}
+    hopfs.update({f"taft-4-f5-{z}": taft(4, prime_field(5), z) for z in (2, 3)})
+    out = []
+    for label, H in hopfs.items():
+        out += [(label, H.mult, H.unit), (f"{label}*", H.comult.transpose((1, 2, 0)), H.counit)]
+    for name in ("sweedler-2", "group-s3"):
+        _, A, Dalg, _, _ = _built(name)
+        out += [(f"ah({name})", A.mult, A.unit), (f"double({name})", Dalg.mult, Dalg.unit)]
+    return out
+
+
+def test_greedy_generators_by_membership_match_the_rank_definition(monkeypatch):
+    # one closure for the unit, then one per taken index
+    real, runs = algebra.left_closure, []
+    monkeypatch.setattr(algebra, "left_closure", lambda *a: runs.append(a) or real(*a))
+    for label, mult, unit in _greedy_inputs():
+        want = _greedy_by_rank(mult, unit)
+        runs.clear()
+        chosen = greedy_generators(mult, unit)
+        assert chosen == want, label
+        assert len(runs) == len(chosen) + 1, label
+        rows = Tensor(mult.field, (len(chosen), mult.shape[0]),
+                      {(r, i): 1 for r, i in enumerate(chosen)})
+        assert left_closure_rank(mult, unit, rows) == mult.shape[0], label
 
 
 def _algebra(mult, unit, generators=None):

@@ -401,13 +401,19 @@ def test_factors_over_two_fields_are_rejected_even_when_the_signature_is_compile
             Identity("x", "i", "", [(u, "i")], [(v, "i")])
 
 
-@pytest.mark.parametrize("case", ["rank", "two-dimensions", "unbound"])
+@pytest.mark.parametrize("case", ["rank", "two-dimensions", "witness-across-sides",
+                                  "output-across-sides", "unbound"])
 def test_a_malformed_spec_raises_on_every_construction(case):
     H = group_algebra(cyclic(2))
     spec, message = {
         "rank": (("i", "", [(H.mult, "ij")], None), "do not index"),
         "two-dimensions": (("i", "", [(H.mult, "ijk"), (Tensor.identity(Q, 3), "kl")], None),
                            "has two dimensions"),
+        # each side alone is well formed; a result letter differs between them
+        "witness-across-sides": (("i", "", [(H.counit, "i")], [(Tensor.zeros(Q, (3,)), "i")]),
+                                 "letter 'i' has two dimensions"),
+        "output-across-sides": (("", "k", [(H.counit, "k")], [(Tensor.zeros(Q, (3,)), "k")]),
+                                "letter 'k' has two dimensions"),
         # the rhs binds k, the lhs never does
         "unbound": (("i", "k", [(H.counit, "i")], [(Tensor.identity(Q, 2), "ik")]),
                     "does not bind"),

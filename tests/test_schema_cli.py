@@ -779,3 +779,239 @@ def test_cli_verify_json_failure_carries_machine_schema(tmp_path, capsys):
     assert payload["passed"] is False
     assert isinstance(payload["witness"], list)
     assert payload["millis"] == 0  # machine mode stays deterministic
+
+
+# -- rejection paths: each names its pointer or message and exits 2 ------------------
+
+
+def _rejected(tmp_path, capsys, text, *argv) -> str:
+    """The stderr of ``hayd verify`` on a document with this text; it must
+    exit 2 and print nothing to stdout."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["verify", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def _q_hopf_doc():
+    doc = _valid_hopf_doc()
+    assert doc["field"] == {"kind": "rationals"} and doc["dim"] == 2
+    return doc
+
+
+def _without(doc, key):
+    del doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("edit, pointer, message", [
+    (lambda d: _without(d, "field"), "/field", "missing or not an object"),
+    (lambda d: d.update(field="rationals"), "/field", "missing or not an object"),
+    (lambda d: d.update(field={"kind": "reals"}), "/field/kind",
+     "expected 'rationals' or 'prime-field', got 'reals'"),
+    (lambda d: d.update(field={}), "/field/kind",
+     "expected 'rationals' or 'prime-field', got None"),
+    (lambda d: d["unit"][0].update(c=1.0), "/unit/0/c",
+     "rational scalar must be int or 'a/b' string, got 1.0"),
+    (lambda d: d.update(mult={"i": 0, "j": 0, "k": 0, "c": "1"}), "/mult",
+     "missing or not a list of entries"),
+    (lambda d: _without(d, "counit"), "/counit", "missing or not a list of entries"),
+    (lambda d: d["mult"].__setitem__(0, [0, 0, 0, "1"]), "/mult/0", "entry is not an object"),
+    (lambda d: d["unit"][0].update(x=0), "/unit/0", "unexpected keys ['x']"),
+    (lambda d: d.update(basis=["e0"]), "/basis", "expected a list of 2 strings"),
+    (lambda d: d.update(basis="e0 e1"), "/basis", "expected a list of 2 strings"),
+    (lambda d: d.update(basis=["e0", 1]), "/basis", "expected a list of 2 strings"),
+])
+def test_schema_rejects_a_malformed_part_at_its_pointer(tmp_path, capsys, edit, pointer, message):
+    doc = _q_hopf_doc()
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(json.dumps(doc))
+    assert err.value.violations == [(pointer, message)]
+    assert _rejected(tmp_path, capsys, json.dumps(doc)) == f"schema error at {pointer}: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"hopf"', "3", "null"])
+def test_schema_rejects_a_document_that_is_not_an_object(tmp_path, capsys, text):
+    with pytest.raises(SchemaError) as err:
+        schema.parse_document(text)
+    assert err.value.violations == [("", "document must be a JSON object")]
+    assert _rejected(tmp_path, capsys, text) == "schema error at /: document must be a JSON object\n"
+
+
+def test_load_hopf_rejects_an_algebra_document(tmp_path, capsys):
+    path = tmp_path / "ah.json"
+    assert main(["build", "ah", "--hopf", "group-c2", "-o", str(path)]) == 0
+    with pytest.raises(InputError) as err:
+        schema.load_hopf(path)
+    assert str(err.value) == f"{path}: expected a hopf document, got 'algebra'"
+    assert main(["check", "hopf_axioms", "--hopf", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: expected a hopf document, got 'algebra'\n"
+
+
+def _parsed(doc):
+    return schema.parse_document(schema.dumps(doc))
+
+
+def _structure_docs():
+    """A parsed action, coaction, two_sided and comodule_algebra document
+    over sweedler-2, and a parsed hopf and algebra document."""
+    from hayd.galois import comodule_algebra_from_hopf
+    from hayd.reps import comult_coaction, regular_action
+
+    H = sweedler()
+    return H, {
+        "action": _parsed(schema.action_to_doc(regular_action(H, "left"), H.dim)),
+        "coaction": _parsed(schema.coaction_to_doc(comult_coaction(H, "right"), H.dim)),
+        "two_sided": _parsed(schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr"))),
+        "comodule_algebra": _parsed(
+            schema.comodule_algebra_to_doc(comodule_algebra_from_hopf(H))),
+        "hopf": _parsed(schema.hopf_to_doc(H)),
+        "algebra": _parsed(schema.algebra_to_doc(group_algebra(cyclic(2)))),
+    }
+
+
+_OVER_H = {"action": schema.doc_to_action, "coaction": schema.doc_to_coaction,
+           "two_sided": schema.doc_to_two_sided,
+           "comodule_algebra": schema.doc_to_comodule_algebra}
+
+
+@pytest.mark.parametrize("kind", sorted(_OVER_H))
+def test_doc_to_structure_rejects_a_hopf_algebra_it_does_not_match(kind):
+    H, docs = _structure_docs()
+    convert = _OVER_H[kind]
+    assert convert(docs[kind], H) is not None
+    with pytest.raises(InputError) as err:
+        convert(docs[kind], group_algebra(cyclic(4), prime_field(5)))
+    assert str(err.value) == "document field does not match the Hopf algebra field"
+    with pytest.raises(InputError) as err:
+        convert(docs[kind], group_algebra(cyclic(2)))
+    assert str(err.value) == "document hopf_dim 4 does not match the Hopf algebra (2)"
+    other = "hopf" if kind == "action" else "action"
+    article = "an" if kind[0] in "aeiou" else "a"
+    with pytest.raises(InputError) as err:
+        convert(docs[other], H)
+    assert str(err.value) == f"expected {article} {kind} document, got kind {other!r}"
+
+
+def test_doc_to_hopf_and_algebra_reject_another_kind():
+    _, docs = _structure_docs()
+    with pytest.raises(InputError) as err:
+        schema.doc_to_hopf(docs["algebra"])
+    assert str(err.value) == "expected a hopf document, got kind 'algebra'"
+    with pytest.raises(InputError) as err:
+        schema.doc_to_algebra(docs["hopf"])
+    assert str(err.value) == "expected an algebra document, got kind 'hopf'"
+
+
+def test_cli_rejects_a_document_over_another_hopf_algebra(tmp_path, capsys):
+    from hayd.reps import regular_action
+
+    for H, message in (
+            (group_algebra(cyclic(4), prime_field(5)),
+             "document field does not match the Hopf algebra field"),
+            (group_algebra(cyclic(2)), "document hopf_dim 2 does not match the Hopf algebra (4)")):
+        text = schema.dumps(schema.action_to_doc(regular_action(H, "left"), H.dim))
+        assert _rejected(tmp_path, capsys, text, "--hopf", "sweedler-2") == (
+            f"input error: {message}\n")
+
+
+def test_cli_build_rejects_a_document_of_another_kind(tmp_path, capsys):
+    hopf = _write_builtin(tmp_path, "sweedler-2")
+    argvs = {
+        "comodule_algebra": ["build", "sayd-prop5", "--hopf", "sweedler-2", "--module", str(hopf)],
+        "two_sided": ["build", "tensor", "--hopf", "sweedler-2", "--left", str(hopf),
+                      "--right", str(hopf), "--case", "rr"],
+    }
+    for kind, argv in argvs.items():
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: expected a {kind} document, got kind 'hopf'\n"
+
+
+def test_cli_verify_and_check_coaction_report_what_verify_coaction_reports(tmp_path, capsys):
+    from hayd.cli import _result_json
+    from hayd.reps import comult_coaction, verify_coaction
+
+    H = sweedler()
+    good = schema.coaction_to_doc(comult_coaction(H, "right"), H.dim)
+    bad = json.loads(json.dumps(good))
+    bad["tensor"][0]["c"] = "2"  # doubles one entry: the counit law fails
+    want = verify_coaction(H, schema.doc_to_coaction(_parsed(bad), H))
+    assert not want.passed
+    for doc, code in ((good, 0), (bad, 1)):
+        path = tmp_path / "co.json"
+        path.write_text(schema.dumps(doc))
+        items = []
+        for argv in (["verify", str(path), "--hopf", "sweedler-2", "--json"],
+                     ["check", "coaction", "--hopf", "sweedler-2", "--module", str(path), "--json"]):
+            assert main(argv) == code
+            items.append(json.loads(capsys.readouterr().out))
+        assert items[0] == items[1]
+        if code:
+            assert items[0] == _result_json(want.axiom, str(path), want, 0)
+        else:
+            assert (items[0]["check"], items[0]["passed"]) == ("coaction-right", True)
+
+
+def test_cli_check_ayd_needs_a_module(capsys):
+    assert main(["check", "ayd", "--hopf", "sweedler-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: check ayd needs --module\n"
+
+
+@pytest.mark.parametrize("missing", ["--left", "--right", "--case"])
+def test_cli_build_tensor_needs_left_right_and_case(tmp_path, capsys, missing):
+    H = sweedler()
+    path = tmp_path / "m.json"
+    path.write_text(schema.dumps(schema.two_sided_to_doc(one_dim_module(H, H.counit, H.unit, "rr"))))
+    given = {"--left": str(path), "--right": str(path), "--case": "rr"}
+    del given[missing]
+    argv = ["build", "tensor", "--hopf", "sweedler-2"]
+    for flag, value in given.items():
+        argv += [flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: build tensor needs --left, --right and --case\n"
+
+
+def _trivial_fun_c2_doc():
+    """k^C2 coacting on itself trivially, p -> p (x) 1, over fun-c2: the
+    coinvariants are all of P, so the canonical map is not bijective."""
+    from hayd.galois import ComoduleAlgebra
+    from hayd.reps import CoactionStructure
+    from hayd.tensor import Tensor
+
+    H = BUILTINS["fun-c2"]()
+    co = Tensor(H.field, (2, 2, 2), {(a, a, i): c for a in range(2)
+                                     for (i,), c in H.unit.entries.items()})
+    return H, schema.comodule_algebra_to_doc(
+        ComoduleAlgebra(H, H, CoactionStructure("right", 2, co)))
+
+
+def test_make_sayd_prop5_rejects_a_comodule_algebra_that_is_not_galois(tmp_path, capsys):
+    from hayd.errors import NotGaloisError
+    from hayd.galois import canonical_map, make_sayd_prop5
+
+    H, doc = _trivial_fun_c2_doc()
+    CA = schema.doc_to_comodule_algebra(_parsed(doc), H)
+    assert not canonical_map(CA).bijective
+    with pytest.raises(NotGaloisError) as err:
+        make_sayd_prop5(CA)
+    assert str(err.value) == "the canonical map is not bijective"
+    path = tmp_path / "ca.json"
+    path.write_text(schema.dumps(doc))
+    out = tmp_path / "sayd.json"
+    assert main(["build", "sayd-prop5", "--hopf", "fun-c2", "--module", str(path),
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the canonical map is not bijective\n"
+    assert not out.exists()
