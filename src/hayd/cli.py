@@ -117,9 +117,9 @@ def cmd_check(args) -> int:
         report = verify_hopf_axioms(hopf_target(args.hopf))
     else:
         target = args.module
-        H = hopf_target(args.hopf).require_verified(args.hopf)
         if not args.module:
             raise InputError(f"check {args.name} needs --module")
+        H = hopf_target(args.hopf).require_verified(args.hopf)
         doc = schema.load_document(args.module)
         kind = "two_sided" if args.name in _TWO_SIDED_CHECKS else args.name
         if doc["kind"] != kind:
@@ -157,6 +157,8 @@ def cmd_build(args) -> int:
     for option in ("module", "left", "right", "case", "json"):
         if getattr(args, option) and option not in _BUILD_OPTIONS[args.what]:
             raise InputError(f"build {args.what} does not take --{option}")
+    if args.what == "tensor" and not (args.left and args.right and args.case):
+        raise InputError("build tensor needs --left, --right and --case")
     H = hopf_target(args.hopf).require_verified(args.hopf)
     if args.what == "ah":
         _write_doc(schema.algebra_to_doc(build_ah(H)), args.out)
@@ -178,8 +180,6 @@ def cmd_build(args) -> int:
             return _emit_report(exc.report, args.hopf, 0, args.json)
         _write_doc(schema.two_sided_to_doc(M), args.out)
         return 0
-    if not (args.left and args.right and args.case):
-        raise InputError("build tensor needs --left, --right and --case")
     N = schema.doc_to_two_sided(schema.load_document(args.left), H)
     M = schema.doc_to_two_sided(schema.load_document(args.right), H)
     try:

@@ -1,9 +1,13 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals
-(always reduced, positive denominator) and ``int`` residues in [0, p) over a
-prime field.  All arithmetic goes through a Field instance so the rest of the
-package never touches floating point.
+Scalars are plain Python values.  Over the rationals a scalar is in normal
+form: an ``int`` when it is integral, otherwise a reduced
+``fractions.Fraction`` (never one with denominator 1), so the integral
+structure constants of the builtins are scanned, hashed and compared as ints.
+Over a prime field a scalar is an ``int`` residue in [0, p).  All arithmetic
+goes through a Field instance, which returns normal forms, so the rest of the
+package never touches floating point.  Note that ``/`` between two ints is a
+float: divide with ``Field.inv``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,11 @@ _LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # characteristics are below this bound, where is_prime is exact
 CHARACTERISTIC_BOUND = 2**64
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def q_normal(x):
+    """A rational in normal form: the int when ``x`` is integral, else ``x``."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def is_prime(n: int) -> bool:
@@ -68,11 +77,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def coerce(self, x):
         """Turn an int, Fraction, or 'a/b' string into a normalized scalar."""
@@ -86,9 +95,9 @@ class Field:
             x = Fraction(int(m[1]), den)
         if self.p is None:
             if isinstance(x, Fraction):
-                return x
+                return q_normal(x)
             if isinstance(x, int):
-                return Fraction(x)
+                return int(x)
             raise FieldError(f"cannot coerce {x!r} into {self}")
         if isinstance(x, Fraction):
             if x.denominator != 1:
@@ -99,19 +108,19 @@ class Field:
         return x % self.p
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return q_normal(a + b) if self.p is None else (a + b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return q_normal(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        return q_normal(-a) if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.is_zero(a):
             raise FieldError("division by zero")
         if self.p is None:
-            return 1 / Fraction(a)
+            return q_normal(Fraction(a.denominator, a.numerator))
         return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:

@@ -23,21 +23,25 @@ result tuple.  A letter summed between two factors takes the lowest bits that
 no other letter holds meanwhile, often those of an output letter not yet
 bound.
 
-That layout, and each side's join skeleton (per factor: the ``(axis,
-shift)`` fields of its bound and new letters, and two masks), depend only on
-the identity's signature: its witness and output letters and the letters
-and shape of each factor.  ``Identity`` validates a signature and computes
-them once, in a module-level memo that holds no tensor and no entry value;
-every identity of that signature shares the entry.  A malformed signature
-is never recorded, so it raises ShapeError on every construction, and the
-factors' fields are checked per identity.
+That layout, and each side's join skeleton (per factor: the key of its
+row-index builder, the shifts of its bound and new letters, and two masks),
+depend only on the identity's signature: its witness and output letters and
+the letters and shape of each factor.  ``Identity`` validates a signature
+and computes them once, in a module-level memo that holds no tensor and no
+entry value; every identity of that signature shares the entry.  A
+malformed signature is never recorded, so it raises ShapeError on every
+construction, and the factors' fields are checked per identity.
 
 A scan then only builds row indexes.  Each factor is looked up in a sparse
 row index keyed by its bound letters' fields (``rows.get(key & bmask)``);
 the letters that no later factor and no result needs are masked off
 (``key &= kmask``) and the factor's new letters ORed in, and a new letter
-that nothing needs is summed out inside the row index.  The indexes of one
-``check`` group are shared by token (tensor, fields).  A side's second
+that nothing needs is summed out inside the row index.  An index is built
+by a function compiled once per (rank, bound axes, new axes, filtered),
+which unpacks each entry's index into locals and takes the shifts as
+arguments, so no loop runs over an entry's axes; the memo keeps only its
+key.  The indexes of one ``check`` group are shared by token (tensor,
+builder key, shifts), and none outlives its ``check`` call.  A side's second
 factor is indexed only at the keys its first factor can produce from the
 slices' keys, when the first factor is small: for the unit laws the
 first factor is the unit and for a reduced identity the generator matrix,
@@ -46,13 +50,14 @@ serves only the side it was built for.
 
 Both sides of an identity accumulate into one dict per slice, the lhs with
 sign +1 and the rhs with -1.  The slice passes when every value is 0 over Q,
-or 0 mod p over F_p; Python ints are exact, so nothing overflows, and over Q
-integral constants are carried as ints.  A failure reports the least key with
-a nonzero value in the first failing slice: its witness part is the
-lexicographically first violating basis tuple.  Only then are the failing
-identity's two sides evaluated apart on that slice, for the lhs and rhs
-slices the report shows.  No whole side is ever built, and the scan stops at
-the first failing slice.
+or 0 mod p over F_p; Python ints are exact, so nothing overflows.  Over Q
+the entries are in the normal form of ``hayd.fields``, so integral constants
+are multiplied, and the ledger hashes and compares them, as ints.  A failure
+reports the least key with a nonzero value in the first failing slice: its
+witness part is the lexicographically first violating basis tuple.  Only
+then are the failing identity's two sides evaluated apart on that slice, for
+the lhs and rhs slices the report shows.  No whole side is ever built, and
+the scan stops at the first failing slice.
 
 Inside a ``ledger()`` scope, which ``suite.run_suite`` opens per target,
 each identity is proved once.  Its key is the identity as a value, label
@@ -86,10 +91,10 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ShapeError
+from .fields import q_normal
 from .report import Report
 from .tensor import Tensor
 
@@ -243,8 +248,9 @@ def evaluate(out: str, factors) -> Tensor:
     """The einsum of ``factors`` (``(tensor, letters)`` pairs, joined in the
     order written), with result axes in the order of ``out``.
 
-    Letters not in ``out`` are summed over.  Over Q the entries are
-    Fractions, over F_p reduced residues; zeros are dropped.
+    Letters not in ``out`` are summed over.  Over Q the entries are in the
+    normal form of ``hayd.fields``, over F_p reduced residues; zeros are
+    dropped.
     """
     ident = Identity("evaluate", "", out, factors, None)
     field = ident.field
@@ -256,7 +262,7 @@ def evaluate(out: str, factors) -> Tensor:
     axes = [[(k & mask) >> shift for k in acc] for shift, mask in compiled.out_fields]
     idxs = zip(*axes) if axes else [()] * len(acc)
     if field.p is None:
-        entries = {i: Fraction(c) for i, c in zip(idxs, acc.values()) if c}
+        entries = {i: q_normal(c) for i, c in zip(idxs, acc.values()) if c}
     else:
         entries = {i: r for i, c in zip(idxs, acc.values()) if (r := c % field.p)}
     return Tensor(field, compiled.shape, entries, _normalized=True)
@@ -317,11 +323,11 @@ def _accumulate(steps, start, sign, acc: dict) -> dict:
 
 
 def _side(steps, start, p) -> dict:
-    """One slice of a side: its nonzero entries by packed key, reduced mod p
-    over F_p."""
+    """One slice of a side: its nonzero entries by packed key, in normal
+    form over Q and reduced mod p over F_p."""
     items = _accumulate(steps, start, 1, {}).items()
     if p is None:
-        return {k: c for k, c in items if c}
+        return {k: q_normal(c) for k, c in items if c}
     return {k: r for k, c in items if (r := c % p)}
 
 
@@ -403,11 +409,12 @@ def _shared(value):
 
 
 def _skeleton(label, witness, out, side, fields) -> tuple:
-    """Per factor of one side: the ``(axis, shift)`` fields of its bound
-    letters and of its new ones that a later factor or the result needs,
-    the mask of the bound letters that picks a row, and the mask of the
-    bound letters still needed after it; new letters that nothing needs are
-    summed out inside the row index."""
+    """Per factor of one side: the key of its row-index builder (see
+    ``_builder``) and the shifts of its bound letters, then of its new ones
+    that a later factor or the result needs; the mask of the bound letters
+    that picks a row, and the mask of the bound letters still needed after
+    it.  New letters that nothing needs are summed out inside the row
+    index."""
     result = witness + out
     first = dict.fromkeys(witness[:1], 0)  # the step that binds each letter
     last = {}
@@ -435,7 +442,9 @@ def _skeleton(label, witness, out, side, fields) -> tuple:
         for x in live:
             kmask |= fields[x][1]
         live += [letters[axis] for axis, _ in new]
-        steps.append((tuple(bound), tuple(new), bmask, kmask))
+        steps.append(((len(letters), tuple([axis for axis, _ in bound]),
+                       tuple([axis for axis, _ in new]), False),
+                      tuple([shift for _, shift in bound + new]), bmask, kmask))
     if sorted(live) != sorted(result):
         raise ShapeError(f"{label}: a side does not bind {result!r}")
     return tuple(steps)
@@ -448,10 +457,10 @@ def _plan(side, skeleton, starts, cache):
     if side is None:
         return None
     steps = []
-    for n, ((tensor, _), (bound, new, bmask, kmask)) in enumerate(zip(side, skeleton)):
+    for n, ((tensor, _), (index, shifts, bmask, kmask)) in enumerate(zip(side, skeleton)):
         reach = _reach(steps[0], len(side[0][0].entries), starts, bmask,
                        len(tensor.entries)) if n == 1 else None
-        steps.append((_rows(tensor, bound, new, cache, reach), bmask, kmask))
+        steps.append((_rows(tensor, index, shifts, cache, reach), bmask, kmask))
     return steps
 
 
@@ -495,39 +504,53 @@ def _unpack(key: int, axes) -> tuple:
     return tuple([(key & mask) >> shift for shift, mask in axes])
 
 
-def _rows(tensor: Tensor, bound, new, cache, reach=None) -> dict:
+def _rows(tensor: Tensor, index, shifts, cache, reach=None) -> dict:
     """Entries grouped by their bound letters: packed key -> [(packed new
-    letters, c)], for ``(axis, shift)`` tuples ``bound`` and ``new``.  An
-    index is shared through ``cache`` unless ``reach`` limits it to the
-    keys in that set: such an index serves only the side it was built for."""
-    if reach is None:
-        token = (id(tensor), bound, new)
-        rows = cache.get(token)
-        if rows is not None:
-            return rows
-        rows = cache[token] = defaultdict(list)
-    else:
-        rows = defaultdict(list)
-    exact = tensor.field.p is None
-    for idx, c in tensor.entries.items():
-        key = 0
-        for axis, shift in bound:
-            key |= idx[axis] << shift
-        if reach is not None and key not in reach:
-            continue
-        if exact and c.denominator == 1:
-            c = c.numerator
-        packed = 0
-        for axis, shift in new:
-            packed |= idx[axis] << shift
-        rows[key].append((packed, c))
+    letters, c)], built by the builder of the skeleton step's ``index`` with
+    its ``shifts``.  An index is shared through ``cache`` unless ``reach``
+    limits it to the keys in that set: such an index serves only the side it
+    was built for."""
+    if reach is not None:
+        return _builder(index[:3] + (True,))(tensor.entries.items(), reach, *shifts)
+    token = (id(tensor), index, shifts)
+    rows = cache.get(token)
+    if rows is None:
+        rows = cache[token] = _builder(index)(tensor.entries.items(), None, *shifts)
     return rows
+
+
+_BUILDERS: dict[tuple, object] = {}
+
+
+def _builder(index):
+    """The row-index builder of ``index = (rank, bound axes, new axes,
+    filtered)``, compiled once: ``build(items, reach, *shifts)`` unpacks
+    each entry's index into locals and ORs the bound axes, shifted by the
+    first shifts, into the row key and the new axes, shifted by the rest,
+    into the packed value; a filtered builder keeps only the keys in
+    ``reach``.  The source text holds nothing but ints and fixed words."""
+    build = _BUILDERS.get(index)
+    if build is None:
+        rank, bound, new, filtered = index
+        terms = [f"i{axis} << s{n}" for n, axis in enumerate(bound + new)]
+        params = ", ".join(["items", "reach", *[f"s{n}" for n in range(len(terms))]])
+        names = ", ".join([f"i{axis}" if axis in bound + new else "_" for axis in range(rank)])
+        source = (f"def build({params}):\n"
+                  "    rows = defaultdict(list)\n"
+                  f"    for [{names}], c in items:\n"
+                  f"        key = {' | '.join(terms[:len(bound)]) or 0}\n"
+                  + ("        if key in reach:\n    " if filtered else "")
+                  + f"        rows[key].append(({' | '.join(terms[len(bound):]) or 0}, c))\n"
+                  "    return rows\n")
+        namespace = {"defaultdict": defaultdict}
+        exec(source, namespace)
+        build = _BUILDERS[index] = namespace["build"]
+    return build
 
 
 def _report(witness, ident: Identity, start, lplan, rplan) -> Report:
     field = ident.field
     compiled = ident.compiled
-    scalar = Fraction if field.p is None else int
     mask = bits = 0  # of the witness letters, and their values
     for w, (shift, field_mask) in zip(witness, compiled.witness_fields):
         mask |= field_mask
@@ -535,7 +558,7 @@ def _report(witness, ident: Identity, start, lplan, rplan) -> Report:
 
     def at_witness(plan):
         side = {} if plan is None else _side(plan, start, field.p)
-        entries = {_unpack(k, compiled.out_fields): scalar(c) for k, c in side.items()
+        entries = {_unpack(k, compiled.out_fields): c for k, c in side.items()
                    if k & mask == bits}
         return Tensor(field, compiled.shape, entries, _normalized=True)
 

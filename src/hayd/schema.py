@@ -172,7 +172,7 @@ def _validate_tensor(doc, key, shape, field, bad: list, base=""):
 
 def _validate_basis(doc, dim, bad: list):
     basis = doc.get("basis")
-    if basis is not None and (not isinstance(basis, list) or len(basis) != dim
+    if "basis" in doc and (not isinstance(basis, list) or len(basis) != dim
                               or not all(isinstance(b, str) for b in basis)):
         bad.append(("/basis", f"expected a list of {dim} strings"))
 

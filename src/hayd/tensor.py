@@ -28,7 +28,7 @@ from math import prod
 from types import MappingProxyType
 
 from .errors import ShapeError, SingularMatrixError
-from .fields import Field
+from .fields import Field, q_normal
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -239,7 +239,8 @@ class Tensor:
 #
 # Orientation note: hayd stores linear maps as (input, output) tensors and
 # applies them to row vectors, v -> v @ M.  Elimination works on sparse rows
-# {col: scalar}; over F_p every updated entry is reduced once with % p.
+# {col: scalar}; over F_p every updated entry is reduced once with % p, over Q
+# it is brought to the normal form of hayd.fields.
 
 
 def _rows(m: Tensor):
@@ -256,8 +257,7 @@ def _subtract(row, c, other, p):
     """row -= c * other in place, dropping entries that become zero."""
     for j, b in other.items():
         v = row.get(j, 0) - c * b
-        if p:
-            v %= p
+        v = v % p if p else q_normal(v)
         if v:
             row[j] = v
         else:
@@ -291,9 +291,7 @@ def _insert(pivot_rows, row, f) -> bool:
         return False
     lead = min(row)
     inv = f.inv(row[lead])
-    if inv.denominator == 1:  # rows of ints stay ints over Q
-        inv = inv.numerator
-    row = {j: (inv * c) % p if p else inv * c for j, c in row.items()}
+    row = {j: (inv * c) % p if p else q_normal(inv * c) for j, c in row.items()}
     for other in pivot_rows.values():
         if lead in other:
             _subtract(other, other[lead], row, p)
@@ -314,12 +312,11 @@ def closure(start: Tensor, maps: Tensor) -> dict:
         raise ShapeError(f"maps of shape {maps.shape} on vectors of shape {start.shape}")
     f = start.field
     p = f.p
-    # integral Fractions as ints, so that the words multiply as ints
     rows = [{} for _ in range(maps.shape[0])]
     for (g, i, j), c in maps.entries.items():
-        rows[g].setdefault(i, {})[j] = c.numerator if c.denominator == 1 else c
+        rows[g].setdefault(i, {})[j] = c
     pivot_rows = {}
-    vec = {i: c.numerator if c.denominator == 1 else c for (i,), c in start.entries.items()}
+    vec = {i: c for (i,), c in start.entries.items()}
     todo = [vec] if _insert(pivot_rows, dict(vec), f) else []
     while todo:
         vec = todo.pop()
@@ -331,7 +328,7 @@ def closure(start: Tensor, maps: Tensor) -> dict:
             if p:
                 out = {j: r for j, c in out.items() if (r := c % p)}
             else:
-                out = {j: c for j, c in out.items() if c}
+                out = {j: q_normal(c) for j, c in out.items() if c}
             if _insert(pivot_rows, dict(out), f):
                 todo.append(out)
     return pivot_rows

@@ -1,14 +1,17 @@
 """Every builder's output on the seven builtins, pinned by SHA-256.
 
 Each digest covers the sorted entries of the built tensors with their exact
-scalar types (``repr`` tells ``Fraction(1, 1)`` from ``1``), so any change in
-a coefficient, an index, a shape or a scalar type shows here.  A pin is one
+scalar types, so any change in a coefficient, an index, a shape or a scalar
+type shows here.  A Q scalar is digested as a Fraction (``repr`` tells
+``Fraction(1, 1)`` from ``1``), after ``_canon`` asserts that it is in the
+normal form of ``hayd.fields``: an int iff it is integral.  A pin is one
 digest over the builtins in registry order; a failure names the output.
 """
 
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -75,6 +78,10 @@ PINS = {
 
 
 def _canon(x):
+    if isinstance(x, Tensor) and x.field.p is None:
+        for c in x.entries.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+        return ("tensor", x.shape, sorted((k, repr(Fraction(c))) for k, c in x.entries.items()))
     if isinstance(x, Tensor):
         return ("tensor", x.shape, sorted((k, repr(c)) for k, c in x.entries.items()))
     if isinstance(x, (list, tuple)):

@@ -17,6 +17,29 @@ def test_field_ops_dispatch():
         q.inv(q.zero)
 
 
+def test_rational_ops_return_the_normal_form():
+    # an int iff the value is integral, also where Fractions cancel
+    q = rationals()
+    half = Fraction(1, 2)
+    for got, want in [
+        (q.add(half, half), 1),
+        (q.mul(Fraction(2, 3), Fraction(3, 2)), 1),
+        (q.mul(half, 4), 2),
+        (q.neg(Fraction(4, 2)), -2),
+        (q.inv(half), 2),
+        (q.inv(Fraction(-1, 3)), -3),
+        (q.coerce(Fraction(6, 3)), 2),
+        (q.coerce("4/2"), 2),
+        (q.coerce("-0/5"), 0),
+        (q.zero, 0),
+        (q.one, 1),
+    ]:
+        assert type(got) is int and got == want
+    for got, want in [(q.inv(2), half), (q.add(half, 1), Fraction(3, 2)),
+                      (q.mul(half, 3), Fraction(3, 2)), (q.coerce("2/4"), half)]:
+        assert type(got) is Fraction and got == want
+
+
 def test_inverse_over_rationals():
     q = rationals()
     assert q.inv(q.coerce(2)) == Fraction(1, 2)

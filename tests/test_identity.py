@@ -3,6 +3,7 @@ import gc
 import io
 import random
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
@@ -155,14 +156,31 @@ def test_evaluate_agrees_with_a_dense_einsum(field):
     ]:
         got = evaluate(out, factors)
         assert got == dense_einsum(field, out, factors)
-        assert all(type(v) is type(field.one) for v in got.entries.values())
+        # over Q an int iff integral (the normal form), over F_p always an int
+        assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                   for v in got.entries.values())
 
 
-def test_evaluate_returns_fractions_over_q_even_for_integral_entries():
+def test_evaluate_returns_ints_over_q_for_integral_entries():
     H = group_algebra(cyclic(3))
     square = evaluate("ik", [(H.mult, "ijk"), (H.counit, "j")])
-    assert square.entries and all(type(v) is Fraction for v in square.entries.values())
+    assert square.entries and all(type(v) is int for v in square.entries.values())
     assert square == H.mult.contract(H.counit, [(1, 0)])
+
+
+def test_evaluate_returns_ints_where_halves_sum_to_an_integer():
+    half = Fraction(1, 2)
+    a = Tensor(Q, (2, 2), {(0, 0): half, (0, 1): half, (1, 0): half})
+    b = Tensor(Q, (2,), {(0,): 1, (1,): 1})
+    got = evaluate("i", [(a, "ij"), (b, "j")])
+    assert got.entries == {(0,): 1, (1,): half}
+    assert type(got.entries[(0,)]) is int and type(got.entries[(1,)]) is Fraction
+    # a failure report's sides are in the same normal form: the lhs at the
+    # witness 0 is 1/2 + 1/2
+    c = Tensor(Q, (2,), {(0,): 2, (1,): half})
+    r = check("x", Identity("sum", "i", "", [(a, "ij"), (b, "j")], [(c, "i")]))
+    assert (r.witness, r.lhs.entries, r.rhs.entries) == ((0,), {(): 1}, {(): 2})
+    assert type(r.lhs.entries[()]) is int
 
 
 def test_evaluate_rejects_malformed_specs():
@@ -546,3 +564,46 @@ def test_a_filtered_index_serves_only_the_side_it_was_built_for():
              Identity("wide", "i", "k", wide, [(dense_einsum(Q, "ik", wide), "ik")])]
     assert dense_first_failure(group) is None
     assert check("ok", group).passed
+
+
+# -- compiled row-index builders against the generic loop ------------------------
+
+
+def _generic_rows(tensor, bound, new, reach=None):
+    """The row index by a loop over each entry's ``(axis, shift)`` fields:
+    the oracle of the compiled builders."""
+    rows = defaultdict(list)
+    for idx, c in tensor.entries.items():
+        key = 0
+        for axis, shift in bound:
+            key |= idx[axis] << shift
+        if reach is not None and key not in reach:
+            continue
+        packed = 0
+        for axis, shift in new:
+            packed |= idx[axis] << shift
+        rows[key].append((packed, c))
+    return rows
+
+
+def test_every_row_index_of_a_battery_run_matches_the_generic_loop(monkeypatch):
+    real, built = identity._rows, []
+
+    def spy(tensor, index, shifts, cache, reach=None):
+        rows = real(tensor, index, shifts, cache, reach)
+        rank, bound, new, filtered = index
+        assert (rank, filtered) == (tensor.rank, False)
+        fields = list(zip(bound + new, shifts, strict=True))
+        want = _generic_rows(tensor, fields[:len(bound)], fields[len(bound):], reach)
+        # equal lists: the same entries in the same order within each row
+        assert rows == want, (index, shifts)
+        built.append(reach is not None)
+        return rows
+
+    monkeypatch.setattr(identity, "_rows", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite", "--builtin", "all", "--json"]) == 0
+    assert any(built) and not all(built)
+    # one builder per (rank, bound axes, new axes, filtered), never per shift
+    # layout: 22 after a battery run in a fresh process
+    assert len(identity._BUILDERS) <= 64

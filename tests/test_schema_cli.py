@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -361,6 +362,38 @@ def test_cli_check_hopf_axioms_failure_is_exit_one(tmp_path, capsys):
     # an input error
     capsys.readouterr()
     assert main(["check", "ayd", "--hopf", str(bad), "--module", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "ayd"], "check ayd needs --module"),
+    (["build", "tensor"], "build tensor needs --left, --right and --case"),
+])
+def test_cli_reports_a_missing_option_before_it_verifies_the_hopf_context(
+        tmp_path, capsys, argv, message):
+    # sweedler-2 with the identity antipode fails the Hopf axioms; the usage
+    # error comes first
+    path = _write_builtin(tmp_path, "sweedler-2")
+    doc = json.loads(path.read_text())
+    doc["antipode"] = [{"i": i, "j": i, "c": "1"} for i in range(4)]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([*argv, "--hopf", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_a_rational_literal_is_parsed_to_its_normal_form():
+    doc = _q_hopf_doc()
+    doc["unit"][0]["c"] = "4/2"
+    doc["mult"][0]["c"] = "-3/6"
+    parsed = schema.parse_document(json.dumps(doc))
+    c = parsed["unit"].entries[(doc["unit"][0]["i"],)]
+    assert type(c) is int and c == 2
+    idx = tuple(doc["mult"][0][k] for k in "ijk")
+    c = parsed["mult"].entries[idx]
+    assert type(c) is Fraction and c == Fraction(-1, 2)
 
 
 def test_cli_schema_error_exits_two(tmp_path, capsys):
@@ -823,6 +856,7 @@ def _without(doc, key):
     (lambda d: d.update(basis=["e0"]), "/basis", "expected a list of 2 strings"),
     (lambda d: d.update(basis="e0 e1"), "/basis", "expected a list of 2 strings"),
     (lambda d: d.update(basis=["e0", 1]), "/basis", "expected a list of 2 strings"),
+    (lambda d: d.update(basis=None), "/basis", "expected a list of 2 strings"),
 ])
 def test_schema_rejects_a_malformed_part_at_its_pointer(tmp_path, capsys, edit, pointer, message):
     doc = _q_hopf_doc()

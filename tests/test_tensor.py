@@ -11,6 +11,7 @@ from hayd.hopf import group_algebra
 from hayd.identity import evaluate
 from hayd.tensor import (
     Tensor,
+    closure,
     invert_matrix,
     kernel_rows,
     matrix_rank,
@@ -89,7 +90,7 @@ def test_constructor_coerces_every_entry():
     t = Tensor(F7, (2,), {(0,): 8, (1,): 7})
     assert t.entries == {(0,): 1}
     assert t == Tensor(F7, (2,), {(0,): 1})
-    assert type(Tensor(Q, (1,), {(0,): 2}).get((0,))) is Fraction
+    assert type(Tensor(Q, (1,), {(0,): 2}).get((0,))) is int
     with pytest.raises(FieldError):
         Tensor(Q, (1,), {(0,): 0.5})
 
@@ -356,3 +357,18 @@ def test_span_coordinates_match_the_dense_oracle(field):
                     assert _typed(coords) == _typed(_from_dense(field, want, (len(trial), r)))
                     outcomes.add("inside")
     assert outcomes == {"inside", "outside"}
+
+
+def test_closure_rows_are_in_normal_form_where_halves_cancel():
+    # e0 -> (e1 + e2)/2 -> e1 + e2: the leading 2 * 1/2 and the whole second
+    # word are integral; e0 -> e1/2 + e2/3 leaves 2/3 beside the pivot
+    half = Fraction(1, 2)
+    start = Tensor(Q, (3,), {(0,): 1})
+    maps = Tensor(Q, (1, 3, 3), {(0, 0, 1): half, (0, 0, 2): half, (0, 1, 2): 2, (0, 2, 1): 2})
+    rows = closure(start, maps)
+    assert rows == {0: {0: 1}, 1: {1: 1, 2: 1}}
+    assert all(type(c) is int for row in rows.values() for c in row.values())
+    maps = Tensor(Q, (1, 3, 3), {(0, 0, 1): half, (0, 0, 2): Fraction(1, 3)})
+    rows = closure(start, maps)
+    assert rows == {0: {0: 1}, 1: {1: 1, 2: Fraction(2, 3)}}
+    assert [type(c) for c in rows[1].values()] == [int, Fraction]
