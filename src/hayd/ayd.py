@@ -159,25 +159,25 @@ def tensor_product(N: TwoSidedStructure, M: TwoSidedStructure, case: str) -> Two
             raise CheckFailedError(replace(r, axiom=f"tensor-{factor}-factor-{r.axiom}"))
 
     H = N.hopf
-    n, dim = H.dim, N.dim * M.dim
+    dim = N.dim * M.dim
     # the carrier's first factor is N for left modules, M for right ones; it
     # takes the first coproduct leg j of h in ll and rr, the second k otherwise
     first, second = (N, M) if case[0] == "l" else (M, N)
     hf, hs = ("j", "k") if case in ("ll", "rr") else ("k", "j")
-    act = evaluate("iuvUV", [
+    act = evaluate(["i", "uv", "UV"], [
         (H.comult, "ijk"), (first.action.tensor, hf + "uU"), (second.action.tensor, hs + "vV"),
-    ]).reshape((n, dim, dim))
+    ])
 
     # the first factor's coaction leg multiplies on the left
     side = first.coaction.side
-    lam = evaluate(coaction_letters(side, "uv", "t", "UV"), [
+    lam = evaluate(coaction_letters(side, ["uv"], ["t"], ["UV"]), [
         (first.coaction.tensor, coaction_letters(side, "u", "a", "U")),
         (second.coaction.tensor, coaction_letters(side, "v", "b", "V")), (H.mult, "abt"),
     ])
     return TwoSidedStructure(
         H,
         ActionStructure(first.action.side, dim, act),
-        CoactionStructure(side, dim, lam.reshape(coaction_shape(side, dim, n))),
+        CoactionStructure(side, dim, lam),
     )
 
 

@@ -3,8 +3,8 @@ compatibility, the Drinfeld double it shadows, and the conversions between
 two-sided structures and modules over these algebras.
 
 Every structure here is an ``identity.evaluate`` spec over the structure
-tensors of H, with one axis per basis of the dual and of H.  Basis
-bookkeeping is a row-major ``Tensor.reshape``: the product space index is
+tensors of H, with one letter per basis of the dual and of H.  Basis
+bookkeeping is a letter group of ``evaluate``: the product space index is
 (i, j) -> i*n + j, where i runs over the dual basis and j over the original
 basis.  The two products are one spec that differs only in one evaluation
 slot (squared antipode vs Kronecker delta); both are verified associative and
@@ -48,11 +48,11 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
     n = H.dim
     s = H.antipode
     twist = [(s, "sx"), (s, "xr")] if squared_antipode else [(Tensor.identity(f, n), "sr")]
-    mult = evaluate("ijklab", [
+    mult = evaluate(["ij", "kl", "ab"], [
         (iterated_coproduct(H, 3), "jstu"), (antipode_inverse(H), "up"), *twist,
         (H.mult, "pqw"), (H.mult, "wrk"), (H.comult, "aiq"), (H.mult, "tlb"),
-    ]).reshape((n * n,) * 3)
-    unit = evaluate("ij", [(H.counit, "i"), (H.unit, "j")]).reshape((n * n,))
+    ])
+    unit = evaluate(["ij"], [(H.counit, "i"), (H.unit, "j")])
     names = [
         f"{H.basis_names[i]}*{H.basis_names[j]}" for i in range(n) for j in range(n)
     ]
@@ -99,13 +99,13 @@ def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
     dim = n * n
     # co-opposite dual coproduct interleaved with the coproduct of H:
     # e_k* (x) e_l gets mult[c, a, k] comult[l, b, d] (e_a* (x) e_b) (x) (e_c* (x) e_d)
-    comult = evaluate("klabcd", [(H.mult, "cak"), (H.comult, "lbd")]).reshape((dim,) * 3)
-    counit = evaluate("kl", [(H.unit, "k"), (H.counit, "l")]).reshape((dim,))
+    comult = evaluate(["kl", "ab", "cd"], [(H.mult, "cak"), (H.comult, "lbd")])
+    counit = evaluate(["kl"], [(H.unit, "k"), (H.counit, "l")])
     # antipode(e_k* (x) e_l) = (counit (x) S(e_l)) . (e_k* o S^-1 (x) 1)
-    antipode = evaluate("klz", [
+    antipode = evaluate(["kl", "z"], [
         (H.antipode, "lb"), (H.counit, "i"), (antipode_inverse(H), "ak"), (H.unit, "j"),
         (alg.mult.reshape((n, n, n, n, dim)), "ibajz"),
-    ]).reshape((dim, dim))
+    ])
 
     D = FinHopfAlgebra(
         f, alg.mult, alg.unit, comult, counit, antipode,
@@ -122,10 +122,9 @@ def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
 
 def _conversion_action(H: FinHopfAlgebra, M: TwoSidedStructure) -> Tensor:
     """(phi (x) h) m = phi of the coaction leg of (h m), times the rest."""
-    n, m = H.dim, M.dim
-    return evaluate("ijrs", [
+    return evaluate(["ij", "r", "s"], [
         (M.action.tensor, "jrc"), (M.coaction.tensor, "csi"),
-    ]).reshape((n * n, m, m))
+    ])
 
 
 def _to_module(H: FinHopfAlgebra, M: TwoSidedStructure, check_compatible, build) -> AlgebraModule:

@@ -77,13 +77,12 @@ def hopf_galois_data(H: FinHopfAlgebra) -> GaloisData:
 
 def coinvariants(CA: ComoduleAlgebra) -> Tensor:
     """Basis of {p : coaction(p) = p (x) 1}, closed under multiplication."""
-    m, n = CA.dim, CA.H.dim
-    p_one = evaluate("abi", [(Tensor.identity(CA.field, m), "ab"), (CA.H.unit, "i")])
-    basis = kernel_rows((CA.coaction.tensor - p_one).reshape((m, m * n)))
+    m = CA.dim
+    p_one = evaluate(["a", "bi"], [(Tensor.identity(CA.field, m), "ab"), (CA.H.unit, "i")])
+    basis = kernel_rows(evaluate(["a", "bi"], [(CA.coaction.tensor, "abi")]) - p_one)
     k = basis.shape[0]
     # row x*k + y is b_x b_y; closure is forced by multiplicativity of the coaction
-    products = evaluate("xyw", [(basis, "xa"), (basis, "yb"), (CA.P.mult, "abw")])
-    products = products.reshape((k * k, m))
+    products = evaluate(["xy", "w"], [(basis, "xa"), (basis, "yb"), (CA.P.mult, "abw")])
     _, outside = span_coordinates(basis, products)
     if outside is not None:
         Report.fail("coinvariants-closed", divmod(outside, k), _row(products, outside)).require()
@@ -93,10 +92,9 @@ def coinvariants(CA: ComoduleAlgebra) -> Tensor:
 def _commutators(CA: ComoduleAlgebra, b_basis: Tensor) -> Tensor:
     """The matrix (a, (z, c)) of b_z e_a - e_a b_z: zero exactly when the b_z
     are central, and its left kernel is their centralizer."""
-    m, mult = CA.dim, CA.P.mult
-    diff = (evaluate("azc", [(b_basis, "zw"), (mult, "wac")])
-            - evaluate("azc", [(b_basis, "zw"), (mult, "awc")]))
-    return diff.reshape((m, b_basis.shape[0] * m))
+    mult = CA.P.mult
+    return (evaluate(["a", "zc"], [(b_basis, "zw"), (mult, "wac")])
+            - evaluate(["a", "zc"], [(b_basis, "zw"), (mult, "awc")]))
 
 
 def centralizer(CA: ComoduleAlgebra, b_basis: Tensor) -> Tensor:
@@ -112,9 +110,9 @@ def restrict_coaction(CA: ComoduleAlgebra, carrier: Tensor) -> Tensor:
     Raises CheckFailedError ('centralizer-subcomodule', witness (r, i)) when
     the Hopf slice i of the coaction of carrier vector r leaves the span.
     """
-    m, n, r = CA.dim, CA.H.dim, carrier.shape[0]
-    slices = evaluate("rib", [(carrier, "ra"), (CA.coaction.tensor, "abi")])
-    coords, outside = span_coordinates(carrier, slices.reshape((r * n, m)))
+    n, r = CA.H.dim, carrier.shape[0]
+    slices = evaluate(["ri", "b"], [(carrier, "ra"), (CA.coaction.tensor, "abi")])
+    coords, outside = span_coordinates(carrier, slices)
     if outside is not None:
         z, i = divmod(outside, n)
         Report.fail("centralizer-subcomodule", (z, i), _row(carrier, z)).require()
@@ -150,9 +148,9 @@ def relative_tensor(CA: ComoduleAlgebra, b_basis: Tensor) -> RelativeTensor:
     full = m * m
     mult, delta = CA.P.mult, Tensor.identity(f, m)
     # relation (i, z, j) is e_i b_z (x) e_j - e_i (x) b_z e_j, a row over P (x) P
-    rel = (evaluate("izjab", [(b_basis, "zw"), (mult, "iwa"), (delta, "jb")])
-           - evaluate("izjab", [(b_basis, "zw"), (delta, "ia"), (mult, "wjb")]))
-    reduced, pivots = rref(rel.reshape((m * b_basis.shape[0] * m, full)))
+    rel = (evaluate(["izj", "ab"], [(b_basis, "zw"), (mult, "iwa"), (delta, "jb")])
+           - evaluate(["izj", "ab"], [(b_basis, "zw"), (delta, "ia"), (mult, "wjb")]))
+    reduced, pivots = rref(rel)
     relations = Tensor(f, (len(reduced), full), {
         (r, c): v for r, row in enumerate(reduced) for c, v in row.items()
     }, _normalized=True)
@@ -185,8 +183,7 @@ def canonical_map(CA: ComoduleAlgebra) -> GaloisData:
     m, n = CA.dim, CA.H.dim
     b_basis = coinvariants(CA)
     rel = relative_tensor(CA, b_basis)
-    can = evaluate("ijbk", [(CA.coaction.tensor, "jck"), (CA.P.mult, "icb")])
-    can = can.reshape((m * m, m * n))
+    can = evaluate(["ij", "bk"], [(CA.coaction.tensor, "jck"), (CA.P.mult, "icb")])
     # the map must kill every relation row (truth of B = coinvariants makes it so)
     check("canonical-map-defined", Identity(
         "canonical-map-defined", "r", "k", [(rel.relations, "rt"), (can, "tk")], None)).require()
@@ -254,9 +251,9 @@ def mu_action(G: GaloisData, flipped: bool = False):
     lifts = [(antipode_inverse(CA.H), "ij"), (table, "js")] if flipped else [(table, "is")]
     section = G.rel.section.reshape((G.rel.dim, m, m))
     dim = carrier.shape[0]
-    out = evaluate("irl", [
+    out = evaluate(["ir", "l"], [
         *lifts, (section, "sab"), (carrier, "rw"), *_sandwich(CA.P.mult, flipped),
-    ]).reshape((n * dim, m))
+    ])
     coords, outside = span_coordinates(carrier, out)
     if outside is not None:
         Report.fail("sandwich-closed", divmod(outside, dim), _row(out, outside)).require()

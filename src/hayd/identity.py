@@ -35,7 +35,7 @@ construction, and the factors' fields are checked per identity.
 A scan then only builds row indexes.  Each factor is looked up in a sparse
 row index keyed by its bound letters' fields (``rows.get(key & bmask)``);
 the letters that no later factor and no result needs are masked off
-(``key &= kmask``) and the factor's new letters ORed in, and a new letter
+(``key & kmask``) and the factor's new letters ORed in, and a new letter
 that nothing needs is summed out inside the row index.  An index is built
 by a function compiled once per (rank, bound axes, new axes, filtered),
 which unpacks each entry's index into locals and takes the shifts as
@@ -48,16 +48,21 @@ first factor is the unit and for a reduced identity the generator matrix,
 which reach a few rows of a product of thousands of entries.  Such an index
 serves only the side it was built for.
 
-Both sides of an identity accumulate into one dict per slice, the lhs with
-sign +1 and the rhs with -1.  The slice passes when every value is 0 over Q,
-or 0 mod p over F_p; Python ints are exact, so nothing overflows.  Over Q
-the entries are in the normal form of ``hayd.fields``, so integral constants
-are multiplied, and the ledger hashes and compares them, as ints.  A failure
-reports the least key with a nonzero value in the first failing slice: its
-witness part is the lexicographically first violating basis tuple.  Only
-then are the failing identity's two sides evaluated apart on that slice, for
-the lhs and rhs slices the report shows.  No whole side is ever built, and
-the scan stops at the first failing slice.
+A side is joined depth first by a compiled loop nest, one loop per factor,
+with no dict of partial terms between factors: ``evaluate`` and the report
+run one join per side length, and a scanner per group shape (factors per
+side per identity; Q or F_p) runs a group's whole slice loop.  Both sides of
+an identity accumulate into one dict per slice, the lhs with sign +1 and the
+rhs with -1.  The slice passes when every value is 0 over Q, or 0 mod p over
+F_p; Python ints are exact, so nothing overflows.  Over Q the entries are in
+the normal form of ``hayd.fields``, so integral constants are multiplied,
+and the ledger hashes and compares them, as ints.  A failure reports the
+least key with a nonzero value in the first failing slice: its witness part
+is the lexicographically first violating basis tuple, and at equal witnesses
+the identity listed first wins.  Only then are the failing identity's two
+sides evaluated apart on that slice, for the lhs and rhs slices the report
+shows.  No whole side is ever built, and the scan stops at the first failing
+slice.
 
 Inside a ``ledger()`` scope, which ``suite.run_suite`` opens per target,
 each identity is proved once.  Its key is the identity as a value, label
@@ -79,9 +84,10 @@ are the same in full and have passed.
 
 ``evaluate(out, factors)`` runs the same join on one factor list with no
 witness slice, decodes the keys to tuples once at the end, and returns the
-whole result as a Tensor with axes in the order of ``out``.  Every builder is
-such a spec: the product spaces, the double's coalgebra and antipode, tensor
-products, entwinings, the adjoint and sandwich actions, and
+whole result as a Tensor with axes in the order of ``out``; a group of
+letters there is one axis, decoded straight from the keys.  Every builder
+is such a spec: the product spaces, the double's coalgebra and antipode,
+tensor products, entwinings, the adjoint and sandwich actions, and
 ``Tensor.contract`` itself.  The one other sparse contraction loop is
 ``tensor.closure``'s, which maps each word by hand.
 """
@@ -244,28 +250,43 @@ def on_generators(ident: Identity, generators: Tensor | None) -> Identity:
     )
 
 
-def evaluate(out: str, factors) -> Tensor:
+def evaluate(out, factors) -> Tensor:
     """The einsum of ``factors`` (``(tensor, letters)`` pairs, joined in the
-    order written), with result axes in the order of ``out``.
+    order written), with a result axis per letter of the string ``out``, or
+    per group of a sequence of letter groups: such an axis merges its
+    letters in row-major order, as ``Tensor.reshape`` would.
 
     Letters not in ``out`` are summed over.  Over Q the entries are in the
     normal form of ``hayd.fields``, over F_p reduced residues; zeros are
     dropped.
     """
-    ident = Identity("evaluate", "", out, factors, None)
+    groups = list(out)  # a string: one group per letter
+    if not all(groups):
+        raise ShapeError(f"evaluate: an empty letter group in {out!r}")
+    ident = Identity("evaluate", "", "".join(groups), factors, None)
     field = ident.field
     compiled = ident.compiled
-    acc = _accumulate(_plan(ident.lhs, compiled.lhs, compiled.starts, {}), 0, 1, {})
+    acc = _join(len(compiled.lhs))(0, *_plan(ident.lhs, compiled.lhs, compiled.starts, {}))
     # decoding is a large share of a contraction with many outputs: one
-    # comprehension per axis, zip builds the tuples, and zeros are dropped
+    # comprehension per letter, zip builds the tuples, and zeros are dropped
     # in the same pass
-    axes = [[(k & mask) >> shift for k in acc] for shift, mask in compiled.out_fields]
+    letters = iter(zip(compiled.out_fields, compiled.shape))
+    axes, shape = [], []
+    for group in groups:
+        (shift, mask), dim = next(letters)
+        axis = [(k & mask) >> shift for k in acc]
+        for _ in group[1:]:
+            (shift, mask), d = next(letters)
+            axis = [i * d + ((k & mask) >> shift) for i, k in zip(axis, acc)]
+            dim *= d
+        axes.append(axis)
+        shape.append(dim)
     idxs = zip(*axes) if axes else [()] * len(acc)
     if field.p is None:
         entries = {i: q_normal(c) for i, c in zip(idxs, acc.values()) if c}
     else:
         entries = {i: r for i, c in zip(idxs, acc.values()) if (r := c % field.p)}
-    return Tensor(field, compiled.shape, entries, _normalized=True)
+    return Tensor(field, tuple(shape), entries, _normalized=True)
 
 
 def _first_failure(identities) -> Report | None:
@@ -273,62 +294,23 @@ def _first_failure(identities) -> Report | None:
         raise ShapeError(f"{', '.join(ident.label for ident in identities)}: "
                          "the first witness letters have different ranges")
     cache: dict = {}
-    scans = []
+    scans, shape, plans = [], [], []
     for ident in identities:
         compiled = ident.compiled
-        scans.append((ident, compiled.starts, compiled.witness_fields,
-                      _plan(ident.lhs, compiled.lhs, compiled.starts, cache),
-                      _plan(ident.rhs, compiled.rhs, compiled.starts, cache)))
+        lplan = _plan(ident.lhs, compiled.lhs, compiled.starts, cache)
+        rplan = _plan(ident.rhs, compiled.rhs, compiled.starts, cache)
+        scans.append((ident, lplan, rplan))
+        shape.append((len(compiled.lhs), None if rplan is None else len(compiled.rhs)))
+        plans += lplan + (rplan or [])
     p = identities[0].field.p
-    for v in range(len(identities[0].compiled.starts)):
-        best = None
-        for ident, starts, witness_fields, lplan, rplan in scans:
-            start = starts[v]  # each identity has its own layout
-            diff = _accumulate(lplan, start, 1, {})
-            if rplan is not None:
-                _accumulate(rplan, start, -1, diff)
-            if p is None:
-                bad = [k for k, c in diff.items() if c]
-            else:
-                bad = [k for k, c in diff.items() if c % p]
-            if not bad:
-                continue
-            witness = _unpack(min(bad), witness_fields)
-            if best is None or witness < best[0]:
-                best = (witness, ident, start, lplan, rplan)
-        if best is not None:
-            return _report(*best)
-    return None
-
-
-def _accumulate(steps, start, sign, acc: dict) -> dict:
-    """Add ``sign`` times one slice of a side into ``acc``, keyed by the
-    packed result letters; nothing is reduced mod p."""
-    state = {start: sign}
-    last = len(steps) - 1
-    for n, (rows, bmask, kmask) in enumerate(steps):
-        nxt = acc if n == last else {}
-        get = nxt.get
-        for key, c in state.items():
-            hits = rows.get(key & bmask)
-            if hits:
-                key &= kmask
-                for new, d in hits:
-                    k = key | new
-                    nxt[k] = get(k, 0) + c * d
-        state = nxt
-    if not steps:
-        acc[start] = acc.get(start, 0) + sign
-    return acc
-
-
-def _side(steps, start, p) -> dict:
-    """One slice of a side: its nonzero entries by packed key, in normal
-    form over Q and reduced mod p over F_p."""
-    items = _accumulate(steps, start, 1, {}).items()
-    if p is None:
-        return {k: q_normal(c) for k, c in items if c}
-    return {k: r for k, c in items if (r := c % p)}
+    slices = zip(*[ident.compiled.starts for ident in identities])
+    found = _scanner(tuple(shape), p is None)(p, slices, *plans)
+    if found is None:
+        return None
+    # the least witness, and at equal witnesses the identity listed first
+    witness, n, start = min((_unpack(min(bad), scans[n][0].compiled.witness_fields), n, start)
+                            for n, start, bad in found)
+    return _report(witness, start, *scans[n])
 
 
 class _Compiled(NamedTuple):
@@ -354,6 +336,9 @@ def _compile(label: str, signature) -> _Compiled:
     so it raises again on every construction."""
     witness, out, lhs, rhs = signature
     result = witness + out
+    for x in result:
+        if result.count(x) > 1:
+            raise ShapeError(f"{label}: letter {x!r} repeats in {result!r}")
     dims: dict[str, int] = {}  # of the witness and output letters
     for side in (lhs, rhs or ()):
         local: dict[str, int] = {}  # summed letters are local to a side
@@ -451,28 +436,28 @@ def _skeleton(label, witness, out, side, fields) -> tuple:
 
 
 def _plan(side, skeleton, starts, cache):
-    """Per factor of ``side``: its row index, then the masks of its
-    skeleton step.  The second factor's index holds only the rows that the
-    ``starts`` can reach when ``_reach`` finds them few."""
+    """Per factor of ``side``: its row index, then the masks of its skeleton
+    step, flat as a join takes them.  The second factor's index holds only
+    the rows that the ``starts`` can reach when ``_reach`` finds them few."""
     if side is None:
         return None
-    steps = []
+    plan = []
     for n, ((tensor, _), (index, shifts, bmask, kmask)) in enumerate(zip(side, skeleton)):
-        reach = _reach(steps[0], len(side[0][0].entries), starts, bmask,
+        reach = _reach(plan, len(side[0][0].entries), starts, bmask,
                        len(tensor.entries)) if n == 1 else None
-        steps.append((_rows(tensor, index, shifts, cache, reach), bmask, kmask))
-    return steps
+        plan += (_rows(tensor, index, shifts, cache, reach), bmask, kmask)
+    return plan
 
 
 def _reach(first, nnz, starts, bmask, size):
     """The keys at which the slices from ``starts`` look up a side's second
     factor, of ``size`` entries: ``((k & kmask) | p) & bmask`` for each start
-    k and each hit p of the first factor's row at k, as in ``_accumulate``.
+    k and each hit p of the first factor's row at k, as in a join.
     None when the second factor binds no letter, or when the first factor,
     of ``nnz`` entries, might give more than ``size / 4`` keys; one that
     does not bind the first witness letter, such as the unit in the unit
     laws, gives its hits once per start."""
-    rows, bmask0, kmask0 = first
+    rows, bmask0, kmask0 = first[:3]
     if not bmask or 4 * nnz * (1 if bmask0 else len(starts)) > size:
         return None
     return {((k & kmask0) | p) & bmask for k in starts for p, _ in rows.get(k & bmask0, ())}
@@ -511,45 +496,103 @@ def _rows(tensor: Tensor, index, shifts, cache, reach=None) -> dict:
     limits it to the keys in that set: such an index serves only the side it
     was built for."""
     if reach is not None:
-        return _builder(index[:3] + (True,))(tensor.entries.items(), reach, *shifts)
+        return _builder(*index[:3], True)(tensor.entries.items(), reach, *shifts)
     token = (id(tensor), index, shifts)
     rows = cache.get(token)
     if rows is None:
-        rows = cache[token] = _builder(index)(tensor.entries.items(), None, *shifts)
+        rows = cache[token] = _builder(*index)(tensor.entries.items(), None, *shifts)
     return rows
 
 
-_BUILDERS: dict[tuple, object] = {}
+_BUILDERS: dict[tuple, object] = {}  # row-index builders
+_KERNELS: dict[tuple, object] = {}  # joins and scanners
 
 
-def _builder(index):
-    """The row-index builder of ``index = (rank, bound axes, new axes,
-    filtered)``, compiled once: ``build(items, reach, *shifts)`` unpacks
-    each entry's index into locals and ORs the bound axes, shifted by the
-    first shifts, into the row key and the new axes, shifted by the rest,
-    into the packed value; a filtered builder keeps only the keys in
-    ``reach``.  The source text holds nothing but ints and fixed words."""
-    build = _BUILDERS.get(index)
-    if build is None:
-        rank, bound, new, filtered = index
-        terms = [f"i{axis} << s{n}" for n, axis in enumerate(bound + new)]
-        params = ", ".join(["items", "reach", *[f"s{n}" for n in range(len(terms))]])
-        names = ", ".join([f"i{axis}" if axis in bound + new else "_" for axis in range(rank)])
-        source = (f"def build({params}):\n"
-                  "    rows = defaultdict(list)\n"
-                  f"    for [{names}], c in items:\n"
-                  f"        key = {' | '.join(terms[:len(bound)]) or 0}\n"
-                  + ("        if key in reach:\n    " if filtered else "")
-                  + f"        rows[key].append(({' | '.join(terms[len(bound):]) or 0}, c))\n"
-                  "    return rows\n")
-        namespace = {"defaultdict": defaultdict}
-        exec(source, namespace)
-        build = _BUILDERS[index] = namespace["build"]
-    return build
+def _compiled(memo):
+    """Turn a function that writes the source of a function ``f`` from ints
+    and fixed words alone into one that returns ``f``, compiled once per
+    argument tuple into ``memo``; ``f`` takes every row and mask as an
+    argument and holds no data."""
+    def wrap(source):
+        def get(*key):
+            f = memo.get(key)
+            if f is None:
+                namespace = {"defaultdict": defaultdict}
+                exec(source(*key), namespace)
+                f = memo[key] = namespace["f"]
+            return f
+        return get
+    return wrap
 
 
-def _report(witness, ident: Identity, start, lplan, rplan) -> Report:
-    field = ident.field
+@_compiled(_BUILDERS)
+def _builder(rank, bound, new, filtered) -> str:
+    """``f(items, reach, *shifts)`` unpacks each entry's index into locals
+    and ORs the bound axes, shifted by the first shifts, into the row key
+    and the new axes, shifted by the rest, into the packed value; a
+    filtered builder keeps only the keys in ``reach``."""
+    terms = [f"i{axis} << s{n}" for n, axis in enumerate(bound + new)]
+    params = ", ".join(["items", "reach", *[f"s{n}" for n in range(len(terms))]])
+    names = ", ".join([f"i{axis}" if axis in bound + new else "_" for axis in range(rank)])
+    return (f"def f({params}):\n"
+            "    rows = defaultdict(list)\n"
+            f"    for [{names}], c in items:\n"
+            f"        key = {' | '.join(terms[:len(bound)]) or 0}\n"
+            + ("        if key in reach:\n    " if filtered else "")
+            + f"        rows[key].append(({' | '.join(terms[len(bound):]) or 0}, c))\n"
+            "    return rows\n")
+
+
+@_compiled(_KERNELS)
+def _join(n) -> str:
+    """``f(start, *plan)`` returns one slice of a side of ``n`` factors, from
+    the packed key ``start``, keyed by the packed result letters; nothing is
+    reduced mod p."""
+    steps = "".join(f", r{x}, b{x}, m{x}" for x in range(n))
+    return "\n".join([f"def f(start{steps}):", "    acc = {}", "    get = acc.get",
+                      *_nest(0, n, "start", "+", 1), "    return acc"])
+
+
+@_compiled(_KERNELS)
+def _scanner(shape, rational) -> str:
+    """``f(p, slices, *plans)`` scans a group whose identities have
+    ``shape``, one (lhs factors, rhs factors or None) each, over Q if
+    ``rational``: ``slices`` yields each slice's keys, one per identity, and
+    ``plans`` are the sides' in order.  At the first slice where a signed
+    dict has a nonzero value (mod p) it returns ``(identity number, slice
+    key, keys of those values)`` per such identity; None if all pass."""
+    params, lines, x = ["p", "slices"], [], 0
+    for n, sides in enumerate(shape):
+        lines += ["        acc = {}", "        get = acc.get"]
+        for steps, op in zip(sides, "+-"):
+            if steps is not None:
+                params += [f"r{y}, b{y}, m{y}" for y in range(x, x + steps)]
+                lines += _nest(x, steps, f"s{n}", op, 2)
+                x += steps
+        lines += [f"        bad = [k for k, c in acc.items() if c{'' if rational else ' % p'}]",
+                  "        if bad:", f"            found.append(({n}, s{n}, bad))"]
+    starts = "".join(f"s{n}, " for n in range(len(shape)))
+    return "\n".join([f"def f({', '.join(params)}):", "    found = []",
+                      f"    for {starts}in slices:", *lines,
+                      "        if found:", "            return found", "    return None"])
+
+
+def _nest(x, n, start, op, depth) -> list:
+    """Source lines, indented ``depth`` levels, that add (``op`` "+") or
+    subtract ("-") one slice of a side from the key ``start`` into ``acc``
+    depth first, one loop per factor, with its row index and masks ``r``,
+    ``b`` and ``m`` numbered from ``x``."""
+    lines, pad, key = [], "    " * depth, start
+    for y in range(x, x + n):
+        lines += [f"{pad}for n{y}, c{y} in r{y}.get({key} & b{y}, ()):",
+                  f"{pad}    k{y} = ({key} & m{y}) | n{y}"]
+        pad, key = pad + "    ", f"k{y}"
+    product = " * ".join([f"c{y}" for y in range(x, x + n)]) or "1"  # 1: the empty product
+    return lines + [f"{pad}acc[{key}] = get({key}, 0) {op} {product}"]
+
+
+def _report(witness, start, ident: Identity, lplan, rplan) -> Report:
+    field, p = ident.field, ident.field.p
     compiled = ident.compiled
     mask = bits = 0  # of the witness letters, and their values
     for w, (shift, field_mask) in zip(witness, compiled.witness_fields):
@@ -557,9 +600,11 @@ def _report(witness, ident: Identity, start, lplan, rplan) -> Report:
         bits |= w << shift
 
     def at_witness(plan):
-        side = {} if plan is None else _side(plan, start, field.p)
-        entries = {_unpack(k, compiled.out_fields): c for k, c in side.items()
-                   if k & mask == bits}
+        """The side's slice at the witness: its nonzero entries, in normal
+        form over Q and reduced mod p over F_p."""
+        side = {} if plan is None else _join(len(plan) // 3)(start, *plan)
+        entries = {_unpack(k, compiled.out_fields): r for k, c in side.items()
+                   if k & mask == bits and (r := q_normal(c) if p is None else c % p)}
         return Tensor(field, compiled.shape, entries, _normalized=True)
 
     # an identity without witness letters reports the placeholder (0,)

@@ -13,8 +13,9 @@ construction and hashes by value, consistently with ``==``;
 first in the output, then those of the right operand.  The empty pairing is
 the Kronecker (outer) product.  It names the axes with letters and hands them
 to ``hayd.identity.evaluate``, the package's one sparse contraction.
-``reshape`` merges or splits axes in row-major order, which is how the
-flattened pair indices of product spaces are written.
+``reshape`` splits axes in row-major order, which is how the flattened
+pair indices of product spaces are read; ``evaluate``'s letter groups write
+them.
 
 Matrices are rank-2 Tensors.  ``rref`` is one sparse Gauss-Jordan elimination
 over rows {col: scalar}; rank, inverse, left kernel and coordinates inside a

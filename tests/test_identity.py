@@ -191,6 +191,8 @@ def test_evaluate_rejects_malformed_specs():
         evaluate("l", [(H.mult, "ijk")])  # l is never bound
     with pytest.raises(ShapeError):
         evaluate("i", [(H.counit, "i"), (group_algebra(cyclic(2), prime_field(5)).unit, "j")])
+    with pytest.raises(ShapeError, match="letter 'i' repeats in 'ii'"):
+        evaluate("ii", [(H.mult, "ijk")])
 
 
 # -- packed keys against the dense oracles ------------------------------------------
@@ -420,7 +422,8 @@ def test_factors_over_two_fields_are_rejected_even_when_the_signature_is_compile
 
 
 @pytest.mark.parametrize("case", ["rank", "two-dimensions", "witness-across-sides",
-                                  "output-across-sides", "unbound"])
+                                  "output-across-sides", "unbound", "repeated-witness",
+                                  "witness-as-output"])
 def test_a_malformed_spec_raises_on_every_construction(case):
     H = group_algebra(cyclic(2))
     spec, message = {
@@ -435,6 +438,9 @@ def test_a_malformed_spec_raises_on_every_construction(case):
         # the rhs binds k, the lhs never does
         "unbound": (("i", "k", [(H.counit, "i")], [(Tensor.identity(Q, 2), "ik")]),
                     "does not bind"),
+        # a result letter is named twice, not left unbound
+        "repeated-witness": (("ii", "", [(H.counit, "i")], None), "letter 'i' repeats in 'ii'"),
+        "witness-as-output": (("i", "i", [(H.counit, "i")], None), "letter 'i' repeats in 'ii'"),
     }[case]
     entries = len(identity._COMPILED)
     for _ in range(3):
@@ -445,11 +451,20 @@ def test_a_malformed_spec_raises_on_every_construction(case):
 
 def test_no_tensor_is_reachable_from_the_memo_after_a_battery_run():
     # the memo holds letters, shapes, bit fields and masks: plain data that
-    # keeps no structure alive
+    # keeps no structure alive; the compiled builders, joins and scanners are
+    # keyed by plain data, and their globals and defaults hold none either
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite", "--builtin", "all", "--json"]) == 0
-    assert identity._COMPILED
-    seen, todo = set(), [identity._COMPILED, identity._SHARED]
+    assert identity._COMPILED and identity._BUILDERS and identity._KERNELS
+    todo = [identity._COMPILED, identity._SHARED]
+    for memo in (identity._BUILDERS, identity._KERNELS):
+        todo.append(tuple(memo))
+        for f in memo.values():
+            assert f.__closure__ is None and f.__kwdefaults__ is None
+            # the globals are the builtins, the function itself and defaultdict
+            todo += [{k: v for k, v in f.__globals__.items()
+                      if k != "__builtins__" and v is not f}, f.__defaults__]
+    seen = set()
     while todo:
         obj = todo.pop()
         # an entry's class is among its referents; classes are not data
@@ -607,3 +622,83 @@ def test_every_row_index_of_a_battery_run_matches_the_generic_loop(monkeypatch):
     # one builder per (rank, bound axes, new axes, filtered), never per shift
     # layout: 22 after a battery run in a fresh process
     assert len(identity._BUILDERS) <= 64
+
+
+# -- compiled joins and scanners against the breadth-first loop -------------------
+
+
+def _accumulate(plan, start, sign, acc):
+    """Add ``sign`` times one slice of a side into ``acc`` by the
+    breadth-first loop, one dict of partial terms per factor: the oracle of
+    the compiled joins and scanners."""
+    steps = [plan[x:x + 3] for x in range(0, len(plan), 3)]
+    state = {start: sign}
+    last = len(steps) - 1
+    for n, (rows, bmask, kmask) in enumerate(steps):
+        nxt = acc if n == last else {}
+        get = nxt.get
+        for key, c in state.items():
+            hits = rows.get(key & bmask)
+            if hits:
+                key &= kmask
+                for new, d in hits:
+                    k = key | new
+                    nxt[k] = get(k, 0) + c * d
+        state = nxt
+    if not steps:
+        acc[start] = acc.get(start, 0) + sign
+    return acc
+
+
+def test_every_join_and_scan_of_a_battery_run_matches_the_breadth_first_loop(monkeypatch):
+    real_join, real_scanner = identity._join, identity._scanner
+    joins, slices_run = [], []
+
+    def join(n):
+        def spy(start, *plan):
+            assert len(plan) == 3 * n
+            acc = real_join(n)(start, *plan)
+            # equal item lists: the same keys in the same order
+            assert list(acc.items()) == list(_accumulate(plan, start, 1, {}).items())
+            joins.append(n)
+            return acc
+        return spy
+
+    def scanner(shape, rational):
+        def spy(p, slices, *plans):
+            slices = list(slices)
+            found = real_scanner(shape, rational)(p, iter(slices), *plans)
+            sides, at = [], 0
+            for steps in (n for pair in shape for n in pair):
+                sides.append(None if steps is None else plans[at:at + 3 * steps])
+                at += 3 * (steps or 0)
+            assert at == len(plans) and rational is (p is None)
+            want = None
+            for keys in slices:
+                slices_run.append(keys)
+                bad = []
+                for n, start in enumerate(keys):
+                    diff = {}
+                    for plan, sign in zip(sides[2 * n:2 * n + 2], (1, -1)):
+                        if plan is not None:
+                            # the compiled join of this side slice, through the spy
+                            identity._join(len(plan) // 3)(start, *plan)
+                            _accumulate(plan, start, sign, diff)
+                    nonzero = [k for k, c in diff.items() if (c if p is None else c % p)]
+                    if nonzero:
+                        bad.append((n, start, nonzero))
+                if bad:
+                    want = bad
+                    break
+            assert found == want
+            return found
+        return spy
+
+    monkeypatch.setattr(identity, "_join", join)
+    monkeypatch.setattr(identity, "_scanner", scanner)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["suite", "--builtin", "all", "--json"]) == 0
+    assert slices_run and 0 in joins and max(joins) > 4
+    # one join per side length and one scanner per group shape, never per
+    # signature: 9 joins and 32 scanners after a battery run in a fresh process
+    assert len(identity._KERNELS) <= 64
