@@ -29,14 +29,18 @@ def _unit(mult: Tensor, unit: Tensor) -> list:
             for product in ("jik", "ijk")]  # 1 e_i, then e_i 1
 
 
-def module_laws(mult: Tensor, unit: Tensor, act: Tensor, side="left", name="module") -> list:
+def module_laws(mult: Tensor, unit: Tensor, act: Tensor, side="left", name="module",
+                generators=None) -> list:
     """The identities ``{name}-unit`` (1 m == m) and ``{name}-associativity``
     ((e_i e_j) m == e_i (e_j m) on the left, m (e_i e_j) == (m e_i) e_j on the
-    right) of an action tensor (alg, in, out) over the algebra (mult, unit)."""
+    right) of an action tensor (alg, in, out) over the algebra (mult, unit);
+    associativity with e_i on ``generators``, proved generators of that
+    algebra, if given (``identity.on_generators``)."""
     delta = Tensor.identity(mult.field, act.shape[1])
     twice = [(act, "icb"), (act, "jac")] if side == "left" else [(act, "iac"), (act, "jcb")]
-    return [Identity(f"{name}-unit", "a", "b", [(unit, "j"), (act, "jab")], [(delta, "ab")]),
-            Identity(f"{name}-associativity", "ija", "b", [(mult, "ijk"), (act, "kab")], twice)]
+    unit_law = Identity(f"{name}-unit", "a", "b", [(unit, "j"), (act, "jab")], [(delta, "ab")])
+    assoc = Identity(f"{name}-associativity", "ija", "b", [(mult, "ijk"), (act, "kab")], twice)
+    return [unit_law, on_generators(assoc, generators, needs=[unit_law])]
 
 
 def associativity_report(mult: Tensor) -> Report:
@@ -80,14 +84,33 @@ def greedy_generators(mult: Tensor, unit: Tensor) -> list:
     return chosen
 
 
+class Generators:
+    """The proof record of ``identity.on_generators``' lemma: ``mult`` is
+    associative with unit ``unit``, and the left closure of the unit under
+    the rows of ``matrix`` is the whole algebra.  Only ``FinAlgebra`` makes
+    one, in ``verify`` or, for a Hopf algebra past its gate, in
+    ``hopf.own_generators``; ``proof`` is this module's private token."""
+
+    __slots__ = ("matrix", "mult", "unit")
+
+    def __init__(self, matrix: Tensor, mult: Tensor, unit: Tensor, proof):
+        if proof is not _PROOF:
+            raise TypeError("generators are proved by FinAlgebra.verify")
+        self.matrix, self.mult, self.unit = matrix, mult, unit
+
+
+_PROOF = object()
+
+
 class FinAlgebra:
     """A finite-dimensional associative unital algebra by structure constants.
 
     ``generators``, if given, is a matrix of shape (k, dim) whose rows should
-    generate the algebra.  ``verify`` proves that before it relies on it
-    (``left_closure_rank``); ``self.generators`` is then that matrix, whose
+    generate the algebra, or a ``Generators`` record proved for these very
+    ``mult`` and ``unit``.  ``verify`` proves a matrix before it relies on it
+    (``left_closure_rank``); ``self.generators`` is then its record, whose
     rows the structures built on this algebra scan in place of its basis.
-    It is None until ``verify`` passes that way.
+    It is None until ``verify`` passes that way or a record is given.
 
     The structure tensors (``mult`` and ``unit``, and a Hopf algebra's
     ``comult``, ``counit`` and ``antipode``) are not rebound after
@@ -110,22 +133,37 @@ class FinAlgebra:
         self.basis_names = list(basis_names) if basis_names else [f"e{i}" for i in range(n)]
         if len(self.basis_names) != n:
             raise ShapeError("basis_names length does not match dimension")
-        self._candidates = generators
-        self.generators = None
+        self._candidates = self._generators = None
+        if not isinstance(generators, Generators):
+            self._candidates = generators
+        elif generators.mult is mult and generators.unit is unit:
+            self._generators = generators
+        else:
+            raise ShapeError("generators proved for another product")
         if check:
             self.verify().require()
+
+    @property
+    def generators(self) -> Generators | None:
+        return self._generators
 
     def verify(self) -> Report:
         """Associativity, then the unit; with candidate generators that pass
         the proof that they generate (their left closure of the unit has
         rank ``dim``), associativity on the generators alone."""
-        G = self._candidates
-        if G is not None and left_closure_rank(self.mult, self.unit, G) != self.dim:
-            G = None
-        report = check("algebra", on_generators(_associativity(self.mult), G),
-                       _unit(self.mult, self.unit))
-        self.generators = G if report.passed else None
+        G = None if self._candidates is None else self._prove_generators(self._candidates)
+        unit = _unit(self.mult, self.unit)
+        report = check("algebra", on_generators(_associativity(self.mult), G, needs=unit), unit)
+        if G is not None:
+            self._generators = G if report.passed else None
         return report
+
+    def _prove_generators(self, rows: Tensor) -> Generators | None:
+        """The record of ``rows`` when their left closure of the unit is the
+        whole algebra; the caller proves associativity and the unit."""
+        if left_closure_rank(self.mult, self.unit, rows) != self.dim:
+            return None
+        return Generators(rows, self.mult, self.unit, _PROOF)
 
     def is_commutative(self) -> bool:
         flip = self.mult.transpose((1, 0, 2))
@@ -154,5 +192,6 @@ class AlgebraModule:
     def verify(self) -> Report:
         """The unit acts as the identity, and (e_i e_j) m == e_i (e_j m),
         over an algebra with proved generators for e_i on them alone."""
-        unit, assoc = module_laws(self.algebra.mult, self.algebra.unit, self.action)
-        return check("module", unit, on_generators(assoc, self.algebra.generators))
+        alg = self.algebra
+        return check("module", *module_laws(alg.mult, alg.unit, self.action,
+                                            generators=alg.generators))

@@ -24,7 +24,7 @@ from .hopf import (
     group_algebra,
     iterated_coproduct,
 )
-from .identity import Identity, check, evaluate
+from .identity import Identity, check, evaluate, on_generators
 from .report import Report
 from .reps import (
     ActionStructure,
@@ -64,11 +64,16 @@ class TwoSidedStructure:
     def dim(self) -> int:
         return self.action.dim
 
-    def verify(self) -> Report:
-        """The action's laws, then the coaction's; a pass is labelled as
+    def laws(self, generators=None) -> list:
+        """The action's laws, then the coaction's; the action's associativity
+        on ``generators``, proved generators of H, if given."""
+        return [*action_laws(self.hopf, self.action, generators),
+                *coaction_laws(self.hopf, self.coaction)]
+
+    def verify(self, generators=None) -> Report:
+        """``laws``, scanned in order; a pass is labelled as
         ``verify_coaction``'s."""
-        return check(f"coaction-{self.coaction.side}", *action_laws(self.hopf, self.action),
-                     *coaction_laws(self.hopf, self.coaction))
+        return check(f"coaction-{self.coaction.side}", *self.laws(generators))
 
 
 def compatibility(M: TwoSidedStructure, anti: bool) -> Identity:
@@ -113,23 +118,33 @@ def stability(M: TwoSidedStructure) -> Identity:
     )
 
 
-def _prove(law: Identity) -> Report:
-    return check(law.label, law)
+def _prove(law: Identity, M: TwoSidedStructure, generators=None) -> Report:
+    """``law`` alone; with ``generators``, proved generators of H, M's laws
+    first and then ``law``, which rests on the action's laws, with h on the
+    generators (``identity.on_generators``)."""
+    if generators is None:
+        return check(law.label, law)
+    laws = M.laws(generators)
+    return check(law.label, *laws, on_generators(
+        law, generators, needs=[ident.full or ident for ident in laws[:2]]))
 
 
-def check_ayd(M: TwoSidedStructure) -> Report:
-    """Coaction of the acted element equals the inverse-antipode-twisted side."""
-    return _prove(compatibility(M, anti=True))
+def check_ayd(M: TwoSidedStructure, generators=None) -> Report:
+    """Coaction of the acted element equals the inverse-antipode-twisted side.
+    With ``generators`` (``hopf.own_generators``) the same call proves M's
+    laws first, and scans the action's associativity and this law on them."""
+    return _prove(compatibility(M, anti=True), M, generators)
 
 
-def check_yd(M: TwoSidedStructure) -> Report:
-    """The antipode-twisted compatibility in the same four conventions."""
-    return _prove(compatibility(M, anti=False))
+def check_yd(M: TwoSidedStructure, generators=None) -> Report:
+    """The antipode-twisted compatibility in the same four conventions, and
+    with ``generators`` as in ``check_ayd``."""
+    return _prove(compatibility(M, anti=False), M, generators)
 
 
 def check_stability(M: TwoSidedStructure) -> Report:
     """The coaction leg acting back on the rest must reproduce each element."""
-    return _prove(stability(M))
+    return _prove(stability(M), M)
 
 
 # -- tensor construction ---------------------------------------------------------

@@ -9,11 +9,13 @@ bookkeeping is a letter group of ``evaluate``: the product space index is
 basis.  The two products are one spec that differs only in one evaluation
 slot (squared antipode vs Kronecker delta); both are verified associative and
 unital on construction, which pins the transcription.  Generators e_i* of
-the dual and e_j of H are chosen greedily from the bases, once per H; each
-product proves on construction that the e_i* (x) 1 and counit (x) e_j
-generate it (``algebra.left_closure_rank``), and then scans associativity
-on those rows only.  The double's Hopf structure, the coaction on build_ah
-and the modules over both scan their multiplicative laws on them too
+the dual and e_j of H are chosen greedily from the bases, once per H (the
+e_j are H's own, ``hopf.own_generators``); each product proves on
+construction that the e_i* (x) 1 and counit (x) e_j generate it
+(``algebra.left_closure_rank``), and then scans associativity on those rows
+only.  The double's coalgebra and bialgebra laws, the coaction laws on
+build_ah and the module laws over both scan on them too, and a conversion
+scans the structure's action laws and its compatibility on the e_j
 (``identity.on_generators``).
 """
 
@@ -29,6 +31,7 @@ from .hopf import (
     by_construction,
     derived,
     iterated_coproduct,
+    own_generators,
     verify_hopf_given_algebra,
 )
 from .identity import evaluate
@@ -65,16 +68,16 @@ def _product_space(H: FinHopfAlgebra, squared_antipode: bool) -> FinAlgebra:
 @derived("generators")
 def _generators(H: FinHopfAlgebra) -> Tensor:
     """The rows e_i* (x) 1 for greedy generators e_i* of the dual, then
-    counit (x) e_j for greedy generators e_j of H: candidate generators of
-    both products on dual (x) self, chosen once per H; each product proves
-    them for itself."""
-    n = H.dim
+    counit (x) x for the rows x of H's own generators: candidate generators
+    of both products on dual (x) self, chosen once per H; each product
+    proves them for itself."""
+    f, n = H.field, H.dim
     dual = greedy_generators(H.comult.transpose((1, 2, 0)), H.counit)
-    own = greedy_generators(H.mult, H.unit)
+    own = own_generators(H).matrix
     rows = {(r, i * n + b): c for r, i in enumerate(dual) for (b,), c in H.unit.entries.items()}
-    rows.update({(len(dual) + r, a * n + j): c
-                 for r, j in enumerate(own) for (a,), c in H.counit.entries.items()})
-    return Tensor(H.field, (len(dual) + len(own), n * n), rows, _normalized=True)
+    rows.update({(len(dual) + r, a * n + j): f.mul(c, e)
+                 for (r, j), c in own.entries.items() for (a,), e in H.counit.entries.items()})
+    return Tensor(f, (len(dual) + own.shape[0], n * n), rows, _normalized=True)
 
 
 @derived("ah")
@@ -107,13 +110,12 @@ def build_double_hopf(H: FinHopfAlgebra) -> FinHopfAlgebra:
         (alg.mult.reshape((n, n, n, n, dim)), "ibajz"),
     ])
 
-    D = FinHopfAlgebra(
-        f, alg.mult, alg.unit, comult, counit, antipode,
-        basis_names=alg.basis_names, name=f"D({H.name})",
-    )
     # build_double has proved the product and its generators; the rest pins
     # the coalgebra and antipode conventions against it
-    D.generators = alg.generators
+    D = FinHopfAlgebra(
+        f, alg.mult, alg.unit, comult, counit, antipode,
+        basis_names=alg.basis_names, name=f"D({H.name})", generators=alg.generators,
+    )
     return by_construction(D, verify_hopf_given_algebra(D))
 
 
@@ -130,13 +132,13 @@ def _conversion_action(H: FinHopfAlgebra, M: TwoSidedStructure) -> Tensor:
 def _to_module(H: FinHopfAlgebra, M: TwoSidedStructure, check_compatible, build) -> AlgebraModule:
     if M.case != "lr":
         raise ShapeError(f"conversion expects the lr case, got {M.case}")
-    check_compatible(M).require()
+    check_compatible(M, own_generators(H)).require()
     return AlgebraModule(build(H), _conversion_action(H, M))
 
 
 def ayd_to_ah_module(H: FinHopfAlgebra, M: TwoSidedStructure) -> AlgebraModule:
-    """A left-module/right-comodule structure passing check_ayd becomes a
-    verified left module over build_ah(H)."""
+    """A left-module/right-comodule structure passing its laws and check_ayd
+    becomes a verified left module over build_ah(H)."""
     return _to_module(H, M, check_ayd, build_ah)
 
 
@@ -157,8 +159,8 @@ def ah_module_to_ayd(H: FinHopfAlgebra, V: AlgebraModule) -> TwoSidedStructure:
     action = ActionStructure("left", m, evaluate("jrs", [(H.counit, "i"), (v, "ijrs")]))
     coaction = CoactionStructure("right", m, evaluate("rsi", [(H.unit, "j"), (v, "ijrs")]))
     M = TwoSidedStructure(H, action, coaction)
-    M.verify().require()
-    check_ayd(M).require()
+    # its laws and the compatibility in one call, on H's generators
+    check_ayd(M, own_generators(H)).require()
     return M
 
 

@@ -26,8 +26,9 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
     """A right coaction that is also an algebra map, exhaustively.
 
     Checks, in order: the coaction axioms, multiplicativity on all basis
-    pairs (on A's proved generators alone when it has them,
-    ``identity.on_generators``), and that 1 coacts as 1 (x) 1.
+    pairs, and that 1 coacts as 1 (x) 1.  When A has proved generators, the
+    first three scan on them alone, the coaction axioms resting on the last
+    two (``identity.on_generators``).
     """
     K.require_verified()
     if coaction.side != "right":
@@ -42,8 +43,9 @@ def check_comodule_algebra(A: FinAlgebra, K: FinHopfAlgebra, coaction: CoactionS
                     [(co, "api"), (A.mult, "pqx"), (co, "bqj"), (K.mult, "ijk")])
     unital = Identity("coaction-unital", "", "xk",
                       [(A.unit, "a"), (co, "axk")], [(A.unit, "x"), (K.unit, "k")])
-    return check("comodule-algebra", *coaction_laws(K, coaction),
-                 on_generators(mult, A.generators), unital)
+    G = A.generators
+    laws = [on_generators(law, G, needs=[mult, unital]) for law in coaction_laws(K, coaction)]
+    return check("comodule-algebra", *laws, on_generators(mult, G, needs=[unital]), unital)
 
 
 class ComoduleAlgebra:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import wraps
 from itertools import product as iter_product
 
-from .algebra import FinAlgebra, associativity_report, unit_report
+from .algebra import FinAlgebra, Generators, associativity_report, greedy_generators, unit_report
 from .errors import (
     GuardError,
     InputError,
@@ -50,8 +50,10 @@ class FinHopfAlgebra(FinAlgebra):
         antipode: Tensor,
         basis_names=None,
         name="H",
+        generators=None,
     ):
-        super().__init__(field, mult, unit, basis_names, name, check=False)
+        super().__init__(field, mult, unit, basis_names, name, check=False,
+                         generators=generators)
         n = self.dim
         for label, shape, tensor in (
             ("comult", (n, n, n), comult), ("counit", (n,), counit), ("antipode", (n, n), antipode)
@@ -106,28 +108,33 @@ def verify_hopf_given_algebra(H: FinHopfAlgebra) -> Report:
     order, for an H whose product is already proved associative and unital:
     the coalgebra, bialgebra and antipode identities, then an invertible
     antipode.  A pass marks H verified.  When ``H.generators`` holds proved
-    generators of that product, the multiplicative bialgebra identities are
-    scanned on them alone (``identity.on_generators``)."""
+    generators of that product, the coalgebra and the multiplicative
+    bialgebra identities are scanned on them alone, each naming the
+    bialgebra identities its reduction rests on (``identity.on_generators``)."""
     mult, unit, comult, counit, s = H.mult, H.unit, H.comult, H.counit, H.antipode
+    G = H.generators
     delta = Tensor.identity(H.field, H.dim)
-    coalgebra = (
-        # (coproduct (x) id) coproduct == (id (x) coproduct) coproduct
-        Identity("coassociativity", "i", "xyz",
-                 [(comult, "ipz"), (comult, "pxy")], [(comult, "ixp"), (comult, "pyz")]),
-        [Identity("counit", "i", "k", [(comult, "ijk"), (counit, "j")], [(delta, "ik")]),
-         Identity("counit", "i", "k", [(comult, "ikj"), (counit, "j")], [(delta, "ik")])],
-    )
-    # coproduct and counit are algebra maps, and respect the unit
-    multiplicative = [on_generators(ident, H.generators) for ident in (
-        Identity("bialgebra-mult", "ij", "ab", [(mult, "ijk"), (comult, "kab")],
-                 [(comult, "ipq"), (mult, "pra"), (comult, "jrs"), (mult, "qsb")]),
-        Identity("bialgebra-counit", "ij", "", [(mult, "ijk"), (counit, "k")],
-                 [(counit, "i"), (counit, "j")]),
-    )]
+    # coproduct and counit respect the unit, and are algebra maps
     unital = (
         Identity("bialgebra-unit", "", "ab", [(unit, "i"), (comult, "iab")],
                  [(unit, "a"), (unit, "b")]),
         Identity("bialgebra-unit", "", "", [(unit, "i"), (counit, "i")], []),
+    )
+    cop_mult = Identity("bialgebra-mult", "ij", "ab", [(mult, "ijk"), (comult, "kab")],
+                        [(comult, "ipq"), (mult, "pra"), (comult, "jrs"), (mult, "qsb")])
+    counit_mult = Identity("bialgebra-counit", "ij", "", [(mult, "ijk"), (counit, "k")],
+                           [(counit, "i"), (counit, "j")])
+    multiplicative = [on_generators(cop_mult, G, needs=unital[:1]),
+                      on_generators(counit_mult, G, needs=unital[1:])]
+    coalgebra = (
+        # (coproduct (x) id) coproduct == (id (x) coproduct) coproduct
+        on_generators(Identity("coassociativity", "i", "xyz",
+                               [(comult, "ipz"), (comult, "pxy")],
+                               [(comult, "ixp"), (comult, "pyz")]),
+                      G, needs=[cop_mult, unital[0]]),
+        [on_generators(Identity("counit", "i", "k", [(comult, legs), (counit, "j")],
+                                [(delta, "ik")]), G, needs=[cop_mult, counit_mult, *unital])
+         for legs in ("ijk", "ikj")],
     )
     # mult (S (x) id) coproduct == unit counit == mult (id (x) S) coproduct
     antipode = [
@@ -175,6 +182,19 @@ def derived(key):
             return H._cache[slot]
         return cached
     return memo
+
+
+@derived("own_generators")
+def own_generators(H: FinHopfAlgebra) -> Generators:
+    """Greedy generators of H's own product (``algebra.greedy_generators``),
+    proved: H's gate has proved the product associative and unital, and
+    their left closure of the unit is H.  The laws whose first argument
+    ranges over H scan on them (``identity.on_generators``)."""
+    f = H.field
+    chosen = greedy_generators(H.mult, H.unit)
+    rows = Tensor(f, (len(chosen), H.dim), {(r, j): f.one for r, j in enumerate(chosen)},
+                  _normalized=True)
+    return H._prove_generators(rows)
 
 
 def antipode_inverse(H: FinHopfAlgebra) -> Tensor:

@@ -75,8 +75,11 @@ Only passing groups are recorded, so a failure is always scanned; proved
 identities never fail, so a partly proved group reports the least witness of
 the whole group.
 
-An identity reduced to generator rows (``on_generators``) shares a ``check``
-call with the preconditions that make its scan a proof.  When a group of
+An identity reduced to generator rows (``on_generators``) names the
+preconditions that make its scan a proof, and ``check`` raises ShapeError
+unless each is stated in the same call or proved in the ledger (the ledger
+holds what was scanned: a reduced pass records the reduced identity, never
+its full one).  When a group of
 that call fails at or after the first group that holds a reduced identity,
 ``check`` rescans from that group on with each reduced identity replaced by
 its full one and returns that report, the full scan's; the groups before it
@@ -110,14 +113,16 @@ class Identity:
 
     ``witness`` and ``out`` are strings of letters; every one of them must
     occur on each side that is not ``None``.  ``full`` is None, or for an
-    identity reduced by ``on_generators`` the identity it stands for.
+    identity reduced by ``on_generators`` the identity it stands for, and
+    ``needs`` then the identities its reduction rests on.
     ``compiled`` is what the letters and shapes alone determine, shared by
     every identity of the same signature (see ``_compile``).
     """
 
-    def __init__(self, label: str, witness: str, out: str, lhs, rhs, full=None):
+    def __init__(self, label: str, witness: str, out: str, lhs, rhs, full=None, needs=()):
         self.label = label
         self.full = full  # not self: a cycle would outlive reference counting
+        self.needs = tuple(needs)
         self.witness = witness
         self.out = out
         self.lhs = tuple(lhs)
@@ -142,11 +147,13 @@ def check(ok_label: str, *groups) -> Report:
     identity listed first.  Inside a ``ledger()`` scope, identities already
     proved there are not scanned again, and each group that passes is
     recorded.  A failure at or after a reduced identity is rescanned in
-    full (see the module docstring).
+    full (see the module docstring).  A reduced identity whose ``needs`` are
+    neither in the call nor proved in the ledger is a ShapeError.
     """
     groups = [(group,) if isinstance(group, Identity) else tuple(group) for group in groups]
     if not all(groups):
         raise ShapeError(f"{ok_label}: a group holds no identity")
+    _require_needs(ok_label, groups)
     at, report = _scan(groups)
     if report is None:
         return Report.ok(ok_label)
@@ -156,6 +163,21 @@ def check(ok_label: str, *groups) -> Report:
             return _scan([tuple(ident.full or ident for ident in group)
                           for group in groups[n:]])[1]
     return report
+
+
+def _require_needs(ok_label, groups):
+    """A ShapeError unless every need of a reduced identity in ``groups`` is
+    one of their identities, a reduced one standing for its full identity,
+    or already proved in the ledger; each is matched by its ledger key."""
+    stated, proved = None, _LEDGER.get() or ()
+    for group in groups:
+        for ident in group:
+            for need in ident.needs:
+                if stated is None:
+                    stated = {_key(x.full or x) for other in groups for x in other}
+                if (key := _key(need)) not in stated and key not in proved:
+                    raise ShapeError(f"{ok_label}: {ident.label} on generators needs "
+                                     f"{need.label}, neither in this check nor proved")
 
 
 def _scan(groups) -> tuple[int, Report | None]:
@@ -194,59 +216,89 @@ def _key(ident: Identity) -> tuple:
     return (ident.compiled.pattern, *[t for t, _ in ident.lhs], *[t for t, _ in ident.rhs or ()])
 
 
-def on_generators(ident: Identity, generators: Tensor | None) -> Identity:
-    """``ident`` with its first witness argument running over the rows of the
-    matrix ``generators`` (row g holds an element x_g in the basis that the
-    first witness letter indexes) instead of over the basis; ``ident``
-    itself when ``generators`` is None.
+def on_generators(ident: Identity, generators, needs=()) -> Identity:
+    """``ident`` with its first witness argument running over proved
+    generators instead of over the basis; ``ident`` itself when
+    ``generators`` is None.
 
-    A new letter g is prepended to each side with the factor
-    ``(generators, "g" + first)`` and becomes the first witness letter; the
-    old first letter is summed.  The scan then has one slice per generator.
+    ``generators`` is an ``algebra.Generators`` record, which only a proof
+    makes: row g of its ``matrix`` holds an element x_g in the basis that
+    the first witness letter indexes.  A new letter g is prepended to each
+    side with the factor ``(matrix, "g" + first)`` and becomes the first
+    witness letter; the old first letter is summed.  The scan then has one
+    slice per generator.  ``needs``, which may not be empty, are the
+    identities that the lemma's case for ``ident`` rests on beyond what the
+    record certifies; ``check`` refuses the reduced identity unless each is
+    stated in the same call or already proved in the ledger.
 
     Lemma.  Let A be an algebra with unit 1 and G a set of its elements such
     that the smallest subspace of A that holds 1 and is closed under left
-    multiplication by G is A itself.  ``FinAlgebra.verify`` proves that by
-    elimination (``algebra.left_closure_rank``); for A_H and the double, G
-    is the e_i* (x) 1 and counit (x) e_j for generators e_i* of the dual and
-    e_j of H.  Let S be the set of x in A for which the identity holds with
-    x in the first slot and basis elements in the others.  Each side is
-    linear in x, so S is a subspace.  The reduced scan proves G in S.  If 1
-    is in S and S is closed under left multiplication by G, then S contains
-    that smallest subspace, so S = A: the reduced scan is an exhaustive
-    proof.  The two conditions, case by case, with g in G, x in S and the
-    other arguments arbitrary:
+    multiplication by G is A itself.  The record certifies that, and that A
+    is associative and unital: ``FinAlgebra.verify`` proves it by
+    elimination (``algebra.left_closure_rank``) in the call that proves
+    associativity and the unit, and ``hopf.own_generators`` after H's gate;
+    for A_H and the double, G is the e_i* (x) 1 and counit (x) e_j for
+    generators e_i* of the dual and e_j of H.  Let S be the set of x in A
+    for which the identity holds with x in the first slot and basis
+    elements in the others.  Each side is linear in x, so S is a subspace.
+    The reduced scan proves G in S.  If 1 is in S and S is closed under
+    left multiplication by G, then S contains that smallest subspace, so
+    S = A: the reduced scan is an exhaustive proof.  The two conditions,
+    case by case, with g in G, x in S and the other arguments arbitrary;
+    what follows "given" is the case's ``needs``, and the laws of a Hopf
+    algebra K or H that its gate has proved are not repeated there:
 
     * associativity, (x y) z = x (y z), given the unit axioms: 1 is in S as
       (1 y) z = y z = 1 (y z); and ((g x) y) z = (g (x y)) z = g ((x y) z)
       = g (x (y z)) = (g x)(y z), using g in S three times and x in S once.
-    * module-associativity, (x y) m = x (y m), given associativity of A and
-      1 m = m: (1 y) m = y m = 1 (y m); and ((g x) y) m = (g (x y)) m
-      = g ((x y) m) = g (x (y m)) = (g x)(y m).
+    * module-associativity, (x y) m = x (y m), given 1 m = m:
+      (1 y) m = y m = 1 (y m); and ((g x) y) m = (g (x y)) m
+      = g ((x y) m) = g (x (y m)) = (g x)(y m).  A right action is the
+      same with m (x y) = (m x) y: m ((g x) y) = (m g)(x y)
+      = ((m g) x) y = (m (g x)) y.
     * bialgebra-mult, cop(x y) = cop(x) cop(y) for the coproduct cop (and
-      bialgebra-counit, the same for the counit), given associativity of A
-      and cop(1) = 1 (x) 1: 1 is in S by the unit axioms of A and A (x) A;
+      bialgebra-counit, the same for the counit), given cop(1) = 1 (x) 1
+      (counit(1) = 1): 1 is in S by the unit axioms of A and A (x) A;
       and cop((g x) y) = cop(g (x y)) = cop(g) cop(x) cop(y)
       = cop(g x) cop(y), since A (x) A is associative.
     * coaction-multiplicative, r(a b) = r(a) r(b) for the coaction
-      r: A -> A (x) K, given associativity of A and of K and r(1) = 1 (x) 1:
-      the same chain with A (x) K in place of A (x) A.
+      r: A -> A (x) K, given r(1) = 1 (x) 1: the same chain with A (x) K in
+      place of A (x) A.
+    * coassociativity and the counit laws of a bialgebra A, given
+      bialgebra-mult (and bialgebra-counit for the counit laws) and
+      bialgebra-unit: the maps cop (x) id and id (x) cop into A (x) A (x) A,
+      and counit (x) id and id (x) counit into A, are algebra maps, so each
+      side of the law is an algebra map in x; two algebra maps agree on 1,
+      and they agree on g x once they agree on g and on x.
+    * coaction-counit and coaction-coassociativity of an r as above, given
+      coaction-multiplicative and coaction-unital: the same argument with
+      r (x) id, id (x) cop and id (x) counit, algebra maps over a K that is
+      a bialgebra.
+    * the AYD and YD compatibility laws, with h in H first, given the action
+      laws: 1 is in S as 1 m = m and T(1) = 1 for the twist T; for g (x m)
+      = (g x) m, use g in S at x m, then x in S at m, and the legs of g x
+      are the products of the legs of g and of x while T(g x) = T(x) T(g),
+      so S is a subalgebra.
 
-    A caller states the reduced identity in one ``check`` call with the
-    preconditions it rests on; ``check`` rescans a failure at or after it
-    with the full identity, so a report never depends on the generators.
+    A caller states the reduced identity in one ``check`` call with its
+    needs, or after them in the ledger; ``check`` rescans a failure at or
+    after it with the full identity, so a report never depends on the
+    generators.
     """
     if generators is None:
         return ident
+    if not needs:
+        raise ShapeError(f"{ident.label}: a reduction on generators names no hypothesis")
     letters = set(ident.witness + ident.out)
     for side in (ident.lhs, ident.rhs or ()):
         for _, idx in side:
             letters.update(idx)
     g = next(x for x in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" if x not in letters)
-    factor = (generators, g + ident.witness[0])
+    factor = (generators.matrix, g + ident.witness[0])
     return Identity(
         ident.label, g + ident.witness[1:], ident.out,
-        [factor, *ident.lhs], None if ident.rhs is None else [factor, *ident.rhs], full=ident,
+        [factor, *ident.lhs], None if ident.rhs is None else [factor, *ident.rhs],
+        full=ident, needs=needs,
     )
 
 

@@ -78,11 +78,13 @@ def _require_over(H: FinHopfAlgebra, S, what: str):
         raise ShapeError(f"field mismatch between {what} and Hopf algebra")
 
 
-def action_laws(H: FinHopfAlgebra, A: ActionStructure) -> list:
+def action_laws(H: FinHopfAlgebra, A: ActionStructure, generators=None) -> list:
     """The unit and associativity laws of an action over H, as identities
-    labelled ``action-unit`` and ``action-associativity``."""
+    labelled ``action-unit`` and ``action-associativity``; associativity on
+    ``generators``, proved generators of H (``hopf.own_generators``), if
+    given."""
     _require_over(H, A, "action")
-    return module_laws(H.mult, H.unit, A.tensor, A.side, "action")
+    return module_laws(H.mult, H.unit, A.tensor, A.side, "action", generators)
 
 
 def coaction_laws(H: FinHopfAlgebra, C: CoactionStructure) -> list:

@@ -479,6 +479,39 @@ def first_compat_violation(M, anti, sinv):
     return None
 
 
+def first_right_coaction_violation(K, co: Tensor):
+    """Dense first violation of the laws of a right coaction ``co``
+    (m, m, n) over K, in ``reps.coaction_laws`` order, or None: the counit
+    law (m_0 counit(m_1) == m) on every basis vector, then coassociativity
+    (m_00 (x) m_01 (x) m_1 == m_0 (x) m_11 (x) m_12) on every basis
+    vector."""
+    f = K.field
+    m, n = co.shape[0], K.dim
+    c, eps, cm = dense(co), dense(K.counit), dense(K.comult)
+    mrng, rng = range(m), range(n)
+    for a in mrng:
+        got = [f.zero] * m
+        for b, i in product(mrng, rng):
+            got[b] = f.add(got[b], f.mul(c[a][b][i], eps[i]))
+        want = [f.one if b == a else f.zero for b in mrng]
+        if got != want:
+            return ("coaction-counit", (a,), got, want)
+    for a in mrng:
+        lhs = [[[f.zero] * n for _ in rng] for _ in mrng]
+        rhs = [[[f.zero] * n for _ in rng] for _ in mrng]
+        for p, z in product(mrng, rng):
+            if not f.is_zero(c[a][p][z]):
+                for x, y in product(mrng, rng):
+                    lhs[x][y][z] = f.add(lhs[x][y][z], f.mul(c[a][p][z], c[p][x][y]))
+        for x, h in product(mrng, rng):
+            if not f.is_zero(c[a][x][h]):
+                for y, z in product(rng, repeat=2):
+                    rhs[x][y][z] = f.add(rhs[x][y][z], f.mul(c[a][x][h], cm[h][y][z]))
+        if lhs != rhs:
+            return ("coaction-coassociativity", (a,), lhs, rhs)
+    return None
+
+
 # -- dense oracles for identity specs ----------------------------------------------
 #
 # ``Identity`` specs are plain data: (tensor, letters) factor lists.  These

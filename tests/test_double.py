@@ -19,7 +19,8 @@ from hayd.errors import CheckFailedError
 from hayd.fields import prime_field, rationals
 from hayd.galois import check_comodule_algebra
 from hayd.groups import cyclic, symmetric
-from hayd.hopf import FinHopfAlgebra, group_algebra, sweedler, taft, verify_hopf_axioms
+from hayd.hopf import (FinHopfAlgebra, group_algebra, own_generators, sweedler, taft,
+                       verify_hopf_axioms)
 from hayd.reps import verify_coaction
 from hayd.suite import BUILTINS
 from hayd.tensor import Tensor
@@ -145,14 +146,16 @@ def test_round_trip_scans_the_structure_once(monkeypatch, name):
     reg = AlgebraModule(A, A.mult)
     calls = []
 
-    def counted(M):
-        calls.append(M)
-        return check_ayd(M)
+    def counted(M, *generators):
+        calls.append((M, *generators))
+        return check_ayd(M, *generators)
 
     monkeypatch.setattr(double, "check_ayd", counted)
     back = ah_module_roundtrip(H, reg)
     assert len(calls) == 1 and back.algebra is A and back.action == reg.action
-    assert ayd_to_ah_module(H, calls[0]).action == back.action
+    # the one call proves the structure's laws too, on H's own generators
+    assert calls[0][1:] == (own_generators(H),)
+    assert ayd_to_ah_module(H, calls[0][0]).action == back.action
     assert len(calls) == 2  # every other caller keeps the check
 
 

@@ -38,6 +38,11 @@ from helpers import dense, dense_closure_rank, dense_first_failure
 DENSE_LIMIT = 70_000  # letter assignments the dense oracle may loop over
 MULTIPLICATIVE = {"associativity", "module-associativity", "bialgebra-mult",
                   "bialgebra-counit", "coaction-multiplicative"}
+# the laws of the double's coalgebra, of its coaction on A_H, and with an
+# argument in H, reduced too (test_generator_lemma.py)
+REDUCED = MULTIPLICATIVE | {"coassociativity", "counit", "coaction-counit",
+                            "coaction-coassociativity", "action-associativity",
+                            "anti-yetter-drinfeld-lr", "yetter-drinfeld-lr"}
 # rows of the chosen generators; taft-3-f7 takes x and g of H and seven dual
 # basis covectors, group-s3 and fun-s3 the two generators of kS_3 and five of
 # the six idempotents of k^S_3
@@ -80,8 +85,8 @@ def _plain(A):
 
 def _hopf(D, comult, generators):
     """verify_hopf_given_algebra on D with ``comult`` in place of its coproduct."""
-    Dc = FinHopfAlgebra(D.field, D.mult, D.unit, comult, D.counit, D.antipode, name="Dc")
-    Dc.generators = generators
+    Dc = FinHopfAlgebra(D.field, D.mult, D.unit, comult, D.counit, D.antipode, name="Dc",
+                        generators=generators)
     return verify_hopf_given_algebra(Dc)
 
 
@@ -184,7 +189,7 @@ def _reduced(ident):
     # on_generators puts the generator rows first on each side, a rank-2
     # factor whose first letter is the first witness letter
     tensor, letters = ident.lhs[0]
-    return ident.label in MULTIPLICATIVE and letters[0] == ident.witness[0] and tensor.rank == 2
+    return ident.label in REDUCED and letters[0] == ident.witness[0] and tensor.rank == 2
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -203,25 +208,28 @@ def test_every_reduced_scan_passes_alone(monkeypatch, name):
     A, log = _scanned(monkeypatch, build)
     Dalg, D = build_double(H), build_double_hopf(H)
     assert A.generators is not None and Dalg.generators is not None
-    assert A.generators is Dalg.generators is D.generators  # chosen once per H
+    assert D.generators is Dalg.generators  # the double's proof
+    assert A.generators.matrix is Dalg.generators.matrix  # chosen once per H
     assert all(result is None for _, result in log)
     seen = []
     for group, _ in log:
         for ident in group:
-            if ident.label in MULTIPLICATIVE:
-                assert any(ident.lhs[0][0] is G for G in (A.generators, Dalg.generators))
+            if _reduced(ident):
+                assert any(ident.lhs[0][0] is G.matrix for G in (A.generators, Dalg.generators))
                 seen.append(ident.label)
     assert sorted(seen) == sorted([
         "associativity", "associativity", "bialgebra-mult", "bialgebra-counit",
-        "coaction-multiplicative", "module-associativity",
+        "coassociativity", "counit", "counit", "coaction-counit",
+        "coaction-coassociativity", "coaction-multiplicative", "module-associativity",
     ])
     # fewer rows, carrying fewer basis terms, than the 2n that generate
     # because their products are the basis
     rows = _candidates(H)
-    assert A.generators.shape[1] == rows.shape[1]
-    assert A.generators.shape[0] < rows.shape[0]
-    assert len(A.generators.entries) < len(rows.entries)
-    assert A.generators.shape[0] == ROWS[name]
+    G = A.generators.matrix
+    assert G.shape[1] == rows.shape[1]
+    assert G.shape[0] < rows.shape[0]
+    assert len(G.entries) < len(rows.entries)
+    assert G.shape[0] == ROWS[name]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -230,7 +238,7 @@ def test_closure_rank_against_dense_words(name):
     # the chosen generators (rank dim) and the dual rows alone (rank n)
     H, A, Dalg, _, _ = _built(name)
     for alg in (A, Dalg):
-        for rows, want in ((alg.generators, alg.dim), (_dual_rows(H), H.dim)):
+        for rows, want in ((alg.generators.matrix, alg.dim), (_dual_rows(H), H.dim)):
             rank = left_closure_rank(alg.mult, alg.unit, rows)
             assert rank == dense_closure_rank(alg.mult, alg.unit, rows) == want
 
@@ -299,7 +307,7 @@ def _product_corruptions(name):
     """(generator-aware run, full run) for bumped products of A_H and the
     double and bumped regular actions of A_H."""
     H, A, Dalg, _, _ = _built(name)
-    for gens in (A.generators, _candidates(H)):
+    for gens in (A.generators.matrix, _candidates(H)):
         for k, alg in enumerate((A, Dalg)):
             for idx in _positions(alg.mult, k, 4):
                 mult = _bumped(alg.mult, idx)
@@ -336,7 +344,7 @@ def _precondition_corruptions(name):
     H, A, _, D, coaction = _built(name)
     for idx in _positions(A.unit, 3, 2):
         unit = _bumped(A.unit, idx)
-        yield _algebra(A.mult, unit, A.generators), _algebra(A.mult, unit), "unit"
+        yield _algebra(A.mult, unit, A.generators.matrix), _algebra(A.mult, unit), "unit"
     # the zero action is associative, but 1 does not act as the identity
     zero = Tensor.zeros(H.field, A.mult.shape)
     yield _module(A, zero), _module(_plain(A), zero), "module-unit"
@@ -384,18 +392,20 @@ def test_failing_preconditions_fall_back(monkeypatch, name):
 
 
 def test_a_failure_before_every_reduced_identity_is_scanned_once(monkeypatch):
-    # coaction-counit comes before the reduced coaction-multiplicative in its
-    # check call, so the full rescan has nothing to change there
-    _, A, _, D, coaction = _built("sweedler-2")
-    co = coaction.tensor
-    for idx in sorted(co.entries):
-        doubled = Tensor(co.field, co.shape, {**co.entries, idx: 2 * co.get(idx)})
-        report, log = _scanned(monkeypatch, _comodule(A, D, doubled))
-        if report.axiom == "coaction-counit":
+    # module-unit comes before the reduced module-associativity in its check
+    # call, so the full rescan has nothing to change there (the coaction laws
+    # that used to stand here are reduced themselves)
+    _, A, _, _, _ = _built("sweedler-2")
+    act = A.mult
+    for idx in sorted(act.entries):
+        doubled = Tensor(act.field, act.shape, {**act.entries, idx: 2 * act.get(idx)})
+        report, log = _scanned(monkeypatch, _module(A, doubled))
+        if report.axiom == "module-unit":
             break
     else:
-        pytest.fail("no doubled entry breaks coaction-counit")
-    assert [result for group, result in log if group[0].label == "coaction-counit"] == [report]
+        pytest.fail("no doubled entry breaks module-unit")
+    assert [result for group, result in log if group[0].label == "module-unit"] == [report]
+    assert not any(_reduced(ident) for group, _ in log for ident in group)
 
 
 @pytest.mark.parametrize("name", ["group-c2", "sweedler-2", "taft-3-f7"])
@@ -421,3 +431,31 @@ def test_no_reduced_scan_fails_in_the_builtin_battery(monkeypatch, capsys):
     assert code == 0
     reduced = [result for group, result in log if any(ident.full is not None for ident in group)]
     assert reduced and all(result is None for result in reduced)
+
+
+def test_the_battery_scans_the_lemma_s_laws_reduced(monkeypatch, capsys):
+    # a silent fall-back to full scans would pass every verdict and only make
+    # the battery slower: on every builtin, the double's coassociativity and
+    # counit laws, A_H's coaction laws (ledger hits of the double's), and
+    # ah_module_to_ayd's action-associativity and compatibility are stated on
+    # generators, the double's and A_H's on one matrix
+    stated = []
+    real = identity._scan
+
+    def spy(groups):
+        stated.extend(ident for group in groups for ident in group)
+        return real(groups)
+
+    monkeypatch.setattr(identity, "_scan", spy)
+    assert main(["suite", "--builtin", "all"]) == 0
+    reduced = {}
+    for ident in stated:
+        if ident.full is not None:
+            matrix = ident.lhs[0][0]  # held, so that no id is reused
+            reduced.setdefault(ident.label, {})[id(matrix)] = matrix
+    builtins = len(BUILTINS)
+    for label in ("coassociativity", "counit", "coaction-counit", "coaction-coassociativity"):
+        assert len(reduced.get(label, ())) == builtins, label  # one matrix per H
+    assert reduced["coaction-counit"].keys() == reduced["counit"].keys()
+    for label in ("action-associativity", "anti-yetter-drinfeld-lr"):
+        assert len(reduced.get(label, ())) >= builtins, label

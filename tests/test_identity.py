@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from hayd import identity
+from hayd import algebra, identity
 from hayd.cli import main
 from hayd.double import build_ah
 from hayd.errors import CheckFailedError, ShapeError
@@ -338,6 +338,14 @@ def _unit_laws(mult, unit):
             Identity("unit", "i", "k", [(unit, "j"), (mult, "ijk")], [(delta, "ik")])]
 
 
+def _on_rows(mult, rows, unit):
+    """Associativity of ``mult`` on the rows of the matrix ``rows``, resting
+    on the unit laws: the record is made by hand, as no proof would make it
+    for a corrupted product or a non-generating row."""
+    generators = algebra.Generators(rows, mult, unit, algebra._PROOF)
+    return on_generators(_assoc(mult), generators, needs=_unit_laws(mult, unit))
+
+
 def _reduced_failure():
     """A_H(sweedler)'s product with one entry bumped, the first one for which
     the unit laws still hold and associativity on A_H's proved generators
@@ -345,7 +353,7 @@ def _reduced_failure():
     A = build_ah(sweedler())
     for idx in sorted(A.mult.entries):
         bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
-        alone = identity._first_failure((on_generators(_assoc(bad), A.generators),))
+        alone = identity._first_failure((_on_rows(bad, A.generators.matrix, A.unit),))
         full = check("x", _assoc(bad))
         if alone is not None and full.witness != alone.witness and check("x", _unit_laws(bad, A.unit)):
             return bad, A
@@ -361,7 +369,7 @@ def test_on_generators_without_generators_is_the_identity_itself():
 @pytest.mark.parametrize("scope", ["none", "empty", "proved"])
 def test_a_failing_reduced_identity_reports_what_the_full_scan_reports(scope):
     bad, A = _reduced_failure()
-    reduced = on_generators(_assoc(bad), A.generators)
+    reduced = _on_rows(bad, A.generators.matrix, A.unit)
     assert reduced.full is not None and reduced.full.full is None
     want = check("algebra", _assoc(bad), _unit_laws(bad, A.unit))
     assert not want.passed
@@ -379,9 +387,9 @@ def test_a_reduced_identity_and_its_full_one_are_freed_by_reference_counting():
     H = sweedler()
     gc.disable()
     try:
-        full = _assoc(H.mult)
-        reduced = on_generators(full, Tensor.identity(Q, H.dim))
-        assert check("x", reduced).passed
+        reduced = _on_rows(H.mult, Tensor.identity(Q, H.dim), H.unit)
+        full = reduced.full
+        assert check("x", reduced, _unit_laws(H.mult, H.unit)).passed
         refs = [weakref.ref(full), weakref.ref(reduced)]
         del full, reduced
         assert [ref() for ref in refs] == [None, None]
@@ -512,8 +520,8 @@ def test_the_unit_law_on_a_h_indexes_only_the_unit_rows_and_reports_the_dense_fa
     assert check("unit", law) == r
 
 
-def _reduced_assoc_failure(bad, generators):
-    reduced = on_generators(_assoc(bad), generators)
+def _reduced_assoc_failure(bad, rows, unit):
+    reduced = _on_rows(bad, rows, unit)
     return reduced, identity._first_failure((reduced,))
 
 
@@ -521,13 +529,13 @@ def test_a_reduced_scan_on_a_h_finds_a_corruption_in_a_reachable_row(monkeypatch
     # the first factor is the generator matrix: the product's index holds
     # only the rows of the generators' support
     A = build_ah(BUILTINS["taft-3-f7"]())
-    support = {i for _, i in A.generators.entries}
+    support = {i for _, i in A.generators.matrix.entries}
     unit = {i for i, in A.unit.entries}
     idx = next(idx for idx in sorted(A.mult.entries)
                if idx[0] in support - unit and idx[1] not in unit)
     bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
     seen = _filtered(monkeypatch)
-    reduced, got = _reduced_assoc_failure(bad, A.generators)
+    reduced, got = _reduced_assoc_failure(bad, A.generators.matrix, A.unit)
     assert got is not None
     assert seen and all(kept < size / 2 for size, kept in seen)
     # the full scan that check falls back to, and the same reduced scan
@@ -535,19 +543,20 @@ def test_a_reduced_scan_on_a_h_finds_a_corruption_in_a_reachable_row(monkeypatch
     full = check("algebra", _assoc(bad), _unit_laws(bad, A.unit))
     assert check("algebra", reduced, _unit_laws(bad, A.unit)) == full
     _unfiltered(monkeypatch)
-    assert _reduced_assoc_failure(bad, A.generators)[1] == got
+    assert _reduced_assoc_failure(bad, A.generators.matrix, A.unit)[1] == got
 
 
 def test_a_reduced_scan_with_a_filtered_index_matches_the_dense_oracle(monkeypatch):
     # one generator row of A_H(k_7 C_3), so that the dense loop stays small
     A = build_ah(group_algebra(cyclic(3), prime_field(7)))
-    g = max(g for g, _ in A.generators.entries)
-    row = Tensor(A.field, (1, A.dim), {(0, i): c for (h, i), c in A.generators.entries.items() if h == g})
+    rows = A.generators.matrix
+    g = max(g for g, _ in rows.entries)
+    row = Tensor(A.field, (1, A.dim), {(0, i): c for (h, i), c in rows.entries.items() if h == g})
     seen = _filtered(monkeypatch)
     for idx in sorted(A.mult.entries):
         if (0, idx[0]) in row.entries:
             bad = _with(A.mult, idx, A.mult.entries[idx] + 1)
-            reduced, got = _reduced_assoc_failure(bad, row)
+            reduced, got = _reduced_assoc_failure(bad, row, A.unit)
             assert (got.axiom, got.witness, dense(got.lhs), dense(got.rhs)) == \
                 dense_first_failure([reduced])
             break

@@ -102,7 +102,7 @@ def _prove_clean(name):
     with and without generators."""
     H, A, Dalg, D, coaction = _built(name)
     for alg in (A, Dalg):
-        for gens in (alg.generators, _candidates(H), None):
+        for gens in (alg.generators.matrix, _candidates(H), None):
             FinAlgebra(H.field, alg.mult, alg.unit, check=False, generators=gens).verify()
     for alg in (A, _plain(A)):
         AlgebraModule(alg, A.mult, check=False).verify()

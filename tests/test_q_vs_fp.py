@@ -48,7 +48,7 @@ def test_rational_build_reduces_to_the_prime_field_build(name, p):
         AQ, Ap = build(HQ), build(Hp)
         assert _mod(AQ.mult, F) == Ap.mult and _mod(AQ.unit, F) == Ap.unit
         assert AQ.generators is not None and Ap.generators is not None
-        assert _mod(AQ.generators, F) == Ap.generators
+        assert _mod(AQ.generators.matrix, F) == Ap.generators.matrix
     DQ, Dp = build_double_hopf(HQ), build_double_hopf(Hp)
     for label in ("comult", "counit", "antipode"):
         assert _mod(getattr(DQ, label), F) == getattr(Dp, label), label
