@@ -124,9 +124,8 @@ def _prove(law: Identity, M: TwoSidedStructure, generators=None) -> Report:
     generators (``identity.on_generators``)."""
     if generators is None:
         return check(law.label, law)
-    laws = M.laws(generators)
-    return check(law.label, *laws, on_generators(
-        law, generators, needs=[ident.full or ident for ident in laws[:2]]))
+    return check(law.label, *M.laws(generators), on_generators(
+        law, generators, needs=action_laws(M.hopf, M.action)))
 
 
 def check_ayd(M: TwoSidedStructure, generators=None) -> Report:
