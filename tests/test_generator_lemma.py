@@ -26,12 +26,13 @@ from hayd.fields import prime_field
 from hayd.galois import check_comodule_algebra
 from hayd.hopf import check_element, own_generators, sweedler
 from hayd.identity import Identity, check, evaluate, ledger, on_generators
-from hayd.reps import ActionStructure, CoactionStructure
+from hayd.reps import ActionStructure
 from hayd.suite import BUILTINS
 from hayd.tensor import Tensor, invert_matrix
 
-from helpers import dense, first_compat_violation, first_hopf_violation, first_right_coaction_violation
-from test_generators import _agrees, _comodule, _plain, _reduced, _scanned, _with_comult
+from helpers import (dense, first_compat_violation, first_hopf_violation,
+                     first_right_coaction_violation)
+from test_generators import _agrees, _comodule, _plain, _reduced, _with_comult
 
 FACTORIES = {name: BUILTINS[name] for name in ("group-s3", "fun-s3", "sweedler-2", "taft-3-f7")}
 FACTORIES["sweedler-f7"] = lambda: sweedler(prime_field(7))
@@ -127,14 +128,11 @@ def test_a_corrupted_coaction_on_a_h_fails_its_reduced_law(monkeypatch, name):
             first_right_coaction_violation(D, co)
 
 
-def _relabelled_actions(name):
-    """(label, structure) from ah_module_to_ayd of the regular A_H-module
-    with h acting as sigma(h): sigma exchanges two basis elements outside
-    the unit's support, so the action stays unital but not associative; or
-    sigma is conjugation by a group-like of H that is not central, so the
-    action stays a module but not compatible."""
-    H, A, _, _ = _built(name)
-    M = ah_module_to_ayd(H, AlgebraModule(A, A.mult))
+def _relabelled_actions(H):
+    """(label, sigma) for h acting through sigma(h): sigma exchanges two basis
+    elements of H outside the unit's support, so an action stays unital but
+    not associative; or sigma is conjugation by a group-like of H that is not
+    central, so a module stays one but not compatible."""
     f, n = H.field, H.dim
     s, t = [i for i in range(n) if (i,) not in H.unit.entries][:2]
     swap = {s: t, t: s}
@@ -169,7 +167,7 @@ def _in_turn(*runs):
 def test_a_corrupted_ayd_action_fails_its_reduced_law(monkeypatch, name):
     H, A, _, _ = _built(name)
     M = ah_module_to_ayd(H, AlgebraModule(A, A.mult))
-    for label, sigma in _relabelled_actions(name):
+    for label, sigma in _relabelled_actions(H):
         bad = _acting_through(M, sigma)
         first = _agrees(monkeypatch, lambda: check_ayd(bad, own_generators(H)),
                         lambda: _in_turn(bad.verify, lambda: check_ayd(bad)))

@@ -11,7 +11,9 @@ as a plain structure with none, which runs the full scans.  The two reports
 must be equal.  The group that decided the full scan is also compared with
 ``helpers.dense_first_failure`` where the dense oracle's loop over all letter
 values stays small, which takes in every identity at dimension 4; the full
-scan itself is pinned to that oracle in test_identity.py.
+scan itself is pinned to that oracle in test_identity.py.  The double's
+coalgebra, A_H's coaction laws and the laws with an argument in H, reduced
+too, have their own corruptions in test_generator_lemma.py.
 """
 
 from __future__ import annotations
@@ -83,9 +85,11 @@ def _plain(A):
     return FinAlgebra(A.field, A.mult, A.unit, check=False)
 
 
-def _hopf(D, comult, generators):
-    """verify_hopf_given_algebra on D with ``comult`` in place of its coproduct."""
-    Dc = FinHopfAlgebra(D.field, D.mult, D.unit, comult, D.counit, D.antipode, name="Dc",
+def _hopf(D, comult, generators, counit=None):
+    """verify_hopf_given_algebra on D with ``comult`` in place of its
+    coproduct, and ``counit``, if given, in place of its counit."""
+    counit = D.counit if counit is None else counit
+    Dc = FinHopfAlgebra(D.field, D.mult, D.unit, comult, counit, D.antipode, name="Dc",
                         generators=generators)
     return verify_hopf_given_algebra(Dc)
 
@@ -299,8 +303,8 @@ def _comodule(alg, D, co):
     return lambda: check_comodule_algebra(alg, D, CoactionStructure("right", alg.dim, co))
 
 
-def _with_comult(D, comult, generators):
-    return lambda: _hopf(D, comult, generators)
+def _with_comult(D, comult, generators, counit=None):
+    return lambda: _hopf(D, comult, generators, counit)
 
 
 def _product_corruptions(name):
@@ -319,13 +323,18 @@ def _product_corruptions(name):
 
 def _coproduct_corruptions(name):
     """(generator-aware run, full run, the label the first run must fail
-    on, or None) for bumped and transported coproducts of D and coactions
-    of D on A_H.  A transported coalgebra or coaction keeps every law but
-    multiplicativity, so the reduced scan is what fails."""
+    on, or None) for bumped and transported coproducts of D, bumped counits
+    of D and coactions of D on A_H.  A transported coalgebra or coaction
+    keeps every law but multiplicativity, so the reduced scan is what
+    fails."""
     H, A, _, D, coaction = _built(name)
     for idx in _positions(D.comult, 1, 2):
         comult = _bumped(D.comult, idx)
         yield _with_comult(D, comult, D.generators), _with_comult(D, comult, None), None
+    for idx in _positions(D.counit, 4, 2):
+        counit = _bumped(D.counit, idx)
+        yield (_with_comult(D, D.comult, D.generators, counit),
+               _with_comult(D, D.comult, None, counit), None)
     for idx in _positions(coaction.tensor, 2, 2):
         co = _bumped(coaction.tensor, idx)
         yield _comodule(A, D, co), _comodule(_plain(A), D, co), None
