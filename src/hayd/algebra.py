@@ -35,7 +35,10 @@ def module_laws(mult: Tensor, unit: Tensor, act: Tensor, side="left", name="modu
     ((e_i e_j) m == e_i (e_j m) on the left, m (e_i e_j) == (m e_i) e_j on the
     right) of an action tensor (alg, in, out) over the algebra (mult, unit);
     associativity with e_i on ``generators``, proved generators of that
-    algebra, if given (``identity.on_generators``)."""
+    algebra, if given (``identity.on_generators``).  A record proved for
+    another product is a ShapeError."""
+    if generators is not None and (generators.mult is not mult or generators.unit is not unit):
+        raise ShapeError(f"{name}-associativity: generators proved for another product")
     delta = Tensor.identity(mult.field, act.shape[1])
     twice = [(act, "icb"), (act, "jac")] if side == "left" else [(act, "iac"), (act, "jcb")]
     unit_law = Identity(f"{name}-unit", "a", "b", [(unit, "j"), (act, "jab")], [(delta, "ab")])

@@ -23,6 +23,7 @@ from .hopf import (
     check_element,
     group_algebra,
     iterated_coproduct,
+    own_generators,
 )
 from .identity import Identity, check, evaluate, on_generators
 from .report import Report
@@ -64,16 +65,16 @@ class TwoSidedStructure:
     def dim(self) -> int:
         return self.action.dim
 
-    def laws(self, generators=None) -> list:
-        """The action's laws, then the coaction's; the action's associativity
-        on ``generators``, proved generators of H, if given."""
-        return [*action_laws(self.hopf, self.action, generators),
+    def laws(self, reduced=False) -> list:
+        """The action's laws, then the coaction's; ``reduced`` scans the
+        action's associativity on H's own generators (``action_laws``)."""
+        return [*action_laws(self.hopf, self.action, reduced),
                 *coaction_laws(self.hopf, self.coaction)]
 
-    def verify(self, generators=None) -> Report:
+    def verify(self, reduced=False) -> Report:
         """``laws``, scanned in order; a pass is labelled as
         ``verify_coaction``'s."""
-        return check(f"coaction-{self.coaction.side}", *self.laws(generators))
+        return check(f"coaction-{self.coaction.side}", *self.laws(reduced))
 
 
 def compatibility(M: TwoSidedStructure, anti: bool) -> Identity:
@@ -118,27 +119,29 @@ def stability(M: TwoSidedStructure) -> Identity:
     )
 
 
-def _prove(law: Identity, M: TwoSidedStructure, generators=None) -> Report:
-    """``law`` alone; with ``generators``, proved generators of H, M's laws
-    first and then ``law``, which rests on the action's laws, with h on the
-    generators (``identity.on_generators``)."""
-    if generators is None:
+def _prove(law: Identity, M: TwoSidedStructure, with_laws=False) -> Report:
+    """``law`` alone; ``with_laws``: M's laws first, the action's
+    associativity reduced, and then ``law`` with h on H's own generators
+    (``identity.on_generators``), resting on the action's laws."""
+    if not with_laws:
         return check(law.label, law)
-    return check(law.label, *M.laws(generators), on_generators(
-        law, generators, needs=action_laws(M.hopf, M.action)))
+    laws = M.laws(reduced=True)
+    needs = [ident.full or ident for ident in laws[:2]]  # the action's unit and associativity
+    return check(law.label, *laws, on_generators(law, own_generators(M.hopf), needs=needs))
 
 
-def check_ayd(M: TwoSidedStructure, generators=None) -> Report:
+def check_ayd(M: TwoSidedStructure, with_laws=False) -> Report:
     """Coaction of the acted element equals the inverse-antipode-twisted side.
-    With ``generators`` (``hopf.own_generators``) the same call proves M's
-    laws first, and scans the action's associativity and this law on them."""
-    return _prove(compatibility(M, anti=True), M, generators)
+    ``with_laws`` proves M's laws first in the same call, and scans the
+    action's associativity and this law on H's own generators
+    (``hopf.own_generators``)."""
+    return _prove(compatibility(M, anti=True), M, with_laws)
 
 
-def check_yd(M: TwoSidedStructure, generators=None) -> Report:
+def check_yd(M: TwoSidedStructure, with_laws=False) -> Report:
     """The antipode-twisted compatibility in the same four conventions, and
-    with ``generators`` as in ``check_ayd``."""
-    return _prove(compatibility(M, anti=False), M, generators)
+    with ``with_laws`` as in ``check_ayd``."""
+    return _prove(compatibility(M, anti=False), M, with_laws)
 
 
 def check_stability(M: TwoSidedStructure) -> Report:

@@ -132,7 +132,7 @@ def _conversion_action(H: FinHopfAlgebra, M: TwoSidedStructure) -> Tensor:
 def _to_module(H: FinHopfAlgebra, M: TwoSidedStructure, check_compatible, build) -> AlgebraModule:
     if M.case != "lr":
         raise ShapeError(f"conversion expects the lr case, got {M.case}")
-    check_compatible(M, own_generators(H)).require()
+    check_compatible(M, with_laws=True).require()
     return AlgebraModule(build(H), _conversion_action(H, M))
 
 
@@ -160,7 +160,7 @@ def ah_module_to_ayd(H: FinHopfAlgebra, V: AlgebraModule) -> TwoSidedStructure:
     coaction = CoactionStructure("right", m, evaluate("rsi", [(H.unit, "j"), (v, "ijrs")]))
     M = TwoSidedStructure(H, action, coaction)
     # its laws and the compatibility in one call, on H's generators
-    check_ayd(M, own_generators(H)).require()
+    check_ayd(M, with_laws=True).require()
     return M
 
 

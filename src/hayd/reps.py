@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import module_laws
 from .errors import InputError, ShapeError
-from .hopf import FinHopfAlgebra
+from .hopf import FinHopfAlgebra, own_generators
 from .identity import Identity, check, evaluate
 from .report import Report
 from .tensor import Tensor
@@ -78,13 +78,13 @@ def _require_over(H: FinHopfAlgebra, S, what: str):
         raise ShapeError(f"field mismatch between {what} and Hopf algebra")
 
 
-def action_laws(H: FinHopfAlgebra, A: ActionStructure, generators=None) -> list:
+def action_laws(H: FinHopfAlgebra, A: ActionStructure, reduced=False) -> list:
     """The unit and associativity laws of an action over H, as identities
-    labelled ``action-unit`` and ``action-associativity``; associativity on
-    ``generators``, proved generators of H (``hopf.own_generators``), if
-    given."""
+    labelled ``action-unit`` and ``action-associativity``; ``reduced`` scans
+    associativity on H's own generators (``hopf.own_generators``)."""
     _require_over(H, A, "action")
-    return module_laws(H.mult, H.unit, A.tensor, A.side, "action", generators)
+    return module_laws(H.mult, H.unit, A.tensor, A.side, "action",
+                       own_generators(H) if reduced else None)
 
 
 def coaction_laws(H: FinHopfAlgebra, C: CoactionStructure) -> list:

@@ -24,7 +24,8 @@ from hayd.double import (ah_double_coaction, ah_module_to_ayd, build_ah, build_d
 from hayd.errors import ShapeError
 from hayd.fields import prime_field
 from hayd.galois import check_comodule_algebra
-from hayd.hopf import check_element, own_generators, sweedler
+from hayd.groups import cyclic
+from hayd.hopf import check_element, group_algebra, own_generators, sweedler
 from hayd.identity import Identity, check, evaluate, ledger, on_generators
 from hayd.reps import ActionStructure
 from hayd.suite import BUILTINS
@@ -32,7 +33,7 @@ from hayd.tensor import Tensor, invert_matrix
 
 from helpers import (dense, first_compat_violation, first_hopf_violation,
                      first_right_coaction_violation)
-from test_generators import _agrees, _comodule, _plain, _reduced, _with_comult
+from test_generators import _agrees, _comodule, _plain, _reduced, _scanned, _with_comult
 
 FACTORIES = {name: BUILTINS[name] for name in ("group-s3", "fun-s3", "sweedler-2", "taft-3-f7")}
 FACTORIES["sweedler-f7"] = lambda: sweedler(prime_field(7))
@@ -169,7 +170,7 @@ def test_a_corrupted_ayd_action_fails_its_reduced_law(monkeypatch, name):
     M = ah_module_to_ayd(H, AlgebraModule(A, A.mult))
     for label, sigma in _relabelled_actions(H):
         bad = _acting_through(M, sigma)
-        first = _agrees(monkeypatch, lambda: check_ayd(bad, own_generators(H)),
+        first = _agrees(monkeypatch, lambda: check_ayd(bad, with_laws=True),
                         lambda: _in_turn(bad.verify, lambda: check_ayd(bad)))
         assert first.label == label and _reduced(first)
         if name in DENSE and label.startswith("anti"):
@@ -200,6 +201,21 @@ def test_a_record_is_made_only_by_a_proof():
         FinAlgebra(D.field, D.mult, D.unit, check=False, generators=A.generators)
     adopted = FinAlgebra(A.field, A.mult, A.unit, generators=A.generators)
     assert adopted.generators is A.generators
+
+
+def test_a_record_reduces_only_its_own_product(monkeypatch):
+    # rows proved to generate another algebra of the same dimension need not
+    # generate this one, so a law over H refuses them; the structures over H
+    # take H's own record
+    H = sweedler()
+    other = own_generators(group_algebra(cyclic(4)))
+    with pytest.raises(ShapeError, match="another product"):
+        algebra.module_laws(H.mult, H.unit, H.mult, "action", generators=other)
+    M = ah_module_to_ayd(H, AlgebraModule(build_ah(H), build_ah(H).mult))
+    report, log = _scanned(monkeypatch, lambda: check_ayd(M, with_laws=True))
+    rows = [ident.lhs[0][0] for group, _ in log for ident in group if _reduced(ident)]
+    assert report.passed and len(rows) == 2  # action-associativity, then the compatibility
+    assert all(t is own_generators(H).matrix for t in rows)
 
 
 def test_a_reduction_names_its_hypotheses():
@@ -248,8 +264,8 @@ def _call_site(site):
         "module": (algebra, lambda: AlgebraModule(A, A.mult, check=False).verify()),
         "hopf": (hopf, _with_comult(D, D.comult, D.generators)),
         "comodule-algebra": (galois, lambda: check_comodule_algebra(A, D, coaction)),
-        "two-sided": (ayd, lambda: M.verify(own_generators(H))),
-        "ayd": (ayd, lambda: check_ayd(M, own_generators(H))),
+        "two-sided": (ayd, lambda: M.verify(reduced=True)),
+        "ayd": (ayd, lambda: check_ayd(M, with_laws=True)),
     }[site]
 
 

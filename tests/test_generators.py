@@ -218,7 +218,7 @@ def test_every_reduced_scan_passes_alone(monkeypatch, name):
     seen = []
     for group, _ in log:
         for ident in group:
-            if _reduced(ident):
+            if ident.label in REDUCED:
                 assert any(ident.lhs[0][0] is G.matrix for G in (A.generators, Dalg.generators))
                 seen.append(ident.label)
     assert sorted(seen) == sorted([
